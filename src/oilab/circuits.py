@@ -38,7 +38,7 @@ GATE_ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
     inputs: tuple[int, ...]
@@ -125,7 +125,8 @@ _GATE_BATCH_OPS = {
 
 
 def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate on a (N, k_in) boolean matrix, returning (N, k_out)."""
+    """Evaluate on a (N, k_in) boolean matrix, returning a Fortran-ordered
+    (N, k_out) one; Fortran-ordered input columns are read without a copy."""
     if inputs.ndim != 2 or inputs.shape[1] != circuit.k_in:
         raise WidthError(
             f"input block has shape {inputs.shape}, expected (N, {circuit.k_in})"
@@ -139,7 +140,7 @@ def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
             wires.append(np.ones(n_rows, dtype=bool))
         else:
             wires.append(_GATE_BATCH_OPS[gate.kind](wires, gate))
-    return np.column_stack([wires[w] for w in circuit.outputs])
+    return np.stack([wires[w] for w in circuit.outputs]).T
 
 
 def eval_circuit(circuit: BoolCircuit, x: str) -> str:
@@ -166,17 +167,23 @@ def eval_circuit(circuit: BoolCircuit, x: str) -> str:
 
 
 def bit_matrix(width: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the full truth-table input block, MSB first."""
+    """Rows start..stop-1 of the full truth-table input block, MSB first,
+    filled column by column into a Fortran-ordered block."""
     indices = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((indices[:, None] >> shifts) & 1).astype(bool)
+    block = np.empty((stop - start, width), dtype=bool, order="F")
+    for column in range(width):
+        np.not_equal(indices & (1 << (width - 1 - column)), 0, out=block[:, column])
+    return block
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Inverse of bit_matrix rows: (N, w) boolean -> integer indices."""
-    width = bits.shape[1]
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    return bits.astype(np.int64) @ weights
+    packed = np.zeros(bits.shape[0], dtype=np.int64)
+    for column in bits.T:
+        packed <<= 1
+        packed |= column
+    return packed
+
 
 _CHUNK_ROWS = 2 ** 18
 

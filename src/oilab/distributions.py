@@ -73,9 +73,6 @@ class Distribution:
             out[sub] = out.get(sub, 0) + value
         return Distribution(stop - start, out)
 
-    def as_float(self) -> "Distribution":
-        return Distribution(self.width, {k: float(v) for k, v in self.probs.items()})
-
     def to_json_dict(self) -> dict:
         probs = {}
         for key, value in sorted(self.probs.items()):

@@ -113,7 +113,11 @@ class SimUnitary:
             raise ValueError("exactly one of table/matrix must be given")
         if self.table is not None:
             table = np.asarray(self.table, dtype=np.int64)
-            if table.shape != (dim,) or len(np.unique(table)) != dim:
+            seen = np.zeros(dim, dtype=bool)
+            # range-checked first: a negative entry would wrap in the scatter
+            if table.shape == (dim,) and table.min() >= 0 and table.max() < dim:
+                seen[table] = True
+            if not seen.all():
                 raise InvalidPairError("permutation table is not a bijection on the basis")
             object.__setattr__(self, "table", table)
         else:
@@ -176,26 +180,47 @@ def permutation_unitary_from_circuit(pair: InvPair, z: str) -> SimUnitary:
     """Basis permutation x -> forward(x; z) for one hard-wired randomness.
 
     The full table is built by evaluating the forward circuit on every
-    basis state, and checked to be a bijection; a non-invertible forward
-    map surfaces as InvalidPairError.
+    basis state, and checked to be a bijection by SimUnitary; a
+    non-invertible forward map surfaces as InvalidPairError.
     """
     if len(z) != pair.r or any(ch not in "01" for ch in z):
         raise WidthError(f"randomness {z!r} is not a {pair.r}-bit string")
     dim = 1 << pair.k
-    states = bit_matrix(pair.k, 0, dim)
-    if pair.r:
-        z_bits = bit_matrix(pair.r, int(z, 2), int(z, 2) + 1)
-        states = np.hstack([states, np.broadcast_to(z_bits, (dim, pair.r))])
+    states = np.empty((dim, pair.k + pair.r), dtype=bool, order="F")
+    states[:, : pair.k] = bit_matrix(pair.k, 0, dim)
+    states[:, pair.k :] = [ch == "1" for ch in z]
     table = pack_bits(eval_circuit_batch(pair.forward, states))
-    if len(np.unique(table)) != dim:
+    try:
+        return SimUnitary(pair.k, table=table)
+    except InvalidPairError as exc:
         raise InvalidPairError(
             f"forward circuit is not a permutation for randomness {z!r}"
-        )
-    return SimUnitary(pair.k, table=table)
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
 # order interference
+
+def _check_query(
+    unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int, caps: Caps
+) -> None:
+    """Validation shared by the order- and choice-interference oracles."""
+    m = len(unitaries)
+    if m < 1:
+        raise ValueError("need at least one unitary")
+    if m > caps.max_oracle_unitaries:
+        raise ResourceError(
+            f"{m} unitaries means {math.factorial(m)} orderings; "
+            f"cap is {caps.max_oracle_unitaries}"
+        )
+    for u in unitaries:
+        if u.n != psi.n:
+            raise WidthError("all unitaries must act on the state's qubit count")
+    if lam < 1:
+        raise ValueError("lambda must be a positive integer")
+    if not psi.is_normalized():
+        raise PreconditionError("query state must be normalized")
+
 
 @dataclass(frozen=True, eq=False)
 class OIQuery:
@@ -206,21 +231,7 @@ class OIQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "unitaries", tuple(self.unitaries))
-        m = len(self.unitaries)
-        if m < 1:
-            raise ValueError("need at least one unitary")
-        if m > self.caps.max_oracle_unitaries:
-            raise ResourceError(
-                f"{m} unitaries means {math.factorial(m)} orderings; "
-                f"cap is {self.caps.max_oracle_unitaries}"
-            )
-        for u in self.unitaries:
-            if u.n != self.psi.n:
-                raise WidthError("all unitaries must act on the state's qubit count")
-        if self.lam < 1:
-            raise ValueError("lambda must be a positive integer")
-        if not self.psi.is_normalized():
-            raise PreconditionError("query state must be normalized")
+        _check_query(self.unitaries, self.psi, self.lam, self.caps)
 
     @property
     def m(self) -> int:
@@ -346,11 +357,12 @@ def ci_oracle_query(
     """Choice-interference oracle, simulated at the contract level: success
     probability alignment * (||CI||/m) / (||CI||/m + 1/lambda), success
     state CI/||CI||."""
-    query = OIQuery(tuple(unitaries), psi, lam, caps)  # reuse the validation
-    alphas = np.stack([u.apply(psi.amps) for u in query.unitaries])
+    unitaries = tuple(unitaries)
+    _check_query(unitaries, psi, lam, caps)
+    alphas = np.stack([u.apply(psi.amps) for u in unitaries])
     alignment = phase_alignment(alphas)
     return _oracle_outcome(
-        alphas.sum(axis=0), alignment, query.m, lam, psi.n, rng
+        alphas.sum(axis=0), alignment, len(unitaries), lam, psi.n, rng
     )
 
 

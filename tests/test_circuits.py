@@ -104,6 +104,17 @@ class TestEnumerate:
         with pytest.raises(ResourceError):
             enumerate_distribution(identity_circuit(8), Caps(enum_bits=6))
 
+    def test_chunks_match_scalar_count(self, monkeypatch):
+        # a chunk size that divides nothing puts boundaries mid-pattern
+        monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 7)
+        c = random_circuit(7, 3, 24, seed=11)
+        counts: dict[str, int] = {}
+        for i in range(1 << 7):
+            y = eval_circuit(c, format(i, "07b"))
+            counts[y] = counts.get(y, 0) + 1
+        expected = Distribution(3, {k: Fraction(v, 1 << 7) for k, v in counts.items()})
+        assert enumerate_distribution(c) == expected
+
     def test_probabilities_are_dyadic_and_exact(self):
         dist = enumerate_distribution(random_circuit(5, 3, 12, seed=3))
         assert dist.is_exact
@@ -169,6 +180,21 @@ def test_json_round_trip(circuit):
 def test_pack_bits_inverts_bit_matrix():
     block = bit_matrix(6, 0, 64)
     assert np.array_equal(pack_bits(block), np.arange(64))
+
+
+def test_bit_helpers_match_broadcast_formula():
+    rng = np.random.default_rng(0)
+    for width in range(1, 17):
+        start, stop = (1 << width) // 3, 1 << width
+        indices = np.arange(start, stop, dtype=np.int64)
+        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+        expected = ((indices[:, None] >> shifts) & 1).astype(bool)
+        block = bit_matrix(width, start, stop)
+        assert np.array_equal(block, expected)
+        assert np.array_equal(pack_bits(block), indices)
+        bits = rng.integers(0, 2, size=(50, width)).astype(bool)
+        weights = 1 << shifts
+        assert np.array_equal(pack_bits(bits), bits.astype(np.int64) @ weights)
 
 
 def test_from_json_names_missing_field():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oilab.circuits import constant_circuit, identity_circuit
+from oilab.circuits import constant_circuit, eval_circuit, identity_circuit, random_circuit
 from oilab.config import Caps
 from oilab.errors import (
     DegenerateInputError,
@@ -12,7 +12,7 @@ from oilab.errors import (
     ResourceError,
     WidthError,
 )
-from oilab.invseq import InvPair, _xor_bit_step
+from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step
 from oilab.qsim import (
     OIQuery,
     SimUnitary,
@@ -71,8 +71,11 @@ class TestStateVector:
 
 class TestSimUnitary:
     def test_permutation_must_be_bijective(self):
-        with pytest.raises(InvalidPairError):
-            SimUnitary(1, table=np.array([0, 0]))
+        # -1 would wrap to the last index in an unchecked scatter, 4 would
+        # fall outside it
+        for n, table in ((1, [0, 0]), (2, [0, 0, 1, 2]), (2, [0, 1, 2, -1]), (2, [0, 1, 2, 4])):
+            with pytest.raises(InvalidPairError):
+                SimUnitary(n, table=np.array(table))
 
     def test_dense_must_be_unitary(self):
         with pytest.raises(ValueError):
@@ -114,8 +117,20 @@ class TestPermutationFromCircuit:
 
     def test_non_bijective_forward_rejected(self):
         broken = InvPair(constant_circuit(3, "00"), constant_circuit(3, "00"), 2, 1)
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(InvalidPairError, match="randomness '0'"):
             permutation_unitary_from_circuit(broken, "0")
+
+    def test_tables_match_scalar_evaluation(self):
+        pairs = [(_xor_bit_step(k, bit), z) for k, bit in ((2, 0), (5, 3), (7, 6)) for z in "01"]
+        for seed in range(4):
+            circuit = random_circuit(3, 2, 12, seed=seed)
+            pairs.append((_apply_circuit_step(circuit, 4), ""))
+        for pair, z in pairs:
+            expected = [
+                int(eval_circuit(pair.forward, format(x, f"0{pair.k}b") + z), 2)
+                for x in range(1 << pair.k)
+            ]
+            assert permutation_unitary_from_circuit(pair, z).table.tolist() == expected
 
     def test_randomness_width_checked(self):
         pair = _xor_bit_step(2, 0)
