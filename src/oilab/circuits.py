@@ -24,7 +24,7 @@ import numpy as np
 from .config import Caps, DEFAULT_CAPS
 from .distributions import Distribution
 from .errors import ParseError, ResourceError, WidthError
-from .jsonio import require_field
+from .jsonio import require_field, typed_fields
 from .seeding import derive_rng
 
 GATE_ARITY = {
@@ -97,22 +97,23 @@ class BoolCircuit:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BoolCircuit":
-        k_in = require_field(obj, "k_in", "circuit object")
-        k_out = require_field(obj, "k_out", "circuit object")
-        gates = []
-        for i, raw in enumerate(require_field(obj, "gates", "circuit object")):
-            kind = require_field(raw, "kind", f"gate {i}")
-            inputs = tuple(require_field(raw, "in", f"gate {i}"))
-            out = require_field(raw, "out", f"gate {i}")
+        with typed_fields("circuit object"):
+            k_in = require_field(obj, "k_in", "circuit object")
+            k_out = require_field(obj, "k_out", "circuit object")
+            gates = []
+            for i, raw in enumerate(require_field(obj, "gates", "circuit object")):
+                kind = require_field(raw, "kind", f"gate {i}")
+                inputs = tuple(require_field(raw, "in", f"gate {i}"))
+                out = require_field(raw, "out", f"gate {i}")
+                try:
+                    gates.append(Gate(kind, inputs, out))
+                except ValueError as exc:
+                    raise ParseError(f"gate {i}: {exc}") from exc
+            outputs = tuple(require_field(obj, "outputs", "circuit object"))
             try:
-                gates.append(Gate(kind, inputs, out))
-            except ValueError as exc:
-                raise ParseError(f"gate {i}: {exc}") from exc
-        outputs = tuple(require_field(obj, "outputs", "circuit object"))
-        try:
-            return cls(k_in, k_out, tuple(gates), outputs)
-        except (ValueError, WidthError) as exc:
-            raise ParseError(f"circuit object: {exc}") from exc
+                return cls(k_in, k_out, tuple(gates), outputs)
+            except (ValueError, WidthError) as exc:
+                raise ParseError(f"circuit object: {exc}") from exc
 
 
 _GATE_BATCH_OPS = {

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Commands: ``circuit stats``, ``reduce sd-to-sisd``, ``polarize``,
-``decide sd|sisd``, ``oracle oi|ci``, ``lwe gen|to-gapcvp|dist|experiment``.
+``decide sd|sisd``, ``oracle oi|ci``, ``validate``,
+``lwe gen|to-gapcvp|dist|experiment``.  The three commands that enumerate
+or solve CVP (``circuit stats``, ``lwe dist``, ``lwe experiment``) take
+``--cap-bits``, which sets the same caps as OILAB_CAP_BITS and wins over it.
 
 Every report embeds the seed, a hash of the parsed configuration, and the
 package version; re-running a command with the same inputs and seed
@@ -15,14 +18,13 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
-from .config import caps_from_env
+from .config import ENV_CAP_BITS, caps_from_env
 from .errors import OilabError
 from .invseq import (
     InvertibleSequence,
@@ -38,6 +40,7 @@ from .jsonio import (
     fraction_to_string,
     load_json,
     require_field,
+    typed_fields,
     write_json,
 )
 from .lwe import (
@@ -59,33 +62,24 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-def _caps(args):
-    caps = caps_from_env()
-    if getattr(args, "cap_bits", None) is not None:
-        caps = replace(caps, enum_bits=args.cap_bits, cvp_enum_cap=2 ** args.cap_bits)
-    return caps
-
-
-def _envelope(args, command: str) -> dict:
+def _report(args, command: str, payload: dict, path: str | None = None) -> None:
+    """Print the payload under the provenance envelope; also write it to
+    ``path`` when one is given."""
     config = {
         key: value
         for key, value in sorted(vars(args).items())
         if key != "handler" and not callable(value)
     }
-    return {
+    envelope = {
         "command": command,
         "version": __version__,
         "seed": getattr(args, "seed", 0),
         "config_hash": config_hash(config),
     }
-
-
-def _emit(args, report: dict) -> None:
-    text = canonical_dumps(report)
+    text = canonical_dumps({**envelope, **payload})
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        atomic_write_text(out, text)
+    if path:
+        atomic_write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def _cmd_circuit_stats(args) -> int:
         "gate_count": len(circuit.gates),
         "wire_count": circuit.n_wires,
     }
-    caps = _caps(args)
+    caps = caps_from_env(args.cap_bits)
     if circuit.k_in <= caps.enum_bits:
         dist = enumerate_distribution(circuit, caps)
         payload["distribution"] = {
@@ -107,7 +101,7 @@ def _cmd_circuit_stats(args) -> int:
             "max_prob": fraction_to_string(max(dist.probs.values())),
             "min_prob": fraction_to_string(min(dist.probs.values())),
         }
-    _emit(args, {**_envelope(args, "circuit stats"), **payload})
+    _report(args, "circuit stats", payload, args.out)
     return EXIT_YES
 
 
@@ -115,14 +109,13 @@ def _cmd_reduce(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
     reduced = reduce_sd_to_sisd(inst)
     write_json(args.out, reduced.to_json_dict())
-    report = {
-        **_envelope(args, "reduce sd-to-sisd"),
+    payload = {
         "length": len(reduced.seq0),
         "state_width": reduced.seq0.k,
         "max_randomness": reduced.r,
         "written": args.out,
     }
-    sys.stdout.write(canonical_dumps(report))
+    _report(args, "reduce sd-to-sisd", payload)
     return EXIT_YES
 
 
@@ -130,15 +123,14 @@ def _cmd_polarize(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
     out = polarize(inst, args.k, args.xor_reps, args.product_reps)
     write_json(args.out, out.to_json_dict())
-    report = {
-        **_envelope(args, "polarize"),
+    payload = {
         "a": fraction_to_string(out.a),
         "b": fraction_to_string(out.b),
         "k_in": out.c0.k_in,
         "k_out": out.c0.k_out,
         "written": args.out,
     }
-    sys.stdout.write(canonical_dumps(report))
+    _report(args, "polarize", payload)
     return EXIT_YES
 
 
@@ -150,58 +142,55 @@ def _solver_config(args) -> SolverConfig:
         trial_count=args.trials,
         seed=args.seed,
         tau=Fraction(args.tau) if args.tau is not None else None,
-        caps=_caps(args),
     )
 
 
 def _cmd_decide_sd(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
     decision = decide_sd(inst, _solver_config(args), args.polarize_k)
-    _emit(args, {**_envelope(args, "decide sd"), **decision.to_json_dict()})
+    _report(args, "decide sd", decision.to_json_dict(), args.out)
     return EXIT_YES if decision.verdict == "YES" else EXIT_NO
 
 
 def _cmd_decide_sisd(args) -> int:
     inst = SisdInstance.from_json_dict(load_json(args.instance))
     decision = decide_sisd(inst, _solver_config(args))
-    _emit(args, {**_envelope(args, "decide sisd"), **decision.to_json_dict()})
+    _report(args, "decide sisd", decision.to_json_dict(), args.out)
     return EXIT_YES if decision.verdict == "YES" else EXIT_NO
 
 
 def _load_oracle_query(args) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
     obj = load_json(args.query)
-    unitaries = tuple(
-        SimUnitary.from_json_dict(raw)
-        for raw in require_field(obj, "unitaries", "oracle query")
-    )
-    psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
-    lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
-    return unitaries, psi, int(lam)
+    with typed_fields("oracle query"):
+        unitaries = tuple(
+            SimUnitary.from_json_dict(raw)
+            for raw in require_field(obj, "unitaries", "oracle query")
+        )
+        psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
+        lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
+        return unitaries, psi, int(lam)
 
 
-def _oracle_report(args, command: str, outcome) -> dict:
-    return {
-        **_envelope(args, command),
+def _oracle_report(args, command: str, outcome) -> None:
+    payload = {
         "success": outcome.success,
         "diagnostics": outcome.diagnostics_dict(),
         "state": outcome.state.to_json_list() if outcome.state is not None else None,
     }
+    _report(args, command, payload, args.out)
 
 
 def _cmd_oracle_oi(args) -> int:
     unitaries, psi, lam = _load_oracle_query(args)
-    query = OIQuery(unitaries, psi, lam, _caps(args))
-    outcome = oi_oracle_query(query, derive_rng(args.seed, "oracle", "oi"))
-    _emit(args, _oracle_report(args, "oracle oi", outcome))
+    outcome = oi_oracle_query(OIQuery(unitaries, psi, lam), derive_rng(args.seed, "oracle", "oi"))
+    _oracle_report(args, "oracle oi", outcome)
     return EXIT_YES
 
 
 def _cmd_oracle_ci(args) -> int:
     unitaries, psi, lam = _load_oracle_query(args)
-    outcome = ci_oracle_query(
-        unitaries, psi, lam, derive_rng(args.seed, "oracle", "ci"), _caps(args)
-    )
-    _emit(args, _oracle_report(args, "oracle ci", outcome))
+    outcome = ci_oracle_query(unitaries, psi, lam, derive_rng(args.seed, "oracle", "ci"))
+    _oracle_report(args, "oracle ci", outcome)
     return EXIT_YES
 
 
@@ -210,13 +199,8 @@ def _cmd_lwe_gen(args) -> int:
     rng = derive_rng(args.seed, "lwe-gen", "uniform" if args.uniform else "lwe")
     inst = sample_uniform(params, rng) if args.uniform else sample_lwe(params, rng)
     write_json(args.out, inst.to_json_dict())
-    report = {
-        **_envelope(args, "lwe gen"),
-        "origin": inst.origin,
-        "d": params.distance_threshold,
-        "written": args.out,
-    }
-    sys.stdout.write(canonical_dumps(report))
+    payload = {"origin": inst.origin, "d": params.distance_threshold, "written": args.out}
+    _report(args, "lwe gen", payload)
     return EXIT_YES
 
 
@@ -224,54 +208,43 @@ def _cmd_lwe_to_gapcvp(args) -> int:
     inst = LweInstance.from_json_dict(load_json(args.instance))
     cvp = lwe_to_gapcvp(inst, args.gamma)
     write_json(args.out, cvp.to_json_dict())
-    report = {
-        **_envelope(args, "lwe to-gapcvp"),
-        "d": cvp.d,
-        "gamma": cvp.gamma,
-        "written": args.out,
-    }
-    sys.stdout.write(canonical_dumps(report))
+    _report(args, "lwe to-gapcvp", {"d": cvp.d, "gamma": cvp.gamma, "written": args.out})
     return EXIT_YES
 
 
 def _cmd_lwe_dist(args) -> int:
     cvp = GapCvpInstance.from_json_dict(load_json(args.instance))
-    dist = dist_to_lattice(cvp, _caps(args))
-    _emit(
-        args,
-        {
-            **_envelope(args, "lwe dist"),
-            "dist": dist,
-            "d": cvp.d,
-            "gamma": cvp.gamma,
-            "within_d": dist <= cvp.d,
-            "beyond_gamma_d": dist > cvp.gamma * cvp.d,
-        },
-    )
+    dist = dist_to_lattice(cvp, caps_from_env(args.cap_bits))
+    payload = {
+        "dist": dist,
+        "d": cvp.d,
+        "gamma": cvp.gamma,
+        "within_d": dist <= cvp.d,
+        "beyond_gamma_d": dist > cvp.gamma * cvp.d,
+    }
+    _report(args, "lwe dist", payload, args.out)
     return EXIT_YES
 
 
 def _cmd_lwe_experiment(args) -> int:
     params = LweParams(args.n, args.q, args.m, args.alpha)
     report = gap_experiment(
-        params, args.gamma, args.trials, args.seed, args.factor, _caps(args)
+        params, args.gamma, args.trials, args.seed, args.factor, caps_from_env(args.cap_bits)
     )
-    envelope = {**_envelope(args, "lwe experiment"), **report.to_json_dict()}
-    text = canonical_dumps(envelope)
-    sys.stdout.write(text)
-    if args.out_prefix:
-        atomic_write_text(args.out_prefix + ".json", text)
+    prefix = args.out_prefix
+    _report(args, "lwe experiment", report.to_json_dict(), prefix and prefix + ".json")
+    if prefix:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(["trial", "origin", "dist", "d", "verdict"])
         writer.writerows(report.csv_rows())
-        atomic_write_text(args.out_prefix + ".csv", buffer.getvalue())
+        atomic_write_text(prefix + ".csv", buffer.getvalue())
     return EXIT_YES
 
 
 def _cmd_validate(args) -> int:
     obj = load_json(args.instance)
-    if "seq0" in obj:  # a full two-sequence instance
+    if isinstance(obj, dict) and "seq0" in obj:  # a full two-sequence instance
         sequences = [
             InvertibleSequence.from_json_dict(require_field(obj, key, "sisd instance"))
             for key in ("seq0", "seq1")
@@ -279,37 +252,37 @@ def _cmd_validate(args) -> int:
     else:
         sequences = [InvertibleSequence.from_json_dict(obj)]
     reports = [validate_sequence(seq, seed=args.seed) for seq in sequences]
-    _emit(
-        args,
-        {
-            **_envelope(args, "validate sequence"),
-            "ok": all(r.ok for r in reports),
-            "sequences": [
-                [
-                    {
-                        "index": c.index,
-                        "exhaustive": c.exhaustive,
-                        "points": c.points_checked,
-                        "ok": c.ok,
-                        "counterexample": list(c.counterexample) if c.counterexample else None,
-                    }
-                    for c in report.checks
-                ]
-                for report in reports
-            ],
-        },
-    )
+    payload = {
+        "ok": all(r.ok for r in reports),
+        "sequences": [
+            [
+                {
+                    "index": c.index,
+                    "exhaustive": c.exhaustive,
+                    "points": c.points_checked,
+                    "ok": c.ok,
+                    "counterexample": list(c.counterexample) if c.counterexample else None,
+                }
+                for c in report.checks
+            ]
+            for report in reports
+        ],
+    }
+    _report(args, "validate sequence", payload, args.out)
     return EXIT_YES if all(r.ok for r in reports) else EXIT_NO
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(parser, out=True):
+def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    parser.add_argument("--cap-bits", type=int, default=None, help="enumeration cap override")
-    if out:
-        parser.add_argument("--out", default=None, help="write the JSON report here")
+    parser.add_argument("--out", default=None, help="write the JSON report here")
+
+
+def _add_cap_bits(parser):
+    help_text = f"enumeration and CVP budget in bits (overrides {ENV_CAP_BITS})"
+    parser.add_argument("--cap-bits", type=int, default=None, help=help_text)
 
 
 def _add_solver_flags(parser):
@@ -330,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = circuit.add_parser("stats", help="circuit shape and distribution summary")
     stats.add_argument("--instance", required=True)
     _add_common(stats)
+    _add_cap_bits(stats)
     stats.set_defaults(handler=_cmd_circuit_stats)
 
     reduce_ = sub.add_parser("reduce").add_subparsers(dest="sub", required=True)
@@ -395,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist = lwe.add_parser("dist")
     dist.add_argument("--instance", required=True)
     _add_common(dist)
+    _add_cap_bits(dist)
     dist.set_defaults(handler=_cmd_lwe_dist)
 
     exp = lwe.add_parser("experiment")
@@ -407,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--out-prefix", default=None)
     exp.add_argument("--seed", type=int, default=0)
-    exp.add_argument("--cap-bits", type=int, default=None)
+    _add_cap_bits(exp)
     exp.set_defaults(handler=_cmd_lwe_experiment)
 
     return parser
@@ -417,7 +392,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (OilabError, FileNotFoundError, ValueError) as exc:
+    except (OilabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,7 +8,6 @@ overridden per call site.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -26,21 +25,23 @@ class Caps:
         if min(self.enum_bits, self.max_oracle_unitaries, self.qubit_cap, self.cvp_enum_cap) <= 0:
             raise ValueError("all caps must be positive")
 
-    @property
-    def factorial_cap(self) -> int:
-        return math.factorial(self.max_oracle_unitaries)
-
 
 DEFAULT_CAPS = Caps()
 
 
-def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
-    """Default caps with the enumeration bit budget overridden by OILAB_CAP_BITS."""
-    raw = os.environ.get(ENV_CAP_BITS)
-    if raw is None:
-        return base
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_CAP_BITS} must be an integer, got {raw!r}") from exc
-    return replace(base, enum_bits=bits)
+def caps_from_env(bits: int | None = None) -> Caps:
+    """Default caps with the enumeration budget set to ``bits``, or to
+    OILAB_CAP_BITS when ``bits`` is None and the variable is set.
+
+    The budget bounds both brute-force paths: exact enumeration over at
+    most 2^bits inputs and exact CVP over at most 2^bits candidates.
+    """
+    if bits is None:
+        raw = os.environ.get(ENV_CAP_BITS)
+        if raw is None:
+            return DEFAULT_CAPS
+        try:
+            bits = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_CAP_BITS} must be an integer, got {raw!r}") from exc
+    return replace(DEFAULT_CAPS, enum_bits=bits, cvp_enum_cap=2 ** bits)

@@ -15,8 +15,18 @@ from fractions import Fraction
 from .circuits import SdInstance, enumerate_distribution, random_circuit
 from .distributions import tv_distance
 from .invseq import polarize
-from .jsonio import as_exact_probability
 from .seeding import derive_seed
+
+# promise (a, b) and circuit shapes of every corpus instance
+PROMISE_A = Fraction(1, 3)
+PROMISE_B = Fraction(2, 3)
+MAX_K_IN = 2
+K_OUT = 1
+MAX_GATES = 8
+# XOR-combination and direct-product copies per polarized instance; with
+# the shapes above the compiled sequences are at most 14 qubits wide, the
+# default cap
+POLARIZE_REPS = 2
 
 
 @dataclass(frozen=True)
@@ -26,54 +36,39 @@ class LabeledInstance:
     label: str  # "YES" | "NO"
 
 
-def build_sd_corpus(
-    count: int,
-    seed: int,
-    a="1/3",
-    b="2/3",
-    max_k_in: int = 2,
-    k_out: int = 1,
-    max_gates: int = 8,
-) -> list[LabeledInstance]:
+def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
     """Rejection-sample ``count`` promise-valid instances, roughly balanced
     between the two sides."""
-    a = as_exact_probability(a)
-    b = as_exact_probability(b)
     want_yes = count // 2
     want_no = count - want_yes
     yes: list[LabeledInstance] = []
     no: list[LabeledInstance] = []
     attempt = 0
     while len(yes) < want_yes or len(no) < want_no:
-        k0 = 1 + attempt % max_k_in
-        k1 = 1 + (attempt // 2) % max_k_in
-        c0 = random_circuit(k0, k_out, attempt % (max_gates + 1), derive_seed(seed, "c0", attempt))
-        c1 = random_circuit(k1, k_out, (attempt * 3) % (max_gates + 1), derive_seed(seed, "c1", attempt))
+        k0 = 1 + attempt % MAX_K_IN
+        k1 = 1 + (attempt // 2) % MAX_K_IN
+        c0 = random_circuit(k0, K_OUT, attempt % (MAX_GATES + 1), derive_seed(seed, "c0", attempt))
+        c1 = random_circuit(k1, K_OUT, (attempt * 3) % (MAX_GATES + 1), derive_seed(seed, "c1", attempt))
         attempt += 1
         delta = tv_distance(enumerate_distribution(c0), enumerate_distribution(c1))
-        inst = SdInstance(c0, c1, a, b)
-        if delta <= a and len(yes) < want_yes:
+        inst = SdInstance(c0, c1, PROMISE_A, PROMISE_B)
+        if delta <= PROMISE_A and len(yes) < want_yes:
             yes.append(LabeledInstance(inst, delta, "YES"))
-        elif delta > b and len(no) < want_no:
+        elif delta > PROMISE_B and len(no) < want_no:
             no.append(LabeledInstance(inst, delta, "NO"))
         if attempt > 200 * count:
-            raise RuntimeError("rejection sampling is not terminating; widen the corpus knobs")
+            raise RuntimeError("rejection sampling is not terminating")
     corpus = yes + no
     # deterministic shuffle so truncations stay balanced
     order = sorted(range(len(corpus)), key=lambda i: derive_seed(seed, "order", i))
     return [corpus[i] for i in order]
 
 
-def polarize_corpus(
-    corpus: list[LabeledInstance],
-    k: int = 2,
-    xor_reps: int = 2,
-    product_reps: int = 2,
-) -> list[LabeledInstance]:
+def polarize_corpus(corpus: list[LabeledInstance], k: int = 2) -> list[LabeledInstance]:
     """Amplify every instance; labels carry over (they describe the raw side)."""
     return [
         LabeledInstance(
-            polarize(item.instance, k, xor_reps, product_reps), item.delta, item.label
+            polarize(item.instance, k, POLARIZE_REPS, POLARIZE_REPS), item.delta, item.label
         )
         for item in corpus
     ]

@@ -38,7 +38,7 @@ from .circuits import (
 from .config import Caps, DEFAULT_CAPS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
-from .jsonio import as_exact_probability, fraction_to_string, require_field
+from .jsonio import as_exact_probability, fraction_to_string, require_field, typed_fields
 from .seeding import derive_rng
 
 
@@ -90,13 +90,6 @@ class InvertibleSequence:
         return max((p.r for p in self.pairs), default=0)
 
     @property
-    def size_bound(self) -> int:
-        return max(
-            (max(len(p.forward.gates), len(p.backward.gates)) for p in self.pairs),
-            default=0,
-        )
-
-    @property
     def total_random_bits(self) -> int:
         return sum(p.r for p in self.pairs)
 
@@ -105,18 +98,19 @@ class InvertibleSequence:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "InvertibleSequence":
-        k = require_field(obj, "k", "sequence object")
-        pairs = []
-        for i, raw in enumerate(require_field(obj, "pairs", "sequence object")):
-            pairs.append(
-                InvPair(
-                    BoolCircuit.from_json_dict(require_field(raw, "forward", f"pair {i}")),
-                    BoolCircuit.from_json_dict(require_field(raw, "backward", f"pair {i}")),
-                    k,
-                    require_field(raw, "r", f"pair {i}"),
+        with typed_fields("sequence object"):
+            k = require_field(obj, "k", "sequence object")
+            pairs = []
+            for i, raw in enumerate(require_field(obj, "pairs", "sequence object")):
+                pairs.append(
+                    InvPair(
+                        BoolCircuit.from_json_dict(require_field(raw, "forward", f"pair {i}")),
+                        BoolCircuit.from_json_dict(require_field(raw, "backward", f"pair {i}")),
+                        k,
+                        require_field(raw, "r", f"pair {i}"),
+                    )
                 )
-            )
-        return cls(tuple(pairs), k)
+            return cls(tuple(pairs), k)
 
 
 @dataclass(frozen=True)
@@ -127,17 +121,19 @@ class SisdInstance:
     seq1: InvertibleSequence
     a: Fraction
     b: Fraction
-    r: int
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_exact_probability(self.a))
         object.__setattr__(self, "b", as_exact_probability(self.b))
         if self.seq0.k != self.seq1.k:
             raise MalformedSequenceError("sequences must share the state width")
-        if max(self.seq0.max_randomness, self.seq1.max_randomness) > self.r:
-            raise MalformedSequenceError("some step uses more randomness than the bound r")
         if self.a > self.b:
             raise ValueError("promise requires a <= b")
+
+    @property
+    def r(self) -> int:
+        """The most random bits any step of either sequence reads."""
+        return max(self.seq0.max_randomness, self.seq1.max_randomness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,13 +147,11 @@ class SisdInstance:
     def from_json_dict(cls, obj: dict) -> "SisdInstance":
         seq0 = InvertibleSequence.from_json_dict(require_field(obj, "seq0", "sisd instance"))
         seq1 = InvertibleSequence.from_json_dict(require_field(obj, "seq1", "sisd instance"))
-        r = max(seq0.max_randomness, seq1.max_randomness)
         return cls(
             seq0,
             seq1,
             require_field(obj, "a", "sisd instance"),
             require_field(obj, "b", "sisd instance"),
-            r,
         )
 
 
@@ -314,7 +308,7 @@ def reduce_sd_to_sisd(inst: SdInstance) -> SisdInstance:
         middle = _apply_circuit_step(circuit, prefix_width)
         return InvertibleSequence(tuple(perturb) + (middle,) + tuple(perturb), state_width)
 
-    return SisdInstance(compile_one(inst.c0), compile_one(inst.c1), inst.a, inst.b, 1)
+    return SisdInstance(compile_one(inst.c0), compile_one(inst.c1), inst.a, inst.b)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +362,19 @@ def direct_product(circuit: BoolCircuit, reps: int) -> BoolCircuit:
     return builder.build(outputs)
 
 
+def decision_gap(a: Fraction, b: Fraction) -> Fraction:
+    """b^2 - 2a + a^2, the distance between the YES-side overlap bound
+    (1-a)^2 and the NO-side bound 1-b^2; the swap-test decision needs it
+    positive."""
+    return b * b - 2 * a + a * a
+
+
 def default_polarization_exponent() -> int:
     """Smallest k whose target labels (2^-k, 1-2^-k) leave a decision gap >= 1/2."""
     k = 1
     while True:
         a = Fraction(1, 2 ** k)
-        b = 1 - a
-        if b * b - 2 * a + a * a >= Fraction(1, 2):
+        if decision_gap(a, 1 - a) >= Fraction(1, 2):
             return k
         k += 1
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
@@ -96,6 +97,19 @@ def load_json(path: str) -> Any:
 
 
 def require_field(obj: dict, key: str, context: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{context} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise ParseError(f"missing field {key!r} in {context}")
     return obj[key]
+
+
+@contextmanager
+def typed_fields(context: str):
+    """Report a TypeError raised while building ``context`` from JSON fields
+    (a string where a number belongs, a number where a list belongs) as a
+    ParseError."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ParseError(f"ill-typed field in {context}: {exc}") from exc

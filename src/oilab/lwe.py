@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import ResourceError, WidthError
-from .jsonio import require_field
+from .jsonio import require_field, typed_fields
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,19 @@ class LweInstance:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LweInstance":
-        params = LweParams(
-            require_field(obj, "n", "lwe instance"),
-            require_field(obj, "q", "lwe instance"),
-            require_field(obj, "m", "lwe instance"),
-            require_field(obj, "alpha", "lwe instance"),
-        )
-        return cls(
-            params,
-            np.array(require_field(obj, "A", "lwe instance")),
-            np.array(require_field(obj, "b", "lwe instance")),
-            require_field(obj, "origin", "lwe instance"),
-        )
+        with typed_fields("lwe instance"):
+            params = LweParams(
+                require_field(obj, "n", "lwe instance"),
+                require_field(obj, "q", "lwe instance"),
+                require_field(obj, "m", "lwe instance"),
+                require_field(obj, "alpha", "lwe instance"),
+            )
+            return cls(
+                params,
+                np.array(require_field(obj, "A", "lwe instance")),
+                np.array(require_field(obj, "b", "lwe instance")),
+                require_field(obj, "origin", "lwe instance"),
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +158,16 @@ class GapCvpInstance:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GapCvpInstance":
-        return cls(
-            np.array(require_field(obj, "A", "gapcvp instance")),
-            require_field(obj, "q", "gapcvp instance"),
-            np.array(require_field(obj, "b", "gapcvp instance")),
-            require_field(obj, "d", "gapcvp instance"),
-            require_field(obj, "gamma", "gapcvp instance"),
-            obj.get("alpha"),
-            obj.get("origin"),
-        )
+        with typed_fields("gapcvp instance"):
+            return cls(
+                np.array(require_field(obj, "A", "gapcvp instance")),
+                require_field(obj, "q", "gapcvp instance"),
+                np.array(require_field(obj, "b", "gapcvp instance")),
+                require_field(obj, "d", "gapcvp instance"),
+                require_field(obj, "gamma", "gapcvp instance"),
+                obj.get("alpha"),
+                obj.get("origin"),
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .errors import (
     WidthError,
 )
 from .invseq import InvPair
+from .jsonio import require_field, typed_fields
 
 NORMALIZATION_TOLERANCE = 1e-10
 UNITARITY_TOLERANCE = 1e-9
@@ -92,11 +93,12 @@ class StateVector:
 
     @classmethod
     def from_json_list(cls, pairs: list) -> "StateVector":
-        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        n = int(round(math.log2(len(amps))))
-        if 1 << n != len(amps):
-            raise WidthError("amplitude list length is not a power of two")
-        return cls(n, amps)
+        with typed_fields("state vector"):
+            amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+            n = int(round(math.log2(len(amps))))
+            if 1 << n != len(amps):
+                raise WidthError("amplitude list length is not a power of two")
+            return cls(n, amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +153,16 @@ class SimUnitary:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimUnitary":
-        from .jsonio import require_field
-
-        kind = require_field(obj, "kind", "unitary object")
-        n = require_field(obj, "n", "unitary object")
-        if kind == "permutation":
-            return cls(n, table=np.array(require_field(obj, "table", "unitary object")))
-        if kind == "dense":
-            rows = require_field(obj, "matrix", "unitary object")
-            matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
-            return cls(n, matrix=matrix)
-        raise ValueError(f"unknown unitary kind {kind!r}")
+        with typed_fields("unitary object"):
+            kind = require_field(obj, "kind", "unitary object")
+            n = require_field(obj, "n", "unitary object")
+            if kind == "permutation":
+                return cls(n, table=np.array(require_field(obj, "table", "unitary object")))
+            if kind == "dense":
+                rows = require_field(obj, "matrix", "unitary object")
+                matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+                return cls(n, matrix=matrix)
+            raise ValueError(f"unknown unitary kind {kind!r}")
 
 
 def identity_unitary(n: int) -> SimUnitary:
@@ -201,6 +202,11 @@ def permutation_unitary_from_circuit(pair: InvPair, z: str) -> SimUnitary:
 # ---------------------------------------------------------------------------
 # order interference
 
+def _check_widths(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> None:
+    if any(u.n != psi.n for u in unitaries):
+        raise WidthError("all unitaries must act on the state's qubit count")
+
+
 def _check_query(
     unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int, caps: Caps
 ) -> None:
@@ -213,9 +219,7 @@ def _check_query(
             f"{m} unitaries means {math.factorial(m)} orderings; "
             f"cap is {caps.max_oracle_unitaries}"
         )
-    for u in unitaries:
-        if u.n != psi.n:
-            raise WidthError("all unitaries must act on the state's qubit count")
+    _check_widths(unitaries, psi)
     if lam < 1:
         raise ValueError("lambda must be a positive integer")
     if not psi.is_normalized():
@@ -249,16 +253,28 @@ class OIVectorResult:
         return float(np.linalg.norm(self.vector))
 
 
+def _alphas(
+    unitaries: tuple[SimUnitary, ...],
+    psi: StateVector,
+    orderings: tuple[tuple[int, ...], ...],
+) -> np.ndarray:
+    """Per-ordering amplitudes, shape (orderings, 2^n): row j applies the
+    unitaries of orderings[j] in turn.  Order interference takes the m!
+    permutations, choice interference the m one-element orderings."""
+    alphas = np.empty((len(orderings), 1 << psi.n), dtype=np.complex128)
+    for row, ordering in enumerate(orderings):
+        amps = psi.amps
+        for index in ordering:
+            amps = unitaries[index].apply(amps)
+        alphas[row] = amps
+    return alphas
+
+
 def oi_vector(query: OIQuery) -> OIVectorResult:
     """Sum over all m! application orders; ordering (i, j, ...) applies
     unitary i first."""
     orderings = tuple(itertools.permutations(range(query.m)))
-    alphas = np.empty((len(orderings), 1 << query.psi.n), dtype=np.complex128)
-    for row, ordering in enumerate(orderings):
-        amps = query.psi.amps
-        for index in ordering:
-            amps = query.unitaries[index].apply(amps)
-        alphas[row] = amps
+    alphas = _alphas(query.unitaries, query.psi, orderings)
     return OIVectorResult(alphas.sum(axis=0), alphas, orderings)
 
 
@@ -297,15 +313,14 @@ class OIOutcome:
 
 
 def _oracle_outcome(
-    vector: np.ndarray,
-    alignment: float,
-    denominator_scale: int,
-    lam: int,
-    n: int,
-    rng: np.random.Generator,
+    alphas: np.ndarray, lam: int, n: int, rng: np.random.Generator
 ) -> OIOutcome:
+    """One attempt over per-ordering amplitudes; the interference norm is
+    scaled by the row count (m! orderings or m choices)."""
+    vector = alphas.sum(axis=0)
+    alignment = phase_alignment(alphas)
     norm = float(np.linalg.norm(vector))
-    scaled = norm / denominator_scale
+    scaled = norm / len(alphas)
     norm_factor = scaled / (scaled + 1.0 / lam)
     probability = alignment * norm_factor
     success = norm > 0 and bool(rng.random() < probability)
@@ -321,16 +336,7 @@ def oi_oracle_query(query: OIQuery, rng: np.random.Generator) -> OIOutcome:
     A zero interference vector yields success probability 0, never an
     exception; diagnostics are populated either way.
     """
-    result = oi_vector(query)
-    alignment = phase_alignment(result.alphas)
-    return _oracle_outcome(
-        result.vector,
-        alignment,
-        math.factorial(query.m),
-        query.lam,
-        query.psi.n,
-        rng,
-    )
+    return _oracle_outcome(oi_vector(query).alphas, query.lam, query.psi.n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +344,8 @@ def oi_oracle_query(query: OIQuery, rng: np.random.Generator) -> OIOutcome:
 
 def ci_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> np.ndarray:
     """Unnormalized sum of each unitary applied once (no orderings)."""
-    for u in unitaries:
-        if u.n != psi.n:
-            raise WidthError("all unitaries must act on the state's qubit count")
-    total = np.zeros_like(psi.amps)
-    for u in unitaries:
-        total += u.apply(psi.amps)
-    return total
+    _check_widths(unitaries, psi)
+    return _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries)))).sum(axis=0)
 
 
 def ci_oracle_query(
@@ -359,11 +360,8 @@ def ci_oracle_query(
     state CI/||CI||."""
     unitaries = tuple(unitaries)
     _check_query(unitaries, psi, lam, caps)
-    alphas = np.stack([u.apply(psi.amps) for u in unitaries])
-    alignment = phase_alignment(alphas)
-    return _oracle_outcome(
-        alphas.sum(axis=0), alignment, len(unitaries), lam, psi.n, rng
-    )
+    alphas = _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
+    return _oracle_outcome(alphas, lam, psi.n, rng)
 
 
 # ---------------------------------------------------------------------------

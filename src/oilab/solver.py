@@ -29,7 +29,7 @@ from .circuits import SdInstance
 from .config import Caps, DEFAULT_CAPS
 from .distributions import Distribution, cosine_similarity, tv_distance
 from .errors import GapViolationError, OracleFailureError, ResourceError
-from .invseq import InvertibleSequence, SisdInstance, polarize, reduce_sd_to_sisd
+from .invseq import InvertibleSequence, SisdInstance, decision_gap, polarize, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
 from .qsim import StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
 from .seeding import derive_rng
@@ -69,7 +69,7 @@ def derive_threshold(a, b) -> ThresholdSpec:
     """
     a = as_exact_probability(a)
     b = as_exact_probability(b)
-    gap = b * b - 2 * a + a * a
+    gap = decision_gap(a, b)
     if gap <= 0:
         error = GapViolationError(
             f"gap b^2 - 2a + a^2 = {gap} is not positive for a={a}, b={b}; "
@@ -203,7 +203,7 @@ def decide_sd(
     be provided (amplification changes circuit sizes, so it is an explicit
     choice); a valid raw gap is used as-is.
     """
-    gap = inst.b * inst.b - 2 * inst.a + inst.a * inst.a
+    gap = decision_gap(inst.a, inst.b)
     if gap <= 0:
         if polarize_k is None:
             raise GapViolationError(

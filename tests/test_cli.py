@@ -75,6 +75,13 @@ class TestDecide:
         assert code == 0
         assert json.loads(output.out)["verdict"] == "YES"
 
+    def test_cap_bits_flag_rejected(self, sd_files, capsys):
+        yes_path, _ = sd_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decide", "sd", "--instance", str(yes_path), "--cap-bits", "20"])
+        assert exit_info.value.code == 2
+        assert "--cap-bits" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_writes_expected_shape(self, sd_files, tmp_path, capsys):
@@ -241,6 +248,20 @@ class TestLwe:
         assert len(csv_lines) == 11
         assert json.loads((tmp_path / "exp.json").read_text())["trials"] == 5
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_cap_bits_bounds_cvp_candidates(self, how, tmp_path, capsys, monkeypatch):
+        inst, cvp = tmp_path / "inst.json", tmp_path / "cvp.json"
+        run(capsys, ["lwe", "gen", "--n", 2, "--q", 101, "--m", 8, "--alpha", 0.02, "--out", inst])
+        run(capsys, ["lwe", "to-gapcvp", "--instance", inst, "--gamma", 3, "--out", cvp])
+        argv = ["lwe", "dist", "--instance", cvp]
+        if how == "flag":
+            argv += ["--cap-bits", 10]
+        else:
+            monkeypatch.setenv("OILAB_CAP_BITS", "10")
+        code, output = run(capsys, argv)  # q^n = 10,201 candidates > 2^10
+        assert code == 2
+        assert "exceeds cap 1024" in output.err
+
     def test_missing_file_is_error(self, capsys):
         code, output = run(capsys, ["lwe", "dist", "--instance", "/nonexistent.json"])
         assert code == 2
@@ -256,3 +277,26 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
     )
     assert code == 0
     assert report_path.read_text() == output.out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "5",
+        '{"c0": {"k_in": "2", "k_out": 1, "gates": [], "outputs": [0]}, '
+        '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+        '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "NOT", "in": 5, "out": 2}], "outputs": [2]}, '
+        '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+        None,  # a directory where the instance file belongs
+    ],
+    ids=["top-level-number", "string-width", "gate-inputs-number", "directory"],
+)
+def test_malformed_instance_is_an_error_not_a_no(content, tmp_path, capsys):
+    path = tmp_path / "instance"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    code, output = run(capsys, ["decide", "sd", "--instance", path])
+    assert code == 2
+    assert output.err.startswith("error:")
