@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import ParseError, ResourceError, WidthError
 from .jsonio import require_field, typed_fields
@@ -189,17 +189,15 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 2 ** 18
 
 
-def enumerate_distribution(circuit: BoolCircuit, caps: Caps = DEFAULT_CAPS) -> Distribution:
+def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> Distribution:
     """Exact output distribution by iterating all 2^k_in inputs.
 
     Probabilities come out as Fractions with denominator 2^k_in.  Inputs
-    wider than the enumeration cap raise ResourceError: brute force is
-    infeasible there by definition of the cap.
+    wider than ``cap_bits`` raise ResourceError: brute force is infeasible
+    there by definition of the budget.
     """
-    if circuit.k_in > caps.enum_bits:
-        raise ResourceError(
-            f"enumeration over {circuit.k_in} bits exceeds cap of {caps.enum_bits}"
-        )
+    if circuit.k_in > cap_bits:
+        raise ResourceError(f"enumeration over {circuit.k_in} bits exceeds cap of {cap_bits}")
     total = 1 << circuit.k_in
     counts: dict[int, int] = {}
     for start in range(0, total, _CHUNK_ROWS):

@@ -4,7 +4,10 @@ Commands: ``circuit stats``, ``reduce sd-to-sisd``, ``polarize``,
 ``decide sd|sisd``, ``oracle oi|ci``, ``validate``,
 ``lwe gen|to-gapcvp|dist|experiment``.  The three commands that enumerate
 or solve CVP (``circuit stats``, ``lwe dist``, ``lwe experiment``) take
-``--cap-bits``, which sets the same caps as OILAB_CAP_BITS and wins over it.
+``--cap-bits``, the one brute-force budget: at most 2^B enumerated inputs
+or CVP candidates.  It wins over OILAB_CAP_BITS; with neither, the
+defaults are ``config.ENUM_BITS`` and ``config.CVP_BITS``.  Only the
+commands that draw randomness take ``--seed``.
 
 Every report embeds the seed, a hash of the parsed configuration, and the
 package version; re-running a command with the same inputs and seed
@@ -20,12 +23,10 @@ import io
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
-from .config import ENV_CAP_BITS, caps_from_env
-from .errors import OilabError
+from .config import CVP_BITS, ENUM_BITS, ENV_CAP_BITS, cap_bits_from_env
+from .errors import OilabError, ParseError
 from .invseq import (
     InvertibleSequence,
     SisdInstance,
@@ -53,7 +54,7 @@ from .lwe import (
     sample_lwe,
     sample_uniform,
 )
-from .qsim import OIQuery, SimUnitary, StateVector, ci_oracle_query, oi_oracle_query
+from .qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query
 from .seeding import derive_rng
 from .solver import SolverConfig, decide_sd, decide_sisd
 
@@ -93,9 +94,9 @@ def _cmd_circuit_stats(args) -> int:
         "gate_count": len(circuit.gates),
         "wire_count": circuit.n_wires,
     }
-    caps = caps_from_env(args.cap_bits)
-    if circuit.k_in <= caps.enum_bits:
-        dist = enumerate_distribution(circuit, caps)
+    cap_bits = cap_bits_from_env(args.cap_bits, ENUM_BITS)
+    if circuit.k_in <= cap_bits:
+        dist = enumerate_distribution(circuit, cap_bits)
         payload["distribution"] = {
             "support_size": len(dist.probs),
             "max_prob": fraction_to_string(max(dist.probs.values())),
@@ -147,7 +148,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_decide_sd(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
-    decision = decide_sd(inst, _solver_config(args), args.polarize_k)
+    decision = decide_sd(inst, _solver_config(args))
     _report(args, "decide sd", decision.to_json_dict(), args.out)
     return EXIT_YES if decision.verdict == "YES" else EXIT_NO
 
@@ -167,30 +168,25 @@ def _load_oracle_query(args) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
             for raw in require_field(obj, "unitaries", "oracle query")
         )
         psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
-        lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
-        return unitaries, psi, int(lam)
+    lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
+    if isinstance(lam, bool) or not isinstance(lam, int):
+        raise ParseError(f"oracle query lambda must be an integer, got {lam!r}")
+    return unitaries, psi, lam
 
 
-def _oracle_report(args, command: str, outcome) -> None:
+_ORACLES = {"oi": oi_oracle_query, "ci": ci_oracle_query}
+
+
+def _cmd_oracle(args) -> int:
+    unitaries, psi, lam = _load_oracle_query(args)
+    query = _ORACLES[args.sub]
+    outcome = query(unitaries, psi, lam, derive_rng(args.seed, "oracle", args.sub))
     payload = {
         "success": outcome.success,
         "diagnostics": outcome.diagnostics_dict(),
         "state": outcome.state.to_json_list() if outcome.state is not None else None,
     }
-    _report(args, command, payload, args.out)
-
-
-def _cmd_oracle_oi(args) -> int:
-    unitaries, psi, lam = _load_oracle_query(args)
-    outcome = oi_oracle_query(OIQuery(unitaries, psi, lam), derive_rng(args.seed, "oracle", "oi"))
-    _oracle_report(args, "oracle oi", outcome)
-    return EXIT_YES
-
-
-def _cmd_oracle_ci(args) -> int:
-    unitaries, psi, lam = _load_oracle_query(args)
-    outcome = ci_oracle_query(unitaries, psi, lam, derive_rng(args.seed, "oracle", "ci"))
-    _oracle_report(args, "oracle ci", outcome)
+    _report(args, f"oracle {args.sub}", payload, args.out)
     return EXIT_YES
 
 
@@ -214,7 +210,7 @@ def _cmd_lwe_to_gapcvp(args) -> int:
 
 def _cmd_lwe_dist(args) -> int:
     cvp = GapCvpInstance.from_json_dict(load_json(args.instance))
-    dist = dist_to_lattice(cvp, caps_from_env(args.cap_bits))
+    dist = dist_to_lattice(cvp, cap_bits_from_env(args.cap_bits, CVP_BITS))
     payload = {
         "dist": dist,
         "d": cvp.d,
@@ -228,9 +224,8 @@ def _cmd_lwe_dist(args) -> int:
 
 def _cmd_lwe_experiment(args) -> int:
     params = LweParams(args.n, args.q, args.m, args.alpha)
-    report = gap_experiment(
-        params, args.gamma, args.trials, args.seed, args.factor, caps_from_env(args.cap_bits)
-    )
+    cap_bits = cap_bits_from_env(args.cap_bits, CVP_BITS)
+    report = gap_experiment(params, args.gamma, args.trials, args.seed, args.factor, cap_bits)
     prefix = args.out_prefix
     _report(args, "lwe experiment", report.to_json_dict(), prefix and prefix + ".json")
     if prefix:
@@ -310,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sd2sisd = reduce_.add_parser("sd-to-sisd", help="compile an SD instance to sequences")
     sd2sisd.add_argument("--instance", required=True)
     sd2sisd.add_argument("--out", required=True)
-    sd2sisd.add_argument("--seed", type=int, default=0)
     sd2sisd.set_defaults(handler=_cmd_reduce)
 
     pol = sub.add_parser("polarize", help="amplify the promise gap")
@@ -319,13 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--k", type=int, default=None)
     pol.add_argument("--xor-reps", type=int, default=None)
     pol.add_argument("--product-reps", type=int, default=None)
-    pol.add_argument("--seed", type=int, default=0)
     pol.set_defaults(handler=_cmd_polarize)
 
     decide = sub.add_parser("decide").add_subparsers(dest="sub", required=True)
     dsd = decide.add_parser("sd")
     dsd.add_argument("--instance", required=True)
-    dsd.add_argument("--polarize-k", type=int, default=None)
     _add_common(dsd)
     _add_solver_flags(dsd)
     dsd.set_defaults(handler=_cmd_decide_sd)
@@ -336,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     dsisd.set_defaults(handler=_cmd_decide_sisd)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    for name, handler in (("oi", _cmd_oracle_oi), ("ci", _cmd_oracle_ci)):
+    for name in _ORACLES:
         op = oracle.add_parser(name)
         op.add_argument("--query", required=True)
         op.add_argument("--lambda", dest="lam", type=int, default=None)
         _add_common(op)
-        op.set_defaults(handler=handler)
+        op.set_defaults(handler=_cmd_oracle)
 
     val = sub.add_parser("validate", help="check a sequence's inverse identities")
     val.add_argument("--instance", required=True)
@@ -363,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     tocvp.add_argument("--instance", required=True)
     tocvp.add_argument("--gamma", type=float, required=True)
     tocvp.add_argument("--out", required=True)
-    tocvp.add_argument("--seed", type=int, default=0)
     tocvp.set_defaults(handler=_cmd_lwe_to_gapcvp)
 
     dist = lwe.add_parser("dist")

@@ -1,47 +1,36 @@
-"""Resource caps for the brute-force and simulation paths.
+"""Desk-scale limits for the brute-force and simulation paths.
 
-The defaults are desk-scale bounds: enumeration over at most 2^24 inputs,
-at most 8 unitaries per order-interference query (8! orderings), and
-state vectors of at most 14 qubits.  All of them are plain data and can be
-overridden per call site.
+Exact enumeration runs over at most 2^ENUM_BITS inputs and exact CVP over
+at most 2^CVP_BITS candidates; an order-interference query takes at most
+MAX_ORACLE_UNITARIES unitaries (m! orderings), and state vectors have at
+most QUBIT_CAP qubits.  Only the two brute-force budgets vary: the
+functions behind them take ``cap_bits``, which the CLI reads from
+``--cap-bits`` or OILAB_CAP_BITS through ``cap_bits_from_env``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+
+ENUM_BITS = 24
+CVP_BITS = 20
+MAX_ORACLE_UNITARIES = 8
+QUBIT_CAP = 14
 
 ENV_CAP_BITS = "OILAB_CAP_BITS"
 
 
-@dataclass(frozen=True)
-class Caps:
-    enum_bits: int = 24          # max input bits for exact enumeration
-    max_oracle_unitaries: int = 8  # max m per OI query (m! orderings)
-    qubit_cap: int = 14          # max state-vector width
-    cvp_enum_cap: int = 2 ** 20  # max q**n for exact CVP enumeration
-
-    def __post_init__(self):
-        if min(self.enum_bits, self.max_oracle_unitaries, self.qubit_cap, self.cvp_enum_cap) <= 0:
-            raise ValueError("all caps must be positive")
-
-
-DEFAULT_CAPS = Caps()
-
-
-def caps_from_env(bits: int | None = None) -> Caps:
-    """Default caps with the enumeration budget set to ``bits``, or to
-    OILAB_CAP_BITS when ``bits`` is None and the variable is set.
-
-    The budget bounds both brute-force paths: exact enumeration over at
-    most 2^bits inputs and exact CVP over at most 2^bits candidates.
-    """
+def cap_bits_from_env(bits: int | None, default: int) -> int:
+    """The brute-force budget in bits: ``bits`` when given, else
+    OILAB_CAP_BITS when set, else ``default``.  It must be positive."""
     if bits is None:
         raw = os.environ.get(ENV_CAP_BITS)
         if raw is None:
-            return DEFAULT_CAPS
+            return default
         try:
             bits = int(raw)
         except ValueError as exc:
             raise ValueError(f"{ENV_CAP_BITS} must be an integer, got {raw!r}") from exc
-    return replace(DEFAULT_CAPS, enum_bits=bits, cvp_enum_cap=2 ** bits)
+    if bits <= 0:
+        raise ValueError("all caps must be positive")
+    return bits

@@ -35,7 +35,7 @@ from .circuits import (
     eval_circuit_batch,
     pack_bits,
 )
-from .config import Caps, DEFAULT_CAPS
+from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
 from .jsonio import as_exact_probability, fraction_to_string, require_field, typed_fields
@@ -158,6 +158,10 @@ class SisdInstance:
 # ---------------------------------------------------------------------------
 # validation
 
+EXHAUSTIVE_POINTS = 2 ** 20  # largest (x, z) domain checked point by point
+SAMPLED_POINTS = 10 ** 4     # seeded points checked on larger domains
+
+
 @dataclass(frozen=True)
 class PairCheck:
     index: int
@@ -191,25 +195,20 @@ def _check_pair(pair: InvPair, index: int, assignments: np.ndarray) -> PairCheck
     return PairCheck(index, exhaustive, len(assignments), False, (row[:k], row[k:]))
 
 
-def validate_sequence(
-    seq: InvertibleSequence,
-    exhaustive_cap: int = 2 ** 20,
-    sample_count: int = 10 ** 4,
-    seed: int = 0,
-) -> SequenceValidationReport:
+def validate_sequence(seq: InvertibleSequence, seed: int = 0) -> SequenceValidationReport:
     """Check the inverse identity for every pair.
 
-    Exhaustive over all (x, z) when 2^(k+r) fits under ``exhaustive_cap``,
-    otherwise over ``sample_count`` seeded random points.
+    Exhaustive over all (x, z) when 2^(k+r) is at most EXHAUSTIVE_POINTS,
+    otherwise over SAMPLED_POINTS seeded random points.
     """
     checks = []
     for index, pair in enumerate(seq.pairs):
         domain = 1 << (pair.k + pair.r)
-        if domain <= exhaustive_cap:
+        if domain <= EXHAUSTIVE_POINTS:
             assignments = bit_matrix(pair.k + pair.r, 0, domain)
         else:
             rng = derive_rng(seed, "validate", index)
-            assignments = rng.integers(0, 2, size=(sample_count, pair.k + pair.r)).astype(bool)
+            assignments = rng.integers(0, 2, size=(SAMPLED_POINTS, pair.k + pair.r)).astype(bool)
         checks.append(_check_pair(pair, index, assignments))
     return SequenceValidationReport(tuple(checks))
 
@@ -217,16 +216,12 @@ def validate_sequence(
 # ---------------------------------------------------------------------------
 # output distribution
 
-def sequence_output_distribution(
-    seq: InvertibleSequence, caps: Caps = DEFAULT_CAPS
-) -> Distribution:
+def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
     """Exact D(sequence): fold forward circuits from 0^k over all randomness
     tuples.  Cost is 2^(total random bits), guarded by the enumeration cap."""
     total_bits = seq.total_random_bits
-    if total_bits > caps.enum_bits:
-        raise ResourceError(
-            f"folding over {total_bits} random bits exceeds cap of {caps.enum_bits}"
-        )
+    if total_bits > ENUM_BITS:
+        raise ResourceError(f"folding over {total_bits} random bits exceeds cap of {ENUM_BITS}")
     states = np.zeros((1, seq.k), dtype=bool)
     for pair in seq.pairs:
         if pair.r == 0:

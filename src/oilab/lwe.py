@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import CVP_BITS
 from .errors import ResourceError, WidthError
 from .jsonio import require_field, typed_fields
 
@@ -125,6 +125,8 @@ class GapCvpInstance:
         target = np.asarray(self.target, dtype=np.int64)
         if A.ndim != 2 or target.shape != (A.shape[0],):
             raise WidthError("A must be (m, n) and target length m")
+        if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 2:
+            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
         if self.d <= 0:
             raise ValueError("d must be positive")
         if self.gamma < 1:
@@ -238,15 +240,14 @@ def _secret_blocks(n: int, q: int, chunk: int = 2 ** 14) -> Iterator[np.ndarray]
         yield (indices[:, None] // powers) % q
 
 
-def dist_to_lattice(inst: GapCvpInstance, caps: Caps = DEFAULT_CAPS) -> float:
+def dist_to_lattice(inst: GapCvpInstance, cap_bits: int = CVP_BITS) -> float:
     """Exact distance from the target to the lattice, by enumerating all q^n
     candidate secrets and reducing each residual coordinate-wise into the
-    centered range.  Valid because the lattice is {As mod q} + q*Z^m."""
+    centered range.  Valid because the lattice is {As mod q} + q*Z^m.
+    More than 2^cap_bits candidates raise ResourceError."""
     total = inst.q ** inst.n
-    if total > caps.cvp_enum_cap:
-        raise ResourceError(
-            f"CVP enumeration over q^n = {total} exceeds cap {caps.cvp_enum_cap}"
-        )
+    if total > 1 << cap_bits:
+        raise ResourceError(f"CVP enumeration over q^n = {total} exceeds cap {1 << cap_bits}")
     best = None
     for secrets in _secret_blocks(inst.n, inst.q):
         residual = centered_mod(inst.target[None, :] - secrets @ inst.A.T, inst.q)
@@ -361,7 +362,7 @@ def gap_experiment(
     trials: int,
     seed: int,
     calibrated_factor: float = 3.0,
-    caps: Caps = DEFAULT_CAPS,
+    cap_bits: int = CVP_BITS,
 ) -> GapExperimentReport:
     """Sample `trials` LWE and `trials` uniform instances, measure exact
     distances, and report the separation.
@@ -378,12 +379,12 @@ def gap_experiment(
     uniform_dists: list[float] = []
     for trial in range(trials):
         inst = sample_lwe(params, derive_rng(seed, "lwe", trial))
-        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), caps)
+        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), cap_bits)
         lwe_dists.append(dist)
         rows.append(GapTrialRow(trial, "lwe", dist, d, _verdict(dist, d, calibrated_factor)))
     for trial in range(trials):
         inst = sample_uniform(params, derive_rng(seed, "uniform", trial))
-        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), caps)
+        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), cap_bits)
         uniform_dists.append(dist)
         rows.append(
             GapTrialRow(trial, "uniform", dist, d, _verdict(dist, d, calibrated_factor))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import bit_matrix, eval_circuit_batch, pack_bits
-from .config import Caps, DEFAULT_CAPS
+from .config import MAX_ORACLE_UNITARIES
 from .errors import (
     DegenerateInputError,
     InvalidPairError,
@@ -208,38 +208,24 @@ def _check_widths(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> None:
 
 
 def _check_query(
-    unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int, caps: Caps
+    unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int | None = None
 ) -> None:
-    """Validation shared by the order- and choice-interference oracles."""
+    """Validation shared by the order- and choice-interference oracles, and
+    by oi_vector, which takes no lambda.  The unitary count is capped before
+    any of the m! orderings is enumerated."""
     m = len(unitaries)
     if m < 1:
         raise ValueError("need at least one unitary")
-    if m > caps.max_oracle_unitaries:
+    if m > MAX_ORACLE_UNITARIES:
         raise ResourceError(
             f"{m} unitaries means {math.factorial(m)} orderings; "
-            f"cap is {caps.max_oracle_unitaries}"
+            f"cap is {MAX_ORACLE_UNITARIES}"
         )
     _check_widths(unitaries, psi)
-    if lam < 1:
+    if lam is not None and lam < 1:
         raise ValueError("lambda must be a positive integer")
     if not psi.is_normalized():
         raise PreconditionError("query state must be normalized")
-
-
-@dataclass(frozen=True, eq=False)
-class OIQuery:
-    unitaries: tuple[SimUnitary, ...]
-    psi: StateVector
-    lam: int
-    caps: Caps = DEFAULT_CAPS
-
-    def __post_init__(self):
-        object.__setattr__(self, "unitaries", tuple(self.unitaries))
-        _check_query(self.unitaries, self.psi, self.lam, self.caps)
-
-    @property
-    def m(self) -> int:
-        return len(self.unitaries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,11 +256,13 @@ def _alphas(
     return alphas
 
 
-def oi_vector(query: OIQuery) -> OIVectorResult:
+def oi_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> OIVectorResult:
     """Sum over all m! application orders; ordering (i, j, ...) applies
     unitary i first."""
-    orderings = tuple(itertools.permutations(range(query.m)))
-    alphas = _alphas(query.unitaries, query.psi, orderings)
+    unitaries = tuple(unitaries)
+    _check_query(unitaries, psi)
+    orderings = tuple(itertools.permutations(range(len(unitaries))))
+    alphas = _alphas(unitaries, psi, orderings)
     return OIVectorResult(alphas.sum(axis=0), alphas, orderings)
 
 
@@ -328,7 +316,12 @@ def _oracle_outcome(
     return OIOutcome(success, state, norm, alignment, norm_factor, probability)
 
 
-def oi_oracle_query(query: OIQuery, rng: np.random.Generator) -> OIOutcome:
+def oi_oracle_query(
+    unitaries: tuple[SimUnitary, ...],
+    psi: StateVector,
+    lam: int,
+    rng: np.random.Generator,
+) -> OIOutcome:
     """Draw one oracle attempt: with probability
     alignment * (||OI||/m!) / (||OI||/m! + 1/lambda)
     the outcome carries the normalized order-interference state.
@@ -336,7 +329,8 @@ def oi_oracle_query(query: OIQuery, rng: np.random.Generator) -> OIOutcome:
     A zero interference vector yields success probability 0, never an
     exception; diagnostics are populated either way.
     """
-    return _oracle_outcome(oi_vector(query).alphas, query.lam, query.psi.n, rng)
+    _check_query(tuple(unitaries), psi, lam)
+    return _oracle_outcome(oi_vector(unitaries, psi).alphas, lam, psi.n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +347,12 @@ def ci_oracle_query(
     psi: StateVector,
     lam: int,
     rng: np.random.Generator,
-    caps: Caps = DEFAULT_CAPS,
 ) -> OIOutcome:
     """Choice-interference oracle, simulated at the contract level: success
     probability alignment * (||CI||/m) / (||CI||/m + 1/lambda), success
     state CI/||CI||."""
     unitaries = tuple(unitaries)
-    _check_query(unitaries, psi, lam, caps)
+    _check_query(unitaries, psi, lam)
     alphas = _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
     return _oracle_outcome(alphas, lam, psi.n, rng)
 

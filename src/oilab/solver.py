@@ -13,8 +13,10 @@ Thresholding: a YES instance (distance <= a) keeps the squared overlap at
 or above (1-a)^2 while a NO instance (distance > b) pushes it below
 1 - b^2 — empirically for the cosine variant, hence the counterexample
 scanner at the bottom.  The decision threshold is the midpoint, and the
-gap (1-a)^2 - (1-b^2) = b^2 - 2a + a^2 must be positive, otherwise the
-caller should polarize first.
+gap (1-a)^2 - (1-b^2) = b^2 - 2a + a^2 must be positive.  Otherwise the
+caller polarizes first (``invseq.polarize``); the solver never picks an
+amplification itself, and raises GapViolationError instead.  States are
+at most ``config.QUBIT_CAP`` qubits wide.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import SdInstance
-from .config import Caps, DEFAULT_CAPS
+from .config import QUBIT_CAP
 from .distributions import Distribution, cosine_similarity, tv_distance
 from .errors import GapViolationError, OracleFailureError, ResourceError
-from .invseq import InvertibleSequence, SisdInstance, decision_gap, polarize, reduce_sd_to_sisd
+from .invseq import InvertibleSequence, SisdInstance, decision_gap, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
 from .qsim import StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
 from .seeding import derive_rng
@@ -45,7 +47,6 @@ class SolverConfig:
     trial_count: int = 25
     seed: int = 0
     tau: Fraction | None = None  # decision threshold override
-    caps: Caps = DEFAULT_CAPS
 
     def __post_init__(self):
         if min(self.lam, self.retry_budget, self.swap_shots, self.trial_count) < 1:
@@ -101,12 +102,13 @@ def build_output_state(
 
     Every random step queries the choice-interference oracle over its
     2^r permutation unitaries, retrying up to cfg.retry_budget times;
-    exhaustion raises OracleFailureError with the stage index.  All
-    intermediate states must keep non-negative real amplitudes (they are
-    counting states), which is asserted per stage.
+    exhaustion raises OracleFailureError with the stage index.  States wider
+    than QUBIT_CAP qubits raise ResourceError up front.  All intermediate
+    states must keep non-negative real amplitudes (they are counting
+    states), which is asserted per stage.
     """
-    if seq.k > cfg.caps.qubit_cap:
-        raise ResourceError(f"state width {seq.k} exceeds qubit cap {cfg.caps.qubit_cap}")
+    if seq.k > QUBIT_CAP:
+        raise ResourceError(f"state width {seq.k} exceeds qubit cap {QUBIT_CAP}")
     state = StateVector.zero(seq.k)
     for stage, pair in enumerate(seq.pairs):
         if pair.r == 0:
@@ -121,7 +123,7 @@ def build_output_state(
             attempts = 0
             outcome = None
             for attempts in range(1, cfg.retry_budget + 1):
-                outcome = ci_oracle_query(unitaries, state, cfg.lam, rng, cfg.caps)
+                outcome = ci_oracle_query(unitaries, state, cfg.lam, rng)
                 if outcome.success:
                     break
             if outcome is None or not outcome.success:
@@ -193,24 +195,11 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     )
 
 
-def decide_sd(
-    inst: SdInstance, cfg: SolverConfig, polarize_k: int | None = None
-) -> Decision:
-    """End-to-end decision: polarize when the raw gap is invalid, compile to
-    sequences, then run the oracle pipeline.
-
-    When the raw parameters violate the gap condition, ``polarize_k`` must
-    be provided (amplification changes circuit sizes, so it is an explicit
-    choice); a valid raw gap is used as-is.
-    """
-    gap = decision_gap(inst.a, inst.b)
-    if gap <= 0:
-        if polarize_k is None:
-            raise GapViolationError(
-                f"raw promise gap {gap} is not positive; pass polarize_k to amplify "
-                "(or polarize the instance yourself)"
-            )
-        inst = polarize(inst, polarize_k)
+def decide_sd(inst: SdInstance, cfg: SolverConfig) -> Decision:
+    """End-to-end decision: compile to sequences, then run the oracle
+    pipeline.  The gap condition is checked before compiling; an instance
+    that fails it raises GapViolationError and must be polarized first."""
+    derive_threshold(inst.a, inst.b)
     return decide_sisd(reduce_sd_to_sisd(inst), cfg)
 
 

@@ -28,7 +28,6 @@ from oilab.lwe import (
     no_side_probability_bound,
 )
 from oilab.qsim import (
-    OIQuery,
     SimUnitary,
     StateVector,
     ci_oracle_query,
@@ -127,7 +126,7 @@ def test_criterion_03_oi_correctness():
         # anticommuting pair cancels exactly on every state
         for index in range(20):
             psi = _random_state(1, derive_rng(31, "xz", index))
-            result = oi_vector(OIQuery((pauli_x(), pauli_z()), psi, 5))
+            result = oi_vector((pauli_x(), pauli_z()), psi)
             assert np.all(result.vector == 0)
 
         # commuting families: every ordering equals the plain product
@@ -146,7 +145,7 @@ def test_criterion_03_oi_correctness():
                     powers.append(SimUnitary(n, table=table.copy()))
                 us = tuple(powers)
             psi = _random_state(n, rng)
-            result = oi_vector(OIQuery(us, psi, 5))
+            result = oi_vector(us, psi)
             product = psi.amps
             for u in us:
                 product = u.apply(product)
@@ -162,7 +161,7 @@ def test_criterion_03_oi_correctness():
             q0 = np.linalg.qr(z0)[0]
             q1 = np.linalg.qr(z1)[0]
             u0, u1 = SimUnitary(2, matrix=q0), SimUnitary(2, matrix=q1)
-            result = oi_vector(OIQuery((u0, u1), psi, 5))
+            result = oi_vector((u0, u1), psi)
             direct = (q0 @ q1 + q1 @ q0) @ psi.amps
             assert np.abs(result.vector - direct).max() < 1e-10
 
@@ -177,11 +176,11 @@ def test_criterion_04_oracle_probability_law():
         dense = SimUnitary(1, matrix=np.linalg.qr(z)[0])
         psi = _random_state(1, rng)
 
-        query = OIQuery((dense, pauli_x()), psi, 7)
-        p_oi = oi_oracle_query(query, derive_rng(0, "probe")).success_probability
+        query = ((dense, pauli_x()), psi, 7)
+        p_oi = oi_oracle_query(*query, derive_rng(0, "probe")).success_probability
         assert 0.05 < p_oi < 0.95, "pick a query with informative probability"
         hits = sum(
-            oi_oracle_query(query, derive_rng(42, "oi", i)).success for i in range(trials)
+            oi_oracle_query(*query, derive_rng(42, "oi", i)).success for i in range(trials)
         )
         sigma = math.sqrt(trials * p_oi * (1 - p_oi))
         assert abs(hits - trials * p_oi) <= 3 * sigma

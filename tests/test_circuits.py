@@ -18,7 +18,6 @@ from oilab.circuits import (
     pack_bits,
     random_circuit,
 )
-from oilab.config import Caps
 from oilab.distributions import Distribution, uniform_distribution
 from oilab.errors import ParseError, ResourceError, WidthError
 
@@ -102,7 +101,7 @@ class TestEnumerate:
 
     def test_cap_exceeded(self):
         with pytest.raises(ResourceError):
-            enumerate_distribution(identity_circuit(8), Caps(enum_bits=6))
+            enumerate_distribution(identity_circuit(8), 6)
 
     def test_chunks_match_scalar_count(self, monkeypatch):
         # a chunk size that divides nothing puts boundaries mid-pattern

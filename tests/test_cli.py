@@ -24,6 +24,11 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
+def small_gapcvp() -> dict:
+    """A one-dimensional GapCVP file: lattice {(s, 2s) mod 5}, target (1, 2)."""
+    return {"n": 1, "q": 5, "m": 2, "A": [[1], [2]], "b": [1, 2], "d": 1.0, "gamma": 1.0}
+
+
 class TestDecide:
     def test_yes_instance_exits_zero(self, sd_files, capsys):
         yes_path, _ = sd_files
@@ -75,12 +80,21 @@ class TestDecide:
         assert code == 0
         assert json.loads(output.out)["verdict"] == "YES"
 
-    def test_cap_bits_flag_rejected(self, sd_files, capsys):
+    def test_cap_bits_flag_rejected(self, sd_files, tmp_path, capsys):
+        # a flag a command never reads is an argparse error, not a silent no-op
         yes_path, _ = sd_files
-        with pytest.raises(SystemExit) as exit_info:
-            main(["decide", "sd", "--instance", str(yes_path), "--cap-bits", "20"])
-        assert exit_info.value.code == 2
-        assert "--cap-bits" in capsys.readouterr().err
+        out = str(tmp_path / "out.json")
+        for argv, flag in [
+            (["decide", "sd", "--instance", str(yes_path), "--cap-bits", "20"], "--cap-bits"),
+            (["reduce", "sd-to-sisd", "--instance", str(yes_path), "--out", out, "--seed", "5"], "--seed"),
+            (["polarize", "--instance", str(yes_path), "--out", out, "--seed", "5"], "--seed"),
+            (["lwe", "to-gapcvp", "--instance", str(yes_path), "--gamma", "3", "--out", out,
+              "--seed", "5"], "--seed"),
+        ]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestReduce:
@@ -165,6 +179,22 @@ class TestCircuitStats:
         assert code == 0
         assert "distribution" not in json.loads(output.out)
 
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("0", None), ("-3", None), (None, "-1"), (None, "abc")],
+        ids=["flag-zero", "flag-negative", "env-negative", "env-not-int"],
+    )
+    def test_bad_budget_is_an_error(self, flag, env, tmp_path, capsys, monkeypatch):
+        circuit, cvp = tmp_path / "circ.json", tmp_path / "cvp.json"
+        write_json(str(circuit), random_circuit(3, 2, 6, seed=72).to_json_dict())
+        write_json(str(cvp), small_gapcvp())
+        if env is not None:
+            monkeypatch.setenv("OILAB_CAP_BITS", env)
+        for argv in (["circuit", "stats", "--instance", circuit], ["lwe", "dist", "--instance", cvp]):
+            code, output = run(capsys, argv + (["--cap-bits", flag] if flag else []))
+            assert code == 2
+            assert output.err.startswith("error:")
+
 
 class TestOracle:
     @pytest.fixture
@@ -203,6 +233,15 @@ class TestOracle:
         )
         report = json.loads(output.out)
         assert report["diagnostics"]["success_probability"] > 0.99
+
+    @pytest.mark.parametrize("lam", [2.7, True, "10"], ids=["float", "bool", "string"])
+    def test_non_integer_lambda_is_an_error(self, lam, query_file, capsys):
+        query = json.loads(query_file.read_text())
+        write_json(str(query_file), {**query, "lambda": lam})
+        for kind in ("oi", "ci"):
+            code, output = run(capsys, ["oracle", kind, "--query", query_file])
+            assert code == 2
+            assert output.err.startswith("error:")
 
 
 class TestLwe:
@@ -261,6 +300,14 @@ class TestLwe:
         code, output = run(capsys, argv)  # q^n = 10,201 candidates > 2^10
         assert code == 2
         assert "exceeds cap 1024" in output.err
+
+    @pytest.mark.parametrize("q", ["101", 101.5, 0, 1, True], ids=["string", "float", "zero", "one", "bool"])
+    def test_bad_modulus_is_an_error(self, q, tmp_path, capsys):
+        cvp = tmp_path / "cvp.json"
+        write_json(str(cvp), {**small_gapcvp(), "q": q})
+        code, output = run(capsys, ["lwe", "dist", "--instance", cvp])
+        assert code == 2
+        assert output.err.startswith("error:")
 
     def test_missing_file_is_error(self, capsys):
         code, output = run(capsys, ["lwe", "dist", "--instance", "/nonexistent.json"])

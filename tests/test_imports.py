@@ -1,0 +1,38 @@
+"""Static check: every module under src/oilab uses each name it imports.
+
+No linter is a dependency, so this walks the syntax tree with ``ast``: a
+name bound by an import must appear as a ``Name`` somewhere else in the
+module (annotations included, since ``from __future__ import annotations``
+keeps them in the tree).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oilab"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_checker_flags_an_unused_import():
+    assert unused_imports("import numpy as np\nimport os\nos.getcwd()\n") == ["line 1: np"]
+    assert unused_imports("from typing import Iterator\ndef f() -> Iterator: ...\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -13,10 +13,10 @@ from oilab.circuits import (
     identity_circuit,
     random_circuit,
 )
-from oilab.config import Caps
 from oilab.distributions import point_mass, tv_distance, uniform_distribution
 from oilab.errors import MalformedSequenceError, PreconditionError, ResourceError
 from oilab.invseq import (
+    SAMPLED_POINTS,
     InvPair,
     InvertibleSequence,
     SisdInstance,
@@ -72,10 +72,10 @@ class TestValidation:
 
     def test_sampled_path_for_wide_pairs(self):
         seq = InvertibleSequence((xor_step(24, 3),), 24)
-        report = validate_sequence(seq, exhaustive_cap=2 ** 20, sample_count=2000)
+        report = validate_sequence(seq)
         assert report.ok
         assert not report.checks[0].exhaustive
-        assert report.checks[0].points_checked == 2000
+        assert report.checks[0].points_checked == SAMPLED_POINTS
 
     def test_width_contracts(self):
         with pytest.raises(MalformedSequenceError):
@@ -97,7 +97,7 @@ class TestSequenceDistribution:
     def test_cap(self):
         seq = InvertibleSequence(tuple(xor_step(2, 0) for _ in range(30)), 2)
         with pytest.raises(ResourceError):
-            sequence_output_distribution(seq, Caps(enum_bits=20))
+            sequence_output_distribution(seq)
 
 
 class TestReduction:

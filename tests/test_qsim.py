@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oilab.circuits import constant_circuit, eval_circuit, identity_circuit, random_circuit
-from oilab.config import Caps
+from oilab.config import MAX_ORACLE_UNITARIES
 from oilab.errors import (
     DegenerateInputError,
     InvalidPairError,
@@ -14,7 +14,6 @@ from oilab.errors import (
 )
 from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step
 from oilab.qsim import (
-    OIQuery,
     SimUnitary,
     StateVector,
     ci_oracle_query,
@@ -143,20 +142,20 @@ class TestOiVector:
         rng = derive_rng(1, "oi-m1")
         psi = random_state(1, rng)
         u = haar_unitary(1, rng)
-        result = oi_vector(OIQuery((u,), psi, 5))
+        result = oi_vector((u,), psi)
         assert np.allclose(result.vector, u.apply(psi.amps))
         assert result.norm == pytest.approx(1.0, abs=1e-12)
 
     def test_three_identities(self):
         psi = random_state(1, derive_rng(2, "oi-id"))
-        result = oi_vector(OIQuery((identity_unitary(1),) * 3, psi, 5))
+        result = oi_vector((identity_unitary(1),) * 3, psi)
         assert np.allclose(result.vector, 6 * psi.amps)
         assert result.norm == pytest.approx(6.0, abs=1e-12)
 
     def test_x_and_z_cancel_exactly(self):
         for i in range(5):
             psi = random_state(1, derive_rng(3, "oi-xz", i))
-            result = oi_vector(OIQuery((pauli_x(), pauli_z()), psi, 5))
+            result = oi_vector((pauli_x(), pauli_z()), psi)
             assert np.all(result.vector == 0)
 
     def test_matches_direct_two_unitary_formula(self):
@@ -164,7 +163,7 @@ class TestOiVector:
         for _ in range(10):
             psi = random_state(2, rng)
             u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
-            result = oi_vector(OIQuery((u1, u2), psi, 5))
+            result = oi_vector((u1, u2), psi)
             direct = (u1.matrix @ u2.matrix + u2.matrix @ u1.matrix) @ psi.amps
             assert np.abs(result.vector - direct).max() < 1e-10
 
@@ -173,23 +172,23 @@ class TestOiVector:
         for m in (2, 3, 4):
             psi = random_state(2, rng)
             us = tuple(haar_unitary(2, rng) for _ in range(m))
-            result = oi_vector(OIQuery(us, psi, 5))
+            result = oi_vector(us, psi)
             assert 0.0 <= result.norm <= math.factorial(m) + 1e-9
 
     def test_factorial_cap(self):
         psi = StateVector.basis(1, "0")
         with pytest.raises(ResourceError):
-            OIQuery((identity_unitary(1),) * 4, psi, 5, Caps(max_oracle_unitaries=3))
+            oi_vector((identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1), psi)
 
 
 class TestPhaseAlignment:
     def test_identical_orderings(self):
         psi = random_state(2, derive_rng(6, "pa"))
-        result = oi_vector(OIQuery((identity_unitary(2),) * 3, psi, 5))
+        result = oi_vector((identity_unitary(2),) * 3, psi)
         assert phase_alignment(result.alphas) == pytest.approx(1.0, abs=1e-12)
 
     def test_x_z_cancellation_gives_zero(self):
-        result = oi_vector(OIQuery((pauli_x(), pauli_z()), StateVector.basis(1, "0"), 5))
+        result = oi_vector((pauli_x(), pauli_z()), StateVector.basis(1, "0"))
         # both orderings land on |1>, with amplitudes +1 and -1
         amps_at_one = sorted(result.alphas[:, 1].real)
         assert amps_at_one == [-1.0, 1.0]
@@ -197,7 +196,7 @@ class TestPhaseAlignment:
 
     def test_single_ordering(self):
         psi = random_state(1, derive_rng(7, "pa1"))
-        result = oi_vector(OIQuery((haar_unitary(1, derive_rng(8, "u")),), psi, 5))
+        result = oi_vector((haar_unitary(1, derive_rng(8, "u")),), psi)
         assert phase_alignment(result.alphas) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate(self):
@@ -208,15 +207,15 @@ class TestPhaseAlignment:
 class TestOiOracle:
     def test_identity_success_probability(self):
         psi = random_state(1, derive_rng(9, "oo"))
-        query = OIQuery((identity_unitary(1),) * 2, psi, 999)
-        outcome = oi_oracle_query(query, derive_rng(9, "draw"))
+        query = ((identity_unitary(1),) * 2, psi, 999)
+        outcome = oi_oracle_query(*query, derive_rng(9, "draw"))
         assert outcome.success_probability == pytest.approx(999 / 1000, abs=1e-12)
         assert outcome.interference_norm == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_vector_always_fails_without_exception(self):
-        query = OIQuery((pauli_x(), pauli_z()), StateVector.basis(1, "0"), 50)
+        query = ((pauli_x(), pauli_z()), StateVector.basis(1, "0"), 50)
         for i in range(5):
-            outcome = oi_oracle_query(query, derive_rng(10, i))
+            outcome = oi_oracle_query(*query, derive_rng(10, i))
             assert not outcome.success
             assert outcome.success_probability == 0.0
             assert outcome.state is None
@@ -224,7 +223,7 @@ class TestOiOracle:
     def test_single_unitary_lambda_one(self):
         psi = StateVector.basis(1, "0")
         u = pauli_x()
-        outcome = oi_oracle_query(OIQuery((u,), psi, 1), derive_rng(11, "m1"))
+        outcome = oi_oracle_query((u,), psi, 1, derive_rng(11, "m1"))
         assert outcome.success_probability == pytest.approx(0.5, abs=1e-12)
         if outcome.success:
             assert np.allclose(outcome.state.amps, StateVector.basis(1, "1").amps)
@@ -233,11 +232,11 @@ class TestOiOracle:
         rng = derive_rng(12, "succ")
         psi = random_nonnegative_state(2, rng)
         us = tuple(random_permutation_unitary(2, rng) for _ in range(3))
-        query = OIQuery(us, psi, 1000)
+        query = (us, psi, 1000)
         for i in range(20):
-            outcome = oi_oracle_query(query, derive_rng(12, "draw", i))
+            outcome = oi_oracle_query(*query, derive_rng(12, "draw", i))
             if outcome.success:
-                reference = oi_vector(query)
+                reference = oi_vector(us, psi)
                 assert np.allclose(
                     outcome.state.amps, reference.vector / reference.norm
                 )
@@ -247,11 +246,11 @@ class TestOiOracle:
 
     def test_empirical_frequency_three_sigma(self):
         psi = StateVector.basis(1, "0")
-        query = OIQuery((identity_unitary(1), pauli_x()), psi, 7)
-        p = oi_oracle_query(query, derive_rng(0, "probe")).success_probability
+        query = ((identity_unitary(1), pauli_x()), psi, 7)
+        p = oi_oracle_query(*query, derive_rng(0, "probe")).success_probability
         trials = 2000
         hits = sum(
-            oi_oracle_query(query, derive_rng(13, "freq", i)).success
+            oi_oracle_query(*query, derive_rng(13, "freq", i)).success
             for i in range(trials)
         )
         sigma = math.sqrt(p * (1 - p) * trials)
@@ -259,9 +258,9 @@ class TestOiOracle:
 
     def test_deterministic_given_seed(self):
         psi = random_state(1, derive_rng(14, "det"))
-        query = OIQuery((identity_unitary(1), pauli_x()), psi, 3)
-        a = oi_oracle_query(query, derive_rng(15, "x"))
-        b = oi_oracle_query(query, derive_rng(15, "x"))
+        query = ((identity_unitary(1), pauli_x()), psi, 3)
+        a = oi_oracle_query(*query, derive_rng(15, "x"))
+        b = oi_oracle_query(*query, derive_rng(15, "x"))
         assert a.success == b.success
 
 

@@ -14,11 +14,10 @@ from oilab.circuits import (
     identity_circuit,
     random_circuit,
 )
-from oilab.config import Caps
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, cosine_similarity, tv_distance
 from oilab.errors import GapViolationError, OracleFailureError, ResourceError
-from oilab.invseq import InvertibleSequence, InvPair, _xor_bit_step, reduce_sd_to_sisd
+from oilab.invseq import InvertibleSequence, InvPair, _xor_bit_step, polarize, reduce_sd_to_sisd
 from oilab.qsim import StateVector
 from oilab.seeding import derive_rng, derive_seed
 from oilab.solver import (
@@ -216,11 +215,11 @@ class TestDecideSd:
         with pytest.raises(GapViolationError):
             decide_sd(inst, SolverConfig(seed=15))
 
-    def test_polarize_k_route(self):
+    def test_polarized_instance_route(self):
         c = random_circuit(1, 1, 3, seed=62)
         inst = SdInstance(c, c, "1/3", "2/3")
-        cfg = SolverConfig(seed=16, trial_count=9, swap_shots=1024, caps=Caps(qubit_cap=16))
-        decision = decide_sd(inst, cfg, polarize_k=2)
+        cfg = SolverConfig(seed=16, trial_count=9, swap_shots=1024)
+        decision = decide_sd(polarize(inst, 2, 2, 2), cfg)
         assert decision.verdict == "YES"
         assert decision.gap == pytest.approx(0.125)
 
