@@ -21,14 +21,13 @@ def parse_args():
     parser.add_argument("--lambda", dest="lam", type=int, default=100)
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--trials", type=int, default=25)
-    parser.add_argument("--k", type=int, default=2, help="polarize to gap (2^-k, 1 - 2^-k)")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     return parser.parse_args()
 
 
 def main():
     args = parse_args()
-    corpus = polarize_corpus(build_sd_corpus(args.instances, args.seed), k=args.k)
+    corpus = polarize_corpus(build_sd_corpus(args.instances, args.seed))
     cfg = SolverConfig(
         lam=args.lam, swap_shots=args.shots, trial_count=args.trials, seed=args.seed
     )

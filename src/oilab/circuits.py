@@ -8,7 +8,11 @@ pass-through bits free: an output may point straight at an input wire.
 
 Bitstrings are python ``str`` of '0'/'1' with the leftmost character the
 most significant bit; index ``i`` of any enumeration corresponds to
-``format(i, f"0{width}b")``.
+``format(i, f"0{width}b")``.  A batch of bitstrings is a 1-D int64 array of
+such indices (packed MSB first), so at most 63 bits wide; the batch
+evaluator takes and returns packed values, and callers build and read
+batches with integer arithmetic (``(x << r) | z`` puts state bits ``x``
+before randomness bits ``z``).
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -125,15 +129,27 @@ _GATE_BATCH_OPS = {
 }
 
 
+PACKED_BITS = 63  # widest bitstring a packed int64 holds
+
+
 def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate on a (N, k_in) boolean matrix, returning a Fortran-ordered
-    (N, k_out) one; Fortran-ordered input columns are read without a copy."""
-    if inputs.ndim != 2 or inputs.shape[1] != circuit.k_in:
+    """Evaluate on packed inputs (a 1-D int64 array of k_in-bit values) and
+    return the packed k_out-bit outputs.  The inputs are unpacked once, into
+    a (k_in, N) bool block, and the output wires packed before returning."""
+    if max(circuit.k_in, circuit.k_out) > PACKED_BITS:
         raise WidthError(
-            f"input block has shape {inputs.shape}, expected (N, {circuit.k_in})"
+            f"circuit maps {circuit.k_in}->{circuit.k_out} bits; packed batches "
+            f"hold at most {PACKED_BITS}"
         )
-    n_rows = inputs.shape[0]
-    wires: list[np.ndarray] = [np.ascontiguousarray(inputs[:, j]) for j in range(circuit.k_in)]
+    if inputs.ndim != 1 or inputs.dtype != np.int64:
+        raise WidthError(f"batch must be a 1-D int64 array, got {inputs.dtype} {inputs.shape}")
+    if len(inputs) and (inputs.min() < 0 or int(inputs.max()) >> circuit.k_in):
+        raise WidthError(f"batch holds values outside {circuit.k_in} bits")
+    n_rows = len(inputs)
+    block = np.empty((circuit.k_in, n_rows), dtype=bool)
+    for row, bit in zip(block, range(circuit.k_in - 1, -1, -1)):
+        np.not_equal(inputs & (1 << bit), 0, out=row)
+    wires: list[np.ndarray] = list(block)
     for gate in circuit.gates:
         if gate.kind == "CONST0":
             wires.append(np.zeros(n_rows, dtype=bool))
@@ -141,7 +157,13 @@ def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
             wires.append(np.ones(n_rows, dtype=bool))
         else:
             wires.append(_GATE_BATCH_OPS[gate.kind](wires, gate))
-    return np.stack([wires[w] for w in circuit.outputs]).T
+    outputs = [wires[w] for w in circuit.outputs]
+    del wires, block  # free the gate wires before the packed result is allocated
+    packed = np.zeros(n_rows, dtype=np.int64)
+    for column in outputs:
+        packed <<= 1
+        packed |= column
+    return packed
 
 
 def eval_circuit(circuit: BoolCircuit, x: str) -> str:
@@ -167,25 +189,6 @@ def eval_circuit(circuit: BoolCircuit, x: str) -> str:
     return "".join("1" if wires[w] else "0" for w in circuit.outputs)
 
 
-def bit_matrix(width: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the full truth-table input block, MSB first,
-    filled column by column into a Fortran-ordered block."""
-    indices = np.arange(start, stop, dtype=np.int64)
-    block = np.empty((stop - start, width), dtype=bool, order="F")
-    for column in range(width):
-        np.not_equal(indices & (1 << (width - 1 - column)), 0, out=block[:, column])
-    return block
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Inverse of bit_matrix rows: (N, w) boolean -> integer indices."""
-    packed = np.zeros(bits.shape[0], dtype=np.int64)
-    for column in bits.T:
-        packed <<= 1
-        packed |= column
-    return packed
-
-
 _CHUNK_ROWS = 2 ** 18
 
 
@@ -201,9 +204,8 @@ def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> D
     total = 1 << circuit.k_in
     counts: dict[int, int] = {}
     for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        outs = eval_circuit_batch(circuit, bit_matrix(circuit.k_in, start, stop))
-        values, chunk_counts = np.unique(pack_bits(outs), return_counts=True)
+        outs = eval_circuit_batch(circuit, np.arange(start, min(start + _CHUNK_ROWS, total)))
+        values, chunk_counts = np.unique(outs, return_counts=True)
         for value, count in zip(values.tolist(), chunk_counts.tolist()):
             counts[value] = counts.get(value, 0) + count
     denom = Fraction(1, total)

@@ -310,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     pol = sub.add_parser("polarize", help="amplify the promise gap")
     pol.add_argument("--instance", required=True)
     pol.add_argument("--out", required=True)
-    pol.add_argument("--k", type=int, default=None)
-    pol.add_argument("--xor-reps", type=int, default=None)
-    pol.add_argument("--product-reps", type=int, default=None)
+    pol.add_argument("--k", type=int, required=True)
+    pol.add_argument("--xor-reps", type=int, required=True)
+    pol.add_argument("--product-reps", type=int, required=True)
     pol.set_defaults(handler=_cmd_polarize)
 
     decide = sub.add_parser("decide").add_subparsers(dest="sub", required=True)

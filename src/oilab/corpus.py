@@ -23,9 +23,10 @@ PROMISE_B = Fraction(2, 3)
 MAX_K_IN = 2
 K_OUT = 1
 MAX_GATES = 8
-# XOR-combination and direct-product copies per polarized instance; with
-# the shapes above the compiled sequences are at most 14 qubits wide, the
-# default cap
+# polarized promise (2^-K, 1 - 2^-K), and XOR-combination and
+# direct-product copies per polarized instance; with the shapes above the
+# compiled sequences are at most 14 qubits wide, the default cap
+POLARIZE_K = 2
 POLARIZE_REPS = 2
 
 
@@ -64,11 +65,13 @@ def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
     return [corpus[i] for i in order]
 
 
-def polarize_corpus(corpus: list[LabeledInstance], k: int = 2) -> list[LabeledInstance]:
+def polarize_corpus(corpus: list[LabeledInstance]) -> list[LabeledInstance]:
     """Amplify every instance; labels carry over (they describe the raw side)."""
     return [
         LabeledInstance(
-            polarize(item.instance, k, POLARIZE_REPS, POLARIZE_REPS), item.delta, item.label
+            polarize(item.instance, POLARIZE_K, POLARIZE_REPS, POLARIZE_REPS),
+            item.delta,
+            item.label,
         )
         for item in corpus
     ]

@@ -27,14 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import (
-    BoolCircuit,
-    Gate,
-    SdInstance,
-    bit_matrix,
-    eval_circuit_batch,
-    pack_bits,
-)
+from .circuits import BoolCircuit, Gate, SdInstance, eval_circuit_batch
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -180,19 +173,21 @@ class SequenceValidationReport:
         return all(c.ok for c in self.checks)
 
 
-def _check_pair(pair: InvPair, index: int, assignments: np.ndarray) -> PairCheck:
-    k = pair.k
-    forward_out = eval_circuit_batch(pair.forward, assignments)
-    round_trip = eval_circuit_batch(
-        pair.backward, np.hstack([forward_out, assignments[:, k:]])
-    )
-    good = (round_trip == assignments[:, :k]).all(axis=1)
-    exhaustive = len(assignments) == 1 << (pair.k + pair.r)
+def _check_pair(pair: InvPair, index: int, points: np.ndarray, exhaustive: bool) -> PairCheck:
+    """Check backward((forward(x; z) << r) | z) == x on packed (x, z) points."""
+    r = pair.r
+    states = eval_circuit_batch(pair.forward, points)
+    back_points = (states << r) | (points & ((1 << r) - 1))
+    if exhaustive and pair.backward == pair.forward:
+        # points is the whole domain in order, so states is forward's table
+        round_trip = states[back_points]
+    else:
+        round_trip = eval_circuit_batch(pair.backward, back_points)
+    good = round_trip == points >> r
     if good.all():
-        return PairCheck(index, exhaustive, len(assignments), True, None)
-    bad = int(np.argmin(good))
-    row = "".join("1" if v else "0" for v in assignments[bad])
-    return PairCheck(index, exhaustive, len(assignments), False, (row[:k], row[k:]))
+        return PairCheck(index, exhaustive, len(points), True, None)
+    row = format(int(points[np.argmin(good)]), f"0{pair.k + r}b")
+    return PairCheck(index, exhaustive, len(points), False, (row[: pair.k], row[pair.k :]))
 
 
 def validate_sequence(seq: InvertibleSequence, seed: int = 0) -> SequenceValidationReport:
@@ -203,13 +198,15 @@ def validate_sequence(seq: InvertibleSequence, seed: int = 0) -> SequenceValidat
     """
     checks = []
     for index, pair in enumerate(seq.pairs):
-        domain = 1 << (pair.k + pair.r)
-        if domain <= EXHAUSTIVE_POINTS:
-            assignments = bit_matrix(pair.k + pair.r, 0, domain)
+        width = pair.k + pair.r
+        exhaustive = (1 << width) <= EXHAUSTIVE_POINTS
+        if exhaustive:
+            points = np.arange(1 << width)
         else:
             rng = derive_rng(seed, "validate", index)
-            assignments = rng.integers(0, 2, size=(SAMPLED_POINTS, pair.k + pair.r)).astype(bool)
-        checks.append(_check_pair(pair, index, assignments))
+            bits = rng.integers(0, 2, size=(SAMPLED_POINTS, width))
+            points = bits @ (1 << np.arange(width - 1, -1, -1))
+        checks.append(_check_pair(pair, index, points, exhaustive))
     return SequenceValidationReport(tuple(checks))
 
 
@@ -222,18 +219,12 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
     total_bits = seq.total_random_bits
     if total_bits > ENUM_BITS:
         raise ResourceError(f"folding over {total_bits} random bits exceeds cap of {ENUM_BITS}")
-    states = np.zeros((1, seq.k), dtype=bool)
+    states = np.zeros(1, dtype=np.int64)
     for pair in seq.pairs:
-        if pair.r == 0:
-            states = eval_circuit_batch(pair.forward, states)
-            continue
-        blocks = []
-        for z in range(1 << pair.r):
-            z_bits = bit_matrix(pair.r, z, z + 1)
-            tiled = np.broadcast_to(z_bits, (states.shape[0], pair.r))
-            blocks.append(eval_circuit_batch(pair.forward, np.hstack([states, tiled])))
-        states = np.vstack(blocks)
-    values, counts = np.unique(pack_bits(states), return_counts=True)
+        states = eval_circuit_batch(
+            pair.forward, ((states[:, None] << pair.r) | np.arange(1 << pair.r)).ravel()
+        )
+    values, counts = np.unique(states, return_counts=True)
     denom = Fraction(1, len(states))
     return Distribution(
         seq.k,
@@ -364,40 +355,21 @@ def decision_gap(a: Fraction, b: Fraction) -> Fraction:
     return b * b - 2 * a + a * a
 
 
-def default_polarization_exponent() -> int:
-    """Smallest k whose target labels (2^-k, 1-2^-k) leave a decision gap >= 1/2."""
-    k = 1
-    while True:
-        a = Fraction(1, 2 ** k)
-        if decision_gap(a, 1 - a) >= Fraction(1, 2):
-            return k
-        k += 1
-
-
-def polarize(
-    inst: SdInstance,
-    k: int | None = None,
-    xor_reps: int | None = None,
-    product_reps: int | None = None,
-) -> SdInstance:
+def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdInstance:
     """Amplify the promise gap to (2^-k, 1 - 2^-k).
 
     Applies the XOR-combination first (so a close pair lands below
     ``product_reps * a**xor_reps`` by a union bound) and the direct product
-    second (driving far pairs toward distance 1).  The default repetition
-    counts (xor_reps=k, product_reps=k+1) are calibrated for desk-scale
-    instances; both can be overridden when circuit width is at a premium.
+    second (driving far pairs toward distance 1).  The compiled width grows
+    with ``xor_reps * product_reps``, so the caller picks both counts for
+    the qubit budget at hand.
     """
     if inst.b * inst.b <= inst.a:
         raise PreconditionError(
             f"polarization needs b^2 > a, got a={inst.a}, b={inst.b}"
         )
-    if k is None:
-        k = default_polarization_exponent()
     if k < 1:
         raise ValueError("k must be >= 1")
-    xor_reps = k if xor_reps is None else xor_reps
-    product_reps = k + 1 if product_reps is None else product_reps
 
     def compile_one(which: int) -> BoolCircuit:
         mixed = xor_combine(inst.c0, inst.c1, xor_reps, which)

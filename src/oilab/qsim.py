@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import bit_matrix, eval_circuit_batch, pack_bits
+from .circuits import eval_circuit_batch
 from .config import MAX_ORACLE_UNITARIES
 from .errors import (
     DegenerateInputError,
@@ -186,11 +186,8 @@ def permutation_unitary_from_circuit(pair: InvPair, z: str) -> SimUnitary:
     """
     if len(z) != pair.r or any(ch not in "01" for ch in z):
         raise WidthError(f"randomness {z!r} is not a {pair.r}-bit string")
-    dim = 1 << pair.k
-    states = np.empty((dim, pair.k + pair.r), dtype=bool, order="F")
-    states[:, : pair.k] = bit_matrix(pair.k, 0, dim)
-    states[:, pair.k :] = [ch == "1" for ch in z]
-    table = pack_bits(eval_circuit_batch(pair.forward, states))
+    z_value = int(z, 2) if z else 0
+    table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z_value)
     try:
         return SimUnitary(pair.k, table=table)
     except InvalidPairError as exc:

@@ -9,13 +9,11 @@ from oilab.circuits import (
     BoolCircuit,
     Gate,
     SdInstance,
-    bit_matrix,
     constant_circuit,
     enumerate_distribution,
     eval_circuit,
     eval_circuit_batch,
     identity_circuit,
-    pack_bits,
     random_circuit,
 )
 from oilab.distributions import Distribution, uniform_distribution
@@ -163,9 +161,8 @@ def circuits(draw):
 @given(circuits(), st.integers(0, 2 ** 20))
 def test_batch_agrees_with_scalar(circuit, raw_x):
     x = raw_x % (1 << circuit.k_in)
-    block = bit_matrix(circuit.k_in, x, x + 1)
-    batch_out = eval_circuit_batch(circuit, block)[0]
-    assert "".join("1" if b else "0" for b in batch_out) == eval_circuit(
+    batch_out = int(eval_circuit_batch(circuit, np.array([x]))[0])
+    assert format(batch_out, f"0{circuit.k_out}b") == eval_circuit(
         circuit, format(x, f"0{circuit.k_in}b")
     )
 
@@ -176,24 +173,42 @@ def test_json_round_trip(circuit):
     assert BoolCircuit.from_json_dict(circuit.to_json_dict()) == circuit
 
 
-def test_pack_bits_inverts_bit_matrix():
-    block = bit_matrix(6, 0, 64)
-    assert np.array_equal(pack_bits(block), np.arange(64))
+@pytest.mark.parametrize("k_in", range(1, 17))
+def test_batch_truth_table_matches_scalar(k_in):
+    # whole truth tables: packing is MSB first on both sides, at every width
+    circuit = random_circuit(k_in, 1 + k_in % 5, 6, seed=k_in)
+    table = eval_circuit_batch(circuit, np.arange(1 << k_in))
+    for x in range(1 << k_in):
+        expected = eval_circuit(circuit, format(x, f"0{k_in}b"))
+        assert format(int(table[x]), f"0{circuit.k_out}b") == expected
 
 
-def test_bit_helpers_match_broadcast_formula():
-    rng = np.random.default_rng(0)
-    for width in range(1, 17):
-        start, stop = (1 << width) // 3, 1 << width
-        indices = np.arange(start, stop, dtype=np.int64)
-        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-        expected = ((indices[:, None] >> shifts) & 1).astype(bool)
-        block = bit_matrix(width, start, stop)
-        assert np.array_equal(block, expected)
-        assert np.array_equal(pack_bits(block), indices)
-        bits = rng.integers(0, 2, size=(50, width)).astype(bool)
-        weights = 1 << shifts
-        assert np.array_equal(pack_bits(bits), bits.astype(np.int64) @ weights)
+def test_batch_packs_63_output_bits():
+    # output 0 is the input bit, the other 62 are constant 0
+    wide = BoolCircuit(1, 63, (Gate("CONST0", (), 1),), (0,) + (1,) * 62)
+    assert eval_circuit_batch(wide, np.arange(2)).tolist() == [0, 1 << 62]
+
+
+def test_batch_rejects_what_int64_cannot_hold():
+    for k_out in (64, 65):
+        wide = BoolCircuit(1, k_out, (Gate("CONST0", (), 1),), (0,) + (1,) * (k_out - 1))
+        with pytest.raises(WidthError, match="at most 63"):
+            eval_circuit_batch(wide, np.arange(2))
+        with pytest.raises(WidthError, match="at most 63"):
+            enumerate_distribution(wide)
+    with pytest.raises(WidthError, match="at most 63"):
+        eval_circuit_batch(identity_circuit(64), np.arange(2))
+
+
+def test_batch_rejects_malformed_batches():
+    circuit = and_circuit()
+    for bad in (np.zeros((4, 2), dtype=np.int64), np.zeros(4, dtype=bool), np.zeros(4)):
+        with pytest.raises(WidthError, match="1-D int64"):
+            eval_circuit_batch(circuit, bad)
+    for bad in ([0, 4], [-1, 0]):
+        with pytest.raises(WidthError, match="outside 2 bits"):
+            eval_circuit_batch(circuit, np.array(bad))
+    assert eval_circuit_batch(circuit, np.arange(0)).tolist() == []
 
 
 def test_from_json_names_missing_field():

@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from oilab.circuits import SdInstance, constant_circuit, identity_circuit, random_circuit
+from oilab.circuits import (
+    BoolCircuit,
+    Gate,
+    SdInstance,
+    constant_circuit,
+    identity_circuit,
+    random_circuit,
+)
 from oilab.cli import main
 from oilab.jsonio import write_json
 
@@ -87,7 +94,8 @@ class TestDecide:
         for argv, flag in [
             (["decide", "sd", "--instance", str(yes_path), "--cap-bits", "20"], "--cap-bits"),
             (["reduce", "sd-to-sisd", "--instance", str(yes_path), "--out", out, "--seed", "5"], "--seed"),
-            (["polarize", "--instance", str(yes_path), "--out", out, "--seed", "5"], "--seed"),
+            (["polarize", "--instance", str(yes_path), "--out", out, "--k", "2", "--xor-reps", "2",
+              "--product-reps", "2", "--seed", "5"], "--seed"),
             (["lwe", "to-gapcvp", "--instance", str(yes_path), "--gamma", "3", "--out", out,
               "--seed", "5"], "--seed"),
         ]:
@@ -152,6 +160,18 @@ class TestPolarize:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("missing", ["--k", "--xor-reps", "--product-reps"])
+    def test_repetition_counts_are_required(self, missing, sd_files, tmp_path, capsys):
+        # no default fits under the qubit cap, so the caller names all three
+        yes_path, _ = sd_files
+        flags = {"--k": "2", "--xor-reps": "2", "--product-reps": "2"}
+        del flags[missing]
+        argv = ["polarize", "--instance", str(yes_path), "--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [part for item in flags.items() for part in item])
+        assert exit_info.value.code == 2
+        assert f"required: {missing}" in capsys.readouterr().err
+
 
 class TestCircuitStats:
     def test_stats_payload(self, tmp_path, capsys):
@@ -178,6 +198,17 @@ class TestCircuitStats:
         code, output = run(capsys, ["circuit", "stats", "--instance", path])
         assert code == 0
         assert "distribution" not in json.loads(output.out)
+
+    @pytest.mark.parametrize("k_out", [64, 65])
+    def test_outputs_wider_than_63_bits_are_an_error(self, k_out, tmp_path, capsys):
+        # output 0 is the input bit, the others a constant 0: two outcomes at 1/2
+        # each, which a 64-bit packed value cannot tell apart
+        wide = BoolCircuit(1, k_out, (Gate("CONST0", (), 1),), (0,) + (1,) * (k_out - 1))
+        path = tmp_path / "wide.json"
+        write_json(str(path), wide.to_json_dict())
+        code, output = run(capsys, ["circuit", "stats", "--instance", path])
+        assert code == 2
+        assert output.err.startswith("error:") and "at most 63" in output.err
 
     @pytest.mark.parametrize(
         "flag, env",

@@ -10,6 +10,7 @@ from oilab.circuits import (
     SdInstance,
     constant_circuit,
     enumerate_distribution,
+    eval_circuit,
     identity_circuit,
     random_circuit,
 )
@@ -20,7 +21,9 @@ from oilab.invseq import (
     InvPair,
     InvertibleSequence,
     SisdInstance,
-    default_polarization_exponent,
+    _apply_circuit_step,
+    _Builder,
+    _xor_bit_step,
     direct_product,
     polarize,
     reduce_sd_to_sisd,
@@ -28,12 +31,10 @@ from oilab.invseq import (
     validate_sequence,
     xor_combine,
 )
-from oilab.seeding import derive_seed
+from oilab.seeding import derive_rng, derive_seed
 
 
 def xor_step(width: int, bit: int) -> InvPair:
-    from oilab.invseq import _xor_bit_step
-
     return _xor_bit_step(width, bit)
 
 
@@ -51,6 +52,54 @@ def random_sd_instance(index: int, seed: int = 42, max_k_in: int = 4, k_out_cap:
     return SdInstance(c0, c1, 0, 1)
 
 
+def involution(k: int, r: int, seed: int) -> BoolCircuit:
+    """Random step (x, z) -> x XOR g(z), or (x, y) -> (x, y XOR g(x)) when
+    r = 0; either way its own inverse."""
+    if r == 0:
+        return _apply_circuit_step(random_circuit(k // 2, k - k // 2, 6, seed), k // 2).forward
+    builder = _Builder(k + r)
+    values = builder.inline(random_circuit(r, k, 6, seed), list(range(k, k + r)))
+    return builder.build([builder.add("XOR", j, w) for j, w in enumerate(values)])
+
+
+def with_rare_flip(circuit: BoolCircuit, seed: int) -> BoolCircuit:
+    """The same circuit with one output flipped where three seeded input
+    bits are all 1."""
+    rng = derive_rng(seed, "rare-flip")
+    a, b, c = (int(w) for w in rng.choice(circuit.k_in, 3, replace=False))
+    builder = _Builder(circuit.k_in)
+    outputs = builder.inline(circuit, list(range(circuit.k_in)))
+    rare = builder.add("AND", builder.add("AND", a, b), c)
+    j = int(rng.integers(circuit.k_out))
+    outputs[j] = builder.add("XOR", outputs[j], rare)
+    return builder.build(outputs)
+
+
+def assert_matches_scalar(pairs: list[InvPair], seed: int) -> None:
+    """validate_sequence agrees with a per-row eval_circuit round trip over
+    the same points: every (x, z) in order, or the same seeded bit draw."""
+    checks = []
+    for index, pair in enumerate(pairs):
+        width = pair.k + pair.r
+        if 1 << width <= 2 ** 20:
+            rows = [format(p, f"0{width}b") for p in range(1 << width)]
+        else:
+            bits = derive_rng(seed, "validate", index).integers(0, 2, size=(SAMPLED_POINTS, width))
+            rows = ["".join(map(str, row)) for row in bits.tolist()]
+        bad = next(
+            (
+                (row[: pair.k], row[pair.k :])
+                for row in rows
+                if eval_circuit(pair.backward, eval_circuit(pair.forward, row) + row[pair.k :])
+                != row[: pair.k]
+            ),
+            None,
+        )
+        checks.append((len(rows), bad is None, bad))
+    report = validate_sequence(InvertibleSequence(tuple(pairs), pairs[0].k), seed=seed)
+    assert [(c.points_checked, c.ok, c.counterexample) for c in report.checks] == checks
+
+
 class TestValidation:
     def test_xor_steps_are_involutions(self):
         seq = InvertibleSequence(tuple(xor_step(3, i) for i in range(3)), 3)
@@ -66,8 +115,6 @@ class TestValidation:
         x, z = report.checks[0].counterexample
         assert len(x) == 2 and len(z) == 1
         # the recorded point really is a violation
-        from oilab.circuits import eval_circuit
-
         assert eval_circuit(broken.backward, eval_circuit(forward, x + z) + z) != x
 
     def test_sampled_path_for_wide_pairs(self):
@@ -76,6 +123,50 @@ class TestValidation:
         assert report.ok
         assert not report.checks[0].exhaustive
         assert report.checks[0].points_checked == SAMPLED_POINTS
+
+    @pytest.mark.parametrize("case", ["distinct", "shared"])
+    def test_exhaustive_matches_scalar_round_trip(self, case):
+        # seeded involutions, broken on about 1/8 of the points so that
+        # counterexamples fall anywhere; backward is a different circuit or
+        # the same one
+        pairs = []
+        for index in range(8):
+            r = index % 4
+            step = involution(4, r, derive_seed(5, "step", index))
+            flipped = with_rare_flip(step, derive_seed(5, "flip", index))
+            if case == "shared":
+                pairs.append(InvPair(flipped, flipped, 4, r))
+            else:
+                pairs.append(InvPair(step, flipped, 4, r))
+        # an intact involution, and one whose backward is an equal function
+        # but not an equal circuit
+        xor = xor_step(4, 2).forward
+        padded = BoolCircuit(5, 4, xor.gates + (Gate("COPY", (0,), 6),), xor.outputs)
+        pairs += [xor_step(4, 0), InvPair(xor, padded, 4, 1)]
+        assert_matches_scalar(pairs, seed=0)
+
+    def test_shared_direction_that_is_not_an_involution_fails(self):
+        # x -> x + 1 mod 4 (wire 0 is the high bit) as both directions
+        rotate = BoolCircuit(
+            2, 2, (Gate("XOR", (0, 1), 2), Gate("NOT", (1,), 3)), (2, 3)
+        )
+        pair = InvPair(rotate, rotate, 2, 0)
+        check = validate_sequence(InvertibleSequence((pair,), 2)).checks[0]
+        assert (check.exhaustive, check.points_checked, check.ok) == (True, 4, False)
+        assert check.counterexample == ("00", "")
+        assert_matches_scalar([pair], seed=0)
+
+    def test_sampled_matches_scalar_round_trip(self):
+        # k + r = 21: one bit past the exhaustive domain
+        step = involution(20, 1, seed=8)
+        flipped = with_rare_flip(step, seed=9)
+        pairs = [
+            InvPair(step, flipped, 20, 1),
+            InvPair(flipped, flipped, 20, 1),
+            InvPair(step, step, 20, 1),
+            InvPair(step, random_circuit(21, 20, 30, seed=10), 20, 1),
+        ]
+        assert_matches_scalar(pairs, seed=13)
 
     def test_width_contracts(self):
         with pytest.raises(MalformedSequenceError):
@@ -196,9 +287,6 @@ def quartile_circuit(p: Fraction) -> BoolCircuit:
 
 
 class TestPolarize:
-    def test_default_exponent(self):
-        assert default_polarization_exponent() == 3
-
     def test_xor_combine_squares_distance(self):
         c0 = quartile_circuit(Fraction(0))
         c1 = quartile_circuit(Fraction(3, 4))
@@ -218,14 +306,14 @@ class TestPolarize:
 
     def test_identical_circuits_stay_identical(self):
         c = random_circuit(2, 1, 5, seed=21)
-        out = polarize(SdInstance(c, c, "1/3", "2/3"), k=2)
+        out = polarize(SdInstance(c, c, "1/3", "2/3"), k=2, xor_reps=2, product_reps=3)
         assert tv_distance(
             enumerate_distribution(out.c0), enumerate_distribution(out.c1)
         ) == 0
 
     def test_disjoint_supports_stay_disjoint(self):
         inst = SdInstance(constant_circuit(2, "0"), constant_circuit(2, "1"), "1/3", "2/3")
-        out = polarize(inst, k=2)
+        out = polarize(inst, k=2, xor_reps=2, product_reps=3)
         assert tv_distance(
             enumerate_distribution(out.c0), enumerate_distribution(out.c1)
         ) == 1
@@ -250,7 +338,7 @@ class TestPolarize:
             quartile_circuit(Fraction(0)), quartile_circuit(Fraction(1, 2)), "0.5", "0.5"
         )
         with pytest.raises(PreconditionError):
-            polarize(inst)  # b^2 = a = 1/2
+            polarize(inst, k=2, xor_reps=2, product_reps=3)  # b^2 = a = 1/2
 
     @pytest.mark.parametrize("p0_idx", range(5))
     @pytest.mark.parametrize("p1_idx", range(5))
@@ -261,7 +349,7 @@ class TestPolarize:
         if not (delta <= Fraction(1, 3) or delta > Fraction(2, 3)):
             pytest.skip("outside the promise")
         inst = SdInstance(quartile_circuit(p0), quartile_circuit(p1), "1/3", "2/3")
-        out = polarize(inst, k=2)
+        out = polarize(inst, k=2, xor_reps=2, product_reps=3)
         result = tv_distance(
             enumerate_distribution(out.c0), enumerate_distribution(out.c1)
         )
@@ -277,7 +365,7 @@ class TestPolarize:
         or3 = BoolCircuit(3, 1, (Gate("OR", (0, 1), 3), Gate("OR", (3, 2), 4)), (4,))
         raw = tv_distance(enumerate_distribution(and3), enumerate_distribution(or3))
         assert raw == Fraction(3, 4)
-        out = polarize(SdInstance(and3, or3, "1/3", "2/3"), k=2)
+        out = polarize(SdInstance(and3, or3, "1/3", "2/3"), k=2, xor_reps=2, product_reps=3)
         result = tv_distance(
             enumerate_distribution(out.c0), enumerate_distribution(out.c1)
         )

@@ -15,7 +15,7 @@ from oilab.circuits import (
     random_circuit,
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.distributions import Distribution, cosine_similarity, tv_distance
+from oilab.distributions import Distribution, cosine_similarity, tv_distance, uniform_distribution
 from oilab.errors import GapViolationError, OracleFailureError, ResourceError
 from oilab.invseq import InvertibleSequence, InvPair, _xor_bit_step, polarize, reduce_sd_to_sisd
 from oilab.qsim import StateVector
@@ -287,3 +287,18 @@ class TestThresholdScan:
         assert found[0].side == "yes"
         assert found[0].squared_cosine < found[0].bound
         assert cosine_similarity(d0, d1) ** 2 == pytest.approx(0.05, abs=1e-3)
+
+    def test_uniform_against_its_mixture_with_a_point_mass(self):
+        # the known YES-side counterexample: V = 3/4 U + 1/4 delta_0000 is
+        # within a = 1/4 of U, yet its squared cosine with U is 16/31, below
+        # (1 - a)^2 = 9/16
+        u = uniform_distribution(4)
+        v = Distribution(
+            4,
+            {key: Fraction(3, 4) * p + (Fraction(1, 4) if key == "0000" else 0)
+             for key, p in u.probs.items()},
+        )
+        assert tv_distance(u, v) == Fraction(15, 64)
+        found = cosine_threshold_counterexamples([(u, v)], "1/4", "3/4")
+        assert [(c.side, c.distance, c.bound) for c in found] == [("yes", 15 / 64, 0.5625)]
+        assert found[0].squared_cosine == pytest.approx(16 / 31, rel=1e-12)
