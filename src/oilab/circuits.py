@@ -10,9 +10,10 @@ Bitstrings are python ``str`` of '0'/'1' with the leftmost character the
 most significant bit; index ``i`` of any enumeration corresponds to
 ``format(i, f"0{width}b")``.  A batch of bitstrings is a 1-D int64 array of
 such indices (packed MSB first), so at most 63 bits wide; the batch
-evaluator takes and returns packed values, and callers build and read
-batches with integer arithmetic (``(x << r) | z`` puts state bits ``x``
-before randomness bits ``z``).
+evaluator takes and returns packed values, ``enumerate_distribution`` keys
+its outcomes by them, and callers build and read batches with integer
+arithmetic (``(x << r) | z`` puts state bits ``x`` before randomness bits
+``z``).
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -209,10 +210,7 @@ def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> D
         for value, count in zip(values.tolist(), chunk_counts.tolist()):
             counts[value] = counts.get(value, 0) + count
     denom = Fraction(1, total)
-    return Distribution(
-        circuit.k_out,
-        {format(v, f"0{circuit.k_out}b"): c * denom for v, c in counts.items()},
-    )
+    return Distribution(circuit.k_out, {v: c * denom for v, c in counts.items()})
 
 
 def identity_circuit(width: int) -> BoolCircuit:

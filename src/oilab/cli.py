@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
@@ -135,28 +134,22 @@ def _cmd_polarize(args) -> int:
     return EXIT_YES
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
+def _cmd_decide(args) -> int:
+    # decide_sd/decide_sisd are looked up at call time, so a probe installed
+    # on this module's names sees the call
+    if args.sub == "sd":
+        instance_type, decide = SdInstance, decide_sd
+    else:
+        instance_type, decide = SisdInstance, decide_sisd
+    cfg = SolverConfig(
         lam=args.lam,
         retry_budget=args.retry_budget,
         swap_shots=args.shots,
         trial_count=args.trials,
         seed=args.seed,
-        tau=Fraction(args.tau) if args.tau is not None else None,
     )
-
-
-def _cmd_decide_sd(args) -> int:
-    inst = SdInstance.from_json_dict(load_json(args.instance))
-    decision = decide_sd(inst, _solver_config(args))
-    _report(args, "decide sd", decision.to_json_dict(), args.out)
-    return EXIT_YES if decision.verdict == "YES" else EXIT_NO
-
-
-def _cmd_decide_sisd(args) -> int:
-    inst = SisdInstance.from_json_dict(load_json(args.instance))
-    decision = decide_sisd(inst, _solver_config(args))
-    _report(args, "decide sisd", decision.to_json_dict(), args.out)
+    decision = decide(instance_type.from_json_dict(load_json(args.instance)), cfg)
+    _report(args, f"decide {args.sub}", decision.to_json_dict(), args.out)
     return EXIT_YES if decision.verdict == "YES" else EXIT_NO
 
 
@@ -285,7 +278,6 @@ def _add_solver_flags(parser):
     parser.add_argument("--shots", type=int, default=4096)
     parser.add_argument("--trials", type=int, default=25)
     parser.add_argument("--retry-budget", type=int, default=50)
-    parser.add_argument("--tau", default=None, help="decision threshold override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,16 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     pol.set_defaults(handler=_cmd_polarize)
 
     decide = sub.add_parser("decide").add_subparsers(dest="sub", required=True)
-    dsd = decide.add_parser("sd")
-    dsd.add_argument("--instance", required=True)
-    _add_common(dsd)
-    _add_solver_flags(dsd)
-    dsd.set_defaults(handler=_cmd_decide_sd)
-    dsisd = decide.add_parser("sisd")
-    dsisd.add_argument("--instance", required=True)
-    _add_common(dsisd)
-    _add_solver_flags(dsisd)
-    dsisd.set_defaults(handler=_cmd_decide_sisd)
+    for name in ("sd", "sisd"):
+        dec = decide.add_parser(name)
+        dec.add_argument("--instance", required=True)
+        _add_common(dec)
+        _add_solver_flags(dec)
+        dec.set_defaults(handler=_cmd_decide)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
     for name in _ORACLES:

@@ -1,12 +1,13 @@
-"""Sparse distributions over fixed-width bitstrings, plus the three metrics
-used by the decision pipeline: total variation distance, Bhattacharyya
-fidelity, and the cosine similarity of probability vectors (the inner
-product of the corresponding output-distribution states).
+"""Exact sparse distributions over packed fixed-width outcomes, plus the
+three metrics used by the decision pipeline: total variation distance,
+Bhattacharyya fidelity, and the cosine similarity of probability vectors
+(the inner product of the corresponding output-distribution states).
 
-Two arithmetic modes coexist: exact ``Fraction`` probabilities on the
-brute-force/oracle paths, and floats for metric estimation.  ``tv_distance``
-stays exact whenever both operands are exact; ``fidelity`` and
-``cosine_similarity`` involve square roots and always return floats.
+An outcome is a packed int, most significant bit first, as in the circuit
+layer; it doubles as the basis index of the output-distribution state.
+Probabilities are ``Fraction``s and ``tv_distance`` is exact; only
+``fidelity`` and ``cosine_similarity``, which take square roots, return
+floats.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from typing import Mapping
 from .errors import DegenerateInputError, ParseError, WidthError
 from .jsonio import fraction_to_string
 
-SUM_TOLERANCE = 1e-12
 
-
-def _validate_key(key: str, width: int) -> None:
-    if len(key) != width or any(ch not in "01" for ch in key):
-        raise WidthError(f"key {key!r} is not a {width}-bit string")
+def _validate_key(key: int, width: int) -> None:
+    if not 0 <= key < 1 << width:
+        raise WidthError(f"key {key!r} is not a {width}-bit outcome")
 
 
 @dataclass(frozen=True, eq=True)
@@ -32,7 +31,7 @@ class Distribution:
     """Probability map over {0,1}^width, sparse (zero-mass keys dropped)."""
 
     width: int
-    probs: Mapping[str, Fraction | float] = field(default_factory=dict)
+    probs: Mapping[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width < 0:
@@ -40,47 +39,41 @@ class Distribution:
         cleaned = {}
         for key, value in self.probs.items():
             _validate_key(key, self.width)
+            if not isinstance(value, (Fraction, int)):
+                raise TypeError(f"probability at {key!r} is not exact: {value!r}")
             if value < 0:
                 raise ValueError(f"negative probability at {key!r}")
             if value != 0:
                 cleaned[key] = value
         object.__setattr__(self, "probs", cleaned)
         total = sum(cleaned.values())
-        if self.is_exact:
-            if total != 1:
-                raise ValueError(f"exact probabilities sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {float(total)!r}")
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.probs.values())
-
-    def prob(self, key: str) -> Fraction | float:
+    def prob(self, key: int) -> Fraction:
         _validate_key(key, self.width)
         return self.probs.get(key, 0)
 
-    def support(self) -> list[str]:
+    def support(self) -> list[int]:
         return sorted(self.probs)
 
     def marginal(self, start: int, stop: int) -> "Distribution":
-        """Marginal over the bit slice [start, stop)."""
+        """Marginal over the bit slice [start, stop), counted from the MSB."""
         if not 0 <= start <= stop <= self.width:
             raise WidthError(f"slice [{start}, {stop}) outside width {self.width}")
-        out: dict[str, Fraction | float] = {}
+        shift, mask = self.width - stop, (1 << (stop - start)) - 1
+        out: dict[int, Fraction] = {}
         for key, value in self.probs.items():
-            sub = key[start:stop]
+            sub = (key >> shift) & mask
             out[sub] = out.get(sub, 0) + value
         return Distribution(stop - start, out)
 
     def to_json_dict(self) -> dict:
-        probs = {}
-        for key, value in sorted(self.probs.items()):
-            hexkey = format(int(key, 2), f"0{max(1, (self.width + 3) // 4)}x") if self.width else "0"
-            if isinstance(value, (Fraction, int)):
-                probs[hexkey] = fraction_to_string(Fraction(value))
-            else:
-                probs[hexkey] = repr(float(value))
+        digits = max(1, (self.width + 3) // 4)
+        probs = {
+            format(key, f"0{digits}x"): fraction_to_string(Fraction(value))
+            for key, value in sorted(self.probs.items())
+        }
         return {"width": self.width, "probs": probs}
 
     @classmethod
@@ -89,13 +82,13 @@ class Distribution:
 
         width = require_field(obj, "width", "distribution object")
         raw = require_field(obj, "probs", "distribution object")
-        probs: dict[str, Fraction] = {}
+        probs: dict[int, Fraction] = {}
         for hexkey, value in raw.items():
             try:
-                key = format(int(hexkey, 16), f"0{width}b") if width else ""
+                key = int(hexkey, 16)
             except ValueError as exc:
                 raise ParseError(f"bad hex key {hexkey!r} in distribution") from exc
-            if len(key) > width:
+            if key >> width:
                 raise ParseError(f"key {hexkey!r} does not fit width {width}")
             probs[key] = Fraction(value)
         return cls(width, probs)
@@ -103,10 +96,10 @@ class Distribution:
 
 def uniform_distribution(width: int) -> Distribution:
     prob = Fraction(1, 2 ** width)
-    return Distribution(width, {format(i, f"0{width}b"): prob for i in range(2 ** width)})
+    return Distribution(width, dict.fromkeys(range(2 ** width), prob))
 
 
-def point_mass(width: int, key: str) -> Distribution:
+def point_mass(width: int, key: int) -> Distribution:
     return Distribution(width, {key: Fraction(1)})
 
 
@@ -115,14 +108,11 @@ def _check_same_width(d0: Distribution, d1: Distribution) -> None:
         raise WidthError(f"domain widths differ: {d0.width} vs {d1.width}")
 
 
-def tv_distance(d0: Distribution, d1: Distribution) -> Fraction | float:
-    """(1/2) sum over the joint support of |p0 - p1|; exact for exact inputs."""
+def tv_distance(d0: Distribution, d1: Distribution) -> Fraction:
+    """(1/2) sum over the joint support of |p0 - p1|, exactly."""
     _check_same_width(d0, d1)
     keys = set(d0.probs) | set(d1.probs)
-    total = sum(abs(d0.probs.get(k, 0) - d1.probs.get(k, 0)) for k in keys)
-    if isinstance(total, Fraction):
-        return total / 2
-    return float(total) / 2.0
+    return Fraction(sum(abs(d0.probs.get(k, 0) - d1.probs.get(k, 0)) for k in keys)) / 2
 
 
 def fidelity(d0: Distribution, d1: Distribution) -> float:

@@ -226,10 +226,7 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
         )
     values, counts = np.unique(states, return_counts=True)
     denom = Fraction(1, len(states))
-    return Distribution(
-        seq.k,
-        {format(v, f"0{seq.k}b"): c * denom for v, c in zip(values.tolist(), counts.tolist())},
-    )
+    return Distribution(seq.k, {v: c * denom for v, c in zip(values.tolist(), counts.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +369,7 @@ def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdIn
         raise ValueError("k must be >= 1")
 
     def compile_one(which: int) -> BoolCircuit:
-        mixed = xor_combine(inst.c0, inst.c1, xor_reps, which)
-        return direct_product(mixed, product_reps) if product_reps > 1 else mixed
+        return direct_product(xor_combine(inst.c0, inst.c1, xor_reps, which), product_reps)
 
     a_out = Fraction(1, 2 ** k)
     return SdInstance(compile_one(0), compile_one(1), a_out, 1 - a_out)

@@ -177,17 +177,17 @@ def pauli_z() -> SimUnitary:
     return SimUnitary(1, matrix=np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
-def permutation_unitary_from_circuit(pair: InvPair, z: str) -> SimUnitary:
-    """Basis permutation x -> forward(x; z) for one hard-wired randomness.
+def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
+    """Basis permutation x -> forward(x; z) for one hard-wired randomness,
+    packed MSB first like the state bits.
 
     The full table is built by evaluating the forward circuit on every
     basis state, and checked to be a bijection by SimUnitary; a
     non-invertible forward map surfaces as InvalidPairError.
     """
-    if len(z) != pair.r or any(ch not in "01" for ch in z):
-        raise WidthError(f"randomness {z!r} is not a {pair.r}-bit string")
-    z_value = int(z, 2) if z else 0
-    table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z_value)
+    if not 0 <= z < 1 << pair.r:
+        raise WidthError(f"randomness {z!r} does not fit {pair.r} bits")
+    table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
     try:
         return SimUnitary(pair.k, table=table)
     except InvalidPairError as exc:
@@ -326,8 +326,10 @@ def oi_oracle_query(
     A zero interference vector yields success probability 0, never an
     exception; diagnostics are populated either way.
     """
-    _check_query(tuple(unitaries), psi, lam)
-    return _oracle_outcome(oi_vector(unitaries, psi).alphas, lam, psi.n, rng)
+    unitaries = tuple(unitaries)
+    _check_query(unitaries, psi, lam)
+    orderings = tuple(itertools.permutations(range(len(unitaries))))
+    return _oracle_outcome(_alphas(unitaries, psi, orderings), lam, psi.n, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .qsim import StateVector, ci_oracle_query, permutation_unitary_from_circuit
 from .seeding import derive_rng
 
 AMPLITUDE_REALITY_TOLERANCE = 1e-12
+COUNTEREXAMPLE_TOLERANCE = 1e-12  # float slack on the squared-cosine bounds
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class SolverConfig:
     swap_shots: int = 4096
     trial_count: int = 25
     seed: int = 0
-    tau: Fraction | None = None  # decision threshold override
 
     def __post_init__(self):
         if min(self.lam, self.retry_budget, self.swap_shots, self.trial_count) < 1:
@@ -112,13 +112,12 @@ def build_output_state(
     state = StateVector.zero(seq.k)
     for stage, pair in enumerate(seq.pairs):
         if pair.r == 0:
-            unitary = permutation_unitary_from_circuit(pair, "")
+            unitary = permutation_unitary_from_circuit(pair, 0)
             state = StateVector(seq.k, unitary.apply(state.amps))
             attempts, probability = 0, 1.0
         else:
             unitaries = tuple(
-                permutation_unitary_from_circuit(pair, format(z, f"0{pair.r}b"))
-                for z in range(1 << pair.r)
+                permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r)
             )
             attempts = 0
             outcome = None
@@ -170,7 +169,6 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     """Build both output states, estimate their squared overlap by repeated
     swap tests, and compare the median estimate against the threshold."""
     spec = derive_threshold(inst.a, inst.b)
-    tau = cfg.tau if cfg.tau is not None else spec.tau
     log0: list[StageRecord] = []
     log1: list[StageRecord] = []
     state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0)
@@ -182,11 +180,11 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
         estimates.append(result.estimate)
         exact = result.exact_overlap
     median = statistics.median(estimates)
-    verdict = "YES" if median >= tau else "NO"
+    verdict = "YES" if median >= spec.tau else "NO"
     return Decision(
         verdict,
         float(median),
-        float(tau),
+        float(spec.tau),
         float(spec.gap),
         tuple(estimates),
         exact,
@@ -220,7 +218,6 @@ def cosine_threshold_counterexamples(
     pairs: list[tuple[Distribution, Distribution]],
     a,
     b,
-    tolerance: float = 1e-12,
 ) -> list[ThresholdCounterexample]:
     """Scan distribution pairs for violations of the threshold bounds.
 
@@ -234,19 +231,19 @@ def cosine_threshold_counterexamples(
     no_bound = float(1 - b * b)
     found = []
     for d0, d1 in pairs:
-        distance = float(tv_distance(d0, d1))
+        distance = tv_distance(d0, d1)  # compared exactly: float(1/5) > 1/5
         squared = cosine_similarity(d0, d1) ** 2
-        if distance <= a and squared < yes_bound - tolerance:
+        if distance <= a and squared < yes_bound - COUNTEREXAMPLE_TOLERANCE:
             found.append(
                 ThresholdCounterexample(
-                    "yes", distance, squared, yes_bound,
+                    "yes", float(distance), squared, yes_bound,
                     d0.to_json_dict(), d1.to_json_dict(),
                 )
             )
-        if distance > b and squared > no_bound + tolerance:
+        if distance > b and squared > no_bound + COUNTEREXAMPLE_TOLERANCE:
             found.append(
                 ThresholdCounterexample(
-                    "no", distance, squared, no_bound,
+                    "no", float(distance), squared, no_bound,
                     d0.to_json_dict(), d1.to_json_dict(),
                 )
             )

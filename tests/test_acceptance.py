@@ -224,7 +224,7 @@ def test_criterion_06_state_construction(built_states):
             dist = sequence_output_distribution(seq)
             expected = np.zeros(1 << seq.k)
             for key, prob in dist.probs.items():
-                expected[int(key, 2)] = float(prob)
+                expected[key] = float(prob)
             expected /= np.linalg.norm(expected)
             assert np.abs(state.amps.real - expected).max() < 1e-9
             assert np.abs(state.amps.imag).max() < 1e-9
@@ -318,12 +318,7 @@ def test_criterion_12_metric_bounds_and_swap_convergence():
                 total = int(weights.sum())
                 pair.append(
                     Distribution(
-                        width,
-                        {
-                            format(i, f"0{width}b"): Fraction(int(w), total)
-                            for i, w in enumerate(weights)
-                            if w
-                        },
+                        width, {i: Fraction(int(w), total) for i, w in enumerate(weights) if w}
                     )
                 )
             delta = float(tv_distance(*pair))

@@ -87,14 +87,14 @@ class TestStructure:
 class TestEnumerate:
     def test_constant_zero(self):
         dist = enumerate_distribution(constant_circuit(2, "0"))
-        assert dist.probs == {"0": Fraction(1)}
+        assert dist.probs == {0: Fraction(1)}
 
     def test_identity_is_uniform(self):
         assert enumerate_distribution(identity_circuit(2)) == uniform_distribution(2)
 
     def test_two_bit_and(self):
         dist = enumerate_distribution(and_circuit())
-        assert dist.probs == {"0": Fraction(3, 4), "1": Fraction(1, 4)}
+        assert dist.probs == {0: Fraction(3, 4), 1: Fraction(1, 4)}
         assert sum(dist.probs.values()) == 1
 
     def test_cap_exceeded(self):
@@ -109,15 +109,14 @@ class TestEnumerate:
         for i in range(1 << 7):
             y = eval_circuit(c, format(i, "07b"))
             counts[y] = counts.get(y, 0) + 1
-        expected = Distribution(3, {k: Fraction(v, 1 << 7) for k, v in counts.items()})
+        expected = Distribution(3, {int(k, 2): Fraction(v, 1 << 7) for k, v in counts.items()})
         assert enumerate_distribution(c) == expected
 
     def test_probabilities_are_dyadic_and_exact(self):
         dist = enumerate_distribution(random_circuit(5, 3, 12, seed=3))
-        assert dist.is_exact
         assert sum(dist.probs.values()) == 1
         for p in dist.probs.values():
-            assert (1 << 5) % p.denominator == 0
+            assert isinstance(p, Fraction) and (1 << 5) % p.denominator == 0
 
 
 class TestRandomCircuit:
@@ -138,7 +137,7 @@ class TestRandomCircuit:
         for i in range(8):
             y = eval_circuit(c, format(i, "03b"))
             counts[y] = counts.get(y, 0) + 1
-        expected = Distribution(2, {k: Fraction(v, 8) for k, v in counts.items()})
+        expected = Distribution(2, {int(k, 2): Fraction(v, 8) for k, v in counts.items()})
         assert enumerate_distribution(c) == expected
 
     def test_parameter_validation(self):

@@ -93,6 +93,7 @@ class TestDecide:
         out = str(tmp_path / "out.json")
         for argv, flag in [
             (["decide", "sd", "--instance", str(yes_path), "--cap-bits", "20"], "--cap-bits"),
+            (["decide", "sisd", "--instance", str(yes_path), "--tau", "0.5"], "--tau"),
             (["reduce", "sd-to-sisd", "--instance", str(yes_path), "--out", out, "--seed", "5"], "--seed"),
             (["polarize", "--instance", str(yes_path), "--out", out, "--k", "2", "--xor-reps", "2",
               "--product-reps", "2", "--seed", "5"], "--seed"),
@@ -171,6 +172,18 @@ class TestPolarize:
             main(argv + [part for item in flags.items() for part in item])
         assert exit_info.value.code == 2
         assert f"required: {missing}" in capsys.readouterr().err
+
+    def test_product_reps_zero_is_an_error(self, sd_files, tmp_path, capsys):
+        yes_path, _ = sd_files
+        out = tmp_path / "out.json"
+        code, output = run(
+            capsys,
+            ["polarize", "--instance", yes_path, "--out", out, "--k", 2, "--xor-reps", 2,
+             "--product-reps", 0],
+        )
+        assert code == 2
+        assert output.err.startswith("error:")
+        assert not out.exists()
 
 
 class TestCircuitStats:

@@ -13,20 +13,13 @@ from oilab.distributions import (
     tv_distance,
     uniform_distribution,
 )
-from oilab.errors import DegenerateInputError, WidthError
+from oilab.errors import DegenerateInputError, ParseError, WidthError
 from oilab.seeding import derive_rng
 
 
 def exact_distribution(width: int, weights: list[int]) -> Distribution:
     total = sum(weights)
-    return Distribution(
-        width,
-        {
-            format(i, f"0{width}b"): Fraction(w, total)
-            for i, w in enumerate(weights)
-            if w
-        },
-    )
+    return Distribution(width, {i: Fraction(w, total) for i, w in enumerate(weights) if w})
 
 
 @st.composite
@@ -41,29 +34,33 @@ def exact_pairs(draw):
 class TestConstruction:
     def test_sum_must_be_one_exact(self):
         with pytest.raises(ValueError):
-            Distribution(1, {"0": Fraction(1, 2)})
+            Distribution(1, {0: Fraction(1, 2)})
 
-    def test_float_sum_tolerance(self):
-        Distribution(1, {"0": 0.5, "1": 0.5 + 1e-13})
-        with pytest.raises(ValueError):
-            Distribution(1, {"0": 0.5, "1": 0.6})
+    def test_float_probabilities_rejected(self):
+        with pytest.raises(TypeError):
+            Distribution(1, {0: 0.5, 1: 0.5})
+        with pytest.raises(TypeError):
+            Distribution(1, {0: Fraction(1, 2), 1: 0.5})
 
     def test_negative_probability(self):
         with pytest.raises(ValueError):
-            Distribution(1, {"0": Fraction(3, 2), "1": Fraction(-1, 2)})
+            Distribution(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
 
     def test_key_width_checked(self):
         with pytest.raises(WidthError):
-            Distribution(2, {"0": Fraction(1)})
+            Distribution(2, {4: Fraction(1)})
+        with pytest.raises(WidthError):
+            Distribution(2, {-1: Fraction(1)})
+        assert Distribution(2, {3: Fraction(1)}).support() == [3]
 
     def test_zero_entries_dropped(self):
-        d = Distribution(1, {"0": Fraction(1), "1": Fraction(0)})
-        assert d.support() == ["0"]
+        d = Distribution(1, {0: Fraction(1), 1: Fraction(0)})
+        assert d.support() == [0]
 
     def test_marginal(self):
         d = exact_distribution(2, [1, 2, 3, 2])
-        assert d.marginal(0, 1).probs == {"0": Fraction(3, 8), "1": Fraction(5, 8)}
-        assert d.marginal(1, 2).probs == {"0": Fraction(1, 2), "1": Fraction(1, 2)}
+        assert d.marginal(0, 1).probs == {0: Fraction(3, 8), 1: Fraction(5, 8)}
+        assert d.marginal(1, 2).probs == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 class TestTvDistance:
@@ -72,11 +69,11 @@ class TestTvDistance:
         assert tv_distance(d, d) == 0
 
     def test_disjoint_is_one(self):
-        assert tv_distance(point_mass(1, "0"), point_mass(1, "1")) == 1
+        assert tv_distance(point_mass(1, 0), point_mass(1, 1)) == 1
 
     def test_uniform_vs_point_mass(self):
         # direct summation: (1/2)(|1/2 - 1| + |1/2 - 0|) = 1/2
-        assert tv_distance(uniform_distribution(1), point_mass(1, "0")) == Fraction(1, 2)
+        assert tv_distance(uniform_distribution(1), point_mass(1, 0)) == Fraction(1, 2)
 
     def test_width_mismatch(self):
         with pytest.raises(WidthError):
@@ -89,11 +86,11 @@ class TestFidelity:
         assert fidelity(d, d) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_is_zero(self):
-        assert fidelity(point_mass(1, "0"), point_mass(1, "1")) == 0.0
+        assert fidelity(point_mass(1, 0), point_mass(1, 1)) == 0.0
 
     def test_uniform_vs_point_mass(self):
         expected = math.sqrt(0.5)  # sqrt((1/2)*1) summed over the single shared key
-        assert fidelity(uniform_distribution(1), point_mass(1, "0")) == pytest.approx(
+        assert fidelity(uniform_distribution(1), point_mass(1, 0)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -104,11 +101,11 @@ class TestCosine:
         assert cosine_similarity(d, d) == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_is_zero(self):
-        assert cosine_similarity(point_mass(1, "0"), point_mass(1, "1")) == 0.0
+        assert cosine_similarity(point_mass(1, 0), point_mass(1, 1)) == 0.0
 
     def test_uniform_two_points_vs_point_mass(self):
         # (1/2) / ((1/sqrt(2)) * 1)
-        value = cosine_similarity(uniform_distribution(1), point_mass(1, "0"))
+        value = cosine_similarity(uniform_distribution(1), point_mass(1, 0))
         assert value == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_degenerate_rejected(self):
@@ -168,3 +165,9 @@ def test_json_decimal_strings():
     d = exact_distribution(1, [3, 1])
     blob = d.to_json_dict()
     assert blob["probs"] == {"0": "0.75", "1": "0.25"}
+
+
+def test_json_key_must_fit_width():
+    for hexkey in ("4", "-1", "zz"):
+        with pytest.raises(ParseError):
+            Distribution.from_json_dict({"width": 2, "probs": {hexkey: "1"}})

@@ -179,11 +179,11 @@ class TestSequenceDistribution:
     def test_single_xor_step_splits_evenly(self):
         seq = InvertibleSequence((xor_step(3, 0),), 3)
         dist = sequence_output_distribution(seq)
-        assert dist.probs == {"000": Fraction(1, 2), "100": Fraction(1, 2)}
+        assert dist.probs == {0b000: Fraction(1, 2), 0b100: Fraction(1, 2)}
 
     def test_all_identity_is_point_mass(self):
         seq = InvertibleSequence(tuple(identity_pair(2) for _ in range(3)), 2)
-        assert sequence_output_distribution(seq) == point_mass(2, "00")
+        assert sequence_output_distribution(seq) == point_mass(2, 0)
 
     def test_cap(self):
         seq = InvertibleSequence(tuple(xor_step(2, 0) for _ in range(30)), 2)
@@ -249,7 +249,7 @@ class TestReduction:
         # full product structure, not just the marginals
         circuit_dist = enumerate_distribution(inst.c0)
         for key, prob in dist.probs.items():
-            assert prob == Fraction(1, 2 ** prefix) * circuit_dist.prob(key[prefix:])
+            assert prob == Fraction(1, 2 ** prefix) * circuit_dist.prob(key & ((1 << k_out) - 1))
 
     def test_reduced_sequences_validate_exhaustively(self):
         for index in range(8):
@@ -301,8 +301,8 @@ class TestPolarize:
         c = quartile_circuit(Fraction(1, 4))
         doubled = direct_product(c, 2)
         dist = enumerate_distribution(doubled)
-        assert dist.prob("11") == Fraction(1, 16)
-        assert dist.prob("00") == Fraction(9, 16)
+        assert dist.prob(0b11) == Fraction(1, 16)
+        assert dist.prob(0b00) == Fraction(9, 16)
 
     def test_identical_circuits_stay_identical(self):
         c = random_circuit(2, 1, 5, seed=21)
@@ -339,6 +339,12 @@ class TestPolarize:
         )
         with pytest.raises(PreconditionError):
             polarize(inst, k=2, xor_reps=2, product_reps=3)  # b^2 = a = 1/2
+
+    @pytest.mark.parametrize("product_reps", [0, -5])
+    def test_product_reps_must_be_positive(self, product_reps):
+        c = random_circuit(2, 1, 5, seed=21)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            polarize(SdInstance(c, c, "1/3", "2/3"), k=2, xor_reps=2, product_reps=product_reps)
 
     @pytest.mark.parametrize("p0_idx", range(5))
     @pytest.mark.parametrize("p1_idx", range(5))

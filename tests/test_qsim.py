@@ -95,29 +95,29 @@ class TestSimUnitary:
 class TestPermutationFromCircuit:
     def test_identity_circuit(self):
         pair = InvPair(identity_circuit(3), identity_circuit(3), 3, 0)
-        u = permutation_unitary_from_circuit(pair, "")
+        u = permutation_unitary_from_circuit(pair, 0)
         assert np.array_equal(u.table, np.arange(8))
 
     def test_xor_step_is_involution(self):
         pair = _xor_bit_step(3, 1)
-        u = permutation_unitary_from_circuit(pair, "1")
+        u = permutation_unitary_from_circuit(pair, 1)
         assert np.array_equal(u.table[u.table], np.arange(8))
         assert u.table[0] == int("010", 2)
         assert np.array_equal(
-            permutation_unitary_from_circuit(pair, "0").table, np.arange(8)
+            permutation_unitary_from_circuit(pair, 0).table, np.arange(8)
         )
 
     def test_random_pairs_give_bijections(self):
         for k in (2, 4, 6):
             pair = _xor_bit_step(k, k - 1)
-            for z in "01":
+            for z in (0, 1):
                 table = permutation_unitary_from_circuit(pair, z).table
                 assert len(np.unique(table)) == 1 << k
 
     def test_non_bijective_forward_rejected(self):
         broken = InvPair(constant_circuit(3, "00"), constant_circuit(3, "00"), 2, 1)
-        with pytest.raises(InvalidPairError, match="randomness '0'"):
-            permutation_unitary_from_circuit(broken, "0")
+        with pytest.raises(InvalidPairError, match="randomness 0"):
+            permutation_unitary_from_circuit(broken, 0)
 
     def test_tables_match_scalar_evaluation(self):
         pairs = [(_xor_bit_step(k, bit), z) for k, bit in ((2, 0), (5, 3), (7, 6)) for z in "01"]
@@ -129,12 +129,14 @@ class TestPermutationFromCircuit:
                 int(eval_circuit(pair.forward, format(x, f"0{pair.k}b") + z), 2)
                 for x in range(1 << pair.k)
             ]
-            assert permutation_unitary_from_circuit(pair, z).table.tolist() == expected
+            table = permutation_unitary_from_circuit(pair, int(z or "0", 2)).table
+            assert table.tolist() == expected
 
     def test_randomness_width_checked(self):
         pair = _xor_bit_step(2, 0)
-        with pytest.raises(WidthError):
-            permutation_unitary_from_circuit(pair, "01")
+        for z in (-1, 1 << pair.r):
+            with pytest.raises(WidthError):
+                permutation_unitary_from_circuit(pair, z)
 
 
 class TestOiVector:

@@ -80,7 +80,7 @@ class TestBuildOutputState:
         seq = InvertibleSequence((_xor_bit_step(3, 0),), 3)
         state = build_output_state(seq, SolverConfig(seed=0), derive_rng(1, "b"))
         expected = np.zeros(8)
-        expected[int("000", 2)] = expected[int("100", 2)] = 1 / math.sqrt(2)
+        expected[0b000] = expected[0b100] = 1 / math.sqrt(2)
         assert np.abs(state.amps - expected).max() < 1e-12
 
     def test_reduced_sequence_matches_enumeration(self):
@@ -93,7 +93,7 @@ class TestBuildOutputState:
         dist = sequence_output_distribution(seq)
         expected = np.zeros(1 << seq.k)
         for key, prob in dist.probs.items():
-            expected[int(key, 2)] = float(prob)
+            expected[key] = float(prob)
         expected /= np.linalg.norm(expected)
         assert np.abs(state.amps.real - expected).max() < 1e-9
         assert len(log) == len(seq)
@@ -256,12 +256,7 @@ class TestThresholdScan:
                 total = int(weights.sum())
                 pair.append(
                     Distribution(
-                        width,
-                        {
-                            format(i, f"0{width}b"): Fraction(int(w), total)
-                            for i, w in enumerate(weights)
-                            if w
-                        },
+                        width, {i: Fraction(int(w), total) for i, w in enumerate(weights) if w}
                     )
                 )
             pairs.append(tuple(pair))
@@ -279,8 +274,8 @@ class TestThresholdScan:
     def test_scanner_catches_known_violation(self):
         # distance 3/4 but squared cosine 0.05 < (1 - 0.76)^2: the fidelity
         # bound does not transfer verbatim to cosine similarity
-        d0 = Distribution(2, {"00": Fraction(1, 2), "01": Fraction(1, 2)})
-        d1 = Distribution(2, {"00": Fraction(1, 4), "10": Fraction(3, 4)})
+        d0 = Distribution(2, {0b00: Fraction(1, 2), 0b01: Fraction(1, 2)})
+        d1 = Distribution(2, {0b00: Fraction(1, 4), 0b10: Fraction(3, 4)})
         assert tv_distance(d0, d1) == Fraction(3, 4)
         found = cosine_threshold_counterexamples([(d0, d1)], "0.76", "0.9")
         assert len(found) == 1
@@ -295,10 +290,24 @@ class TestThresholdScan:
         u = uniform_distribution(4)
         v = Distribution(
             4,
-            {key: Fraction(3, 4) * p + (Fraction(1, 4) if key == "0000" else 0)
+            {key: Fraction(3, 4) * p + (Fraction(1, 4) if key == 0 else 0)
              for key, p in u.probs.items()},
         )
         assert tv_distance(u, v) == Fraction(15, 64)
         found = cosine_threshold_counterexamples([(u, v)], "1/4", "3/4")
         assert [(c.side, c.distance, c.bound) for c in found] == [("yes", 15 / 64, 0.5625)]
         assert found[0].squared_cosine == pytest.approx(16 / 31, rel=1e-12)
+
+    def test_distance_exactly_a_is_on_the_yes_side(self):
+        # V = 59/75 U + 16/75 delta_0000 lies exactly a = 1/5 from U, and
+        # float(1/5) rounds above 1/5, so only an exact comparison keeps the
+        # pair on the YES side, where its squared cosine 375/631 < 16/25
+        u = uniform_distribution(4)
+        t = Fraction(16, 75)
+        v = Distribution(
+            4, {key: (1 - t) * p + (t if key == 0 else 0) for key, p in u.probs.items()}
+        )
+        assert tv_distance(u, v) == Fraction(1, 5)
+        found = cosine_threshold_counterexamples([(u, v)], "1/5", "3/4")
+        assert [(c.side, c.distance, c.bound) for c in found] == [("yes", 0.2, 0.64)]
+        assert found[0].squared_cosine == pytest.approx(375 / 631, rel=1e-12)
