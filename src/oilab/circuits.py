@@ -13,7 +13,9 @@ such indices (packed MSB first), so at most 63 bits wide; the batch
 evaluator takes and returns packed values, ``enumerate_distribution`` keys
 its outcomes by them, and callers build and read batches with integer
 arithmetic (``(x << r) | z`` puts state bits ``x`` before randomness bits
-``z``).
+``z``).  The batch evaluator's cost follows the live gates (``last_reads``),
+and a run of outputs that are consecutive input wires moves as one bit
+field; ``eval_circuit`` is the independent scalar reference.
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -43,6 +45,12 @@ GATE_ARITY = {
 }
 
 
+def _require_int(value, what: str) -> None:
+    # bool is an int subclass, but a JSON ``true`` is no wire index
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
@@ -50,6 +58,8 @@ class Gate:
     out: int
 
     def __post_init__(self):
+        for wire in (*self.inputs, self.out):
+            _require_int(wire, "wire index")
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.inputs) != GATE_ARITY[self.kind]:
@@ -68,6 +78,10 @@ class BoolCircuit:
     outputs: tuple[int, ...]
 
     def __post_init__(self):
+        for width in (self.k_in, self.k_out):
+            _require_int(width, "circuit width")
+        for wire in self.outputs:
+            _require_int(wire, "output wire")
         if self.k_in < 1 or self.k_out < 1:
             raise WidthError("circuit widths must be >= 1")
         for position, gate in enumerate(self.gates):
@@ -112,12 +126,12 @@ class BoolCircuit:
                 out = require_field(raw, "out", f"gate {i}")
                 try:
                     gates.append(Gate(kind, inputs, out))
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise ParseError(f"gate {i}: {exc}") from exc
             outputs = tuple(require_field(obj, "outputs", "circuit object"))
             try:
                 return cls(k_in, k_out, tuple(gates), outputs)
-            except (ValueError, WidthError) as exc:
+            except (TypeError, ValueError, WidthError) as exc:
                 raise ParseError(f"circuit object: {exc}") from exc
 
 
@@ -127,16 +141,42 @@ _GATE_BATCH_OPS = {
     "AND": lambda w, g: w[g.inputs[0]] & w[g.inputs[1]],
     "OR": lambda w, g: w[g.inputs[0]] | w[g.inputs[1]],
     "XOR": lambda w, g: w[g.inputs[0]] ^ w[g.inputs[1]],
+    # constants stay scalars and broadcast against the rows they meet
+    "CONST0": lambda w, g: np.False_,
+    "CONST1": lambda w, g: np.True_,
 }
 
 
 PACKED_BITS = 63  # widest bitstring a packed int64 holds
 
 
+def last_reads(circuit: BoolCircuit) -> list[int]:
+    """Per wire, the position of the last live gate reading it: ``len(gates)``
+    for a gate wire that is an output, -1 when nothing live reads it (so a
+    gate is dead exactly when its own wire is -1).  A gate is live when an
+    output reads it, directly or through live gates."""
+    n_gates = len(circuit.gates)
+    last = [-1] * circuit.n_wires
+    for wire in circuit.outputs:
+        if wire >= circuit.k_in:
+            last[wire] = n_gates
+    for position in range(n_gates - 1, -1, -1):
+        if last[circuit.k_in + position] >= 0:
+            for wire in circuit.gates[position].inputs:
+                if last[wire] < 0:
+                    last[wire] = position
+    return last
+
+
 def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
     """Evaluate on packed inputs (a 1-D int64 array of k_in-bit values) and
-    return the packed k_out-bit outputs.  The inputs are unpacked once, into
-    a (k_in, N) bool block, and the output wires packed before returning."""
+    return the packed k_out-bit outputs.
+
+    The cost follows the live gates: only the input wires a live gate reads
+    become bool rows, dead gates are skipped, and every wire is dropped after
+    its last read unless it is an output.  A run of outputs that are
+    consecutive input wires moves from the packed inputs as one bit field.
+    """
     if max(circuit.k_in, circuit.k_out) > PACKED_BITS:
         raise WidthError(
             f"circuit maps {circuit.k_in}->{circuit.k_out} bits; packed batches "
@@ -146,24 +186,32 @@ def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
         raise WidthError(f"batch must be a 1-D int64 array, got {inputs.dtype} {inputs.shape}")
     if len(inputs) and (inputs.min() < 0 or int(inputs.max()) >> circuit.k_in):
         raise WidthError(f"batch holds values outside {circuit.k_in} bits")
-    n_rows = len(inputs)
-    block = np.empty((circuit.k_in, n_rows), dtype=bool)
-    for row, bit in zip(block, range(circuit.k_in - 1, -1, -1)):
-        np.not_equal(inputs & (1 << bit), 0, out=row)
-    wires: list[np.ndarray] = list(block)
-    for gate in circuit.gates:
-        if gate.kind == "CONST0":
-            wires.append(np.zeros(n_rows, dtype=bool))
-        elif gate.kind == "CONST1":
-            wires.append(np.ones(n_rows, dtype=bool))
+    k_in = circuit.k_in
+    last = last_reads(circuit)
+    wires: list[np.ndarray | None] = [None] * circuit.n_wires
+    for wire in range(k_in):
+        if last[wire] >= 0:
+            wires[wire] = np.not_equal(inputs & (1 << (k_in - 1 - wire)), 0)
+    for position, gate in enumerate(circuit.gates):
+        if last[k_in + position] >= 0:
+            wires[k_in + position] = _GATE_BATCH_OPS[gate.kind](wires, gate)
+            for wire in gate.inputs:
+                if last[wire] == position:
+                    wires[wire] = None
+    outputs = circuit.outputs
+    packed = np.zeros(len(inputs), dtype=np.int64)
+    j = 0
+    while j < len(outputs):
+        wire, run = outputs[j], 1
+        if wire < k_in:
+            while j + run < len(outputs) and outputs[j + run] == wire + run < k_in:
+                run += 1
+            column = (inputs >> (k_in - wire - run)) & ((1 << run) - 1)
         else:
-            wires.append(_GATE_BATCH_OPS[gate.kind](wires, gate))
-    outputs = [wires[w] for w in circuit.outputs]
-    del wires, block  # free the gate wires before the packed result is allocated
-    packed = np.zeros(n_rows, dtype=np.int64)
-    for column in outputs:
-        packed <<= 1
+            column = wires[wire]
+        packed <<= run
         packed |= column
+        j += run
     return packed
 
 

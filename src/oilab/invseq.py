@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, Gate, SdInstance, eval_circuit_batch
+from .circuits import BoolCircuit, Gate, SdInstance, eval_circuit_batch, last_reads
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -245,11 +245,14 @@ class _Builder:
         return wire
 
     def inline(self, circuit: BoolCircuit, input_wires: list[int]) -> list[int]:
-        """Splice a sub-circuit in, reading from the given wires."""
+        """Splice in the sub-circuit's live gates (those its outputs read),
+        reading from the given wires."""
         mapping = dict(enumerate(input_wires))
+        last = last_reads(circuit)
         for position, gate in enumerate(circuit.gates):
-            new_wire = self.add(gate.kind, *(mapping[w] for w in gate.inputs))
-            mapping[circuit.k_in + position] = new_wire
+            wire = circuit.k_in + position
+            if last[wire] >= 0:
+                mapping[wire] = self.add(gate.kind, *(mapping[w] for w in gate.inputs))
         return [mapping[w] for w in circuit.outputs]
 
     def build(self, outputs: list[int]) -> BoolCircuit:

@@ -14,6 +14,7 @@ from oilab.circuits import (
     eval_circuit,
     eval_circuit_batch,
     identity_circuit,
+    last_reads,
     random_circuit,
 )
 from oilab.distributions import Distribution, uniform_distribution
@@ -82,6 +83,19 @@ class TestStructure:
     def test_widths_positive(self):
         with pytest.raises(WidthError):
             BoolCircuit(0, 1, (), (0,))
+
+    def test_widths_and_wire_indices_are_ints(self):
+        # bool is an int subclass, but True is no wire index
+        for bad in (0.5, 1.0, True, "1"):
+            with pytest.raises(TypeError, match="must be an int"):
+                Gate("NOT", (bad,), 2)
+            with pytest.raises(TypeError, match="must be an int"):
+                Gate("NOT", (0,), bad)
+            with pytest.raises(TypeError, match="must be an int"):
+                BoolCircuit(2, 1, (), (bad,))
+        for k_in, k_out in ((2.0, 1), (2, 1.0), (True, 1)):
+            with pytest.raises(TypeError, match="must be an int"):
+                BoolCircuit(k_in, k_out, (), (0,))
 
 
 class TestEnumerate:
@@ -175,11 +189,83 @@ def test_json_round_trip(circuit):
 @pytest.mark.parametrize("k_in", range(1, 17))
 def test_batch_truth_table_matches_scalar(k_in):
     # whole truth tables: packing is MSB first on both sides, at every width
-    circuit = random_circuit(k_in, 1 + k_in % 5, 6, seed=k_in)
-    table = eval_circuit_batch(circuit, np.arange(1 << k_in))
-    for x in range(1 << k_in):
-        expected = eval_circuit(circuit, format(x, f"0{k_in}b"))
+    assert_truth_table_matches_scalar(random_circuit(k_in, 1 + k_in % 5, 6, seed=k_in))
+
+
+def assert_truth_table_matches_scalar(circuit):
+    table = eval_circuit_batch(circuit, np.arange(1 << circuit.k_in))
+    for x in range(1 << circuit.k_in):
+        expected = eval_circuit(circuit, format(x, f"0{circuit.k_in}b"))
         assert format(int(table[x]), f"0{circuit.k_out}b") == expected
+
+
+# Hand-built circuits for the evaluator's pass-through runs and wire
+# lifetimes (gate g writes wire k_in + g).
+PASS_THROUGH_CASES = {
+    "ascending-runs": BoolCircuit(4, 6, (Gate("AND", (0, 3), 4),), (0, 1, 2, 4, 1, 2)),
+    "repeated-and-descending": BoolCircuit(4, 3, (), (3, 3, 2)),
+    "run-ends-at-last-input-then-gate-wire": BoolCircuit(
+        4, 4, (Gate("NOT", (1,), 4),), (1, 2, 3, 4)
+    ),
+    "output-read-by-later-gate": BoolCircuit(
+        3,
+        4,
+        (Gate("XOR", (0, 2), 3), Gate("AND", (3, 1), 4), Gate("NOT", (3,), 5)),
+        (3, 4, 1, 5),
+    ),
+    "input-output-read-by-gate": BoolCircuit(3, 3, (Gate("OR", (1, 2), 3),), (1, 3, 2)),
+    "xor-with-itself": BoolCircuit(2, 2, (Gate("XOR", (1, 1), 2),), (2, 0)),
+    "constants": BoolCircuit(
+        2, 4, (Gate("CONST0", (), 2), Gate("CONST1", (), 3)), (3, 0, 1, 2)
+    ),
+    "dead-gates": BoolCircuit(
+        3,
+        2,
+        (Gate("NOT", (0,), 3), Gate("AND", (1, 2), 4), Gate("OR", (3, 4), 5)),
+        (4, 0),
+    ),
+    "no-gates": BoolCircuit(3, 5, (), (0, 1, 2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", PASS_THROUGH_CASES)
+def test_batch_pass_through_and_wire_lifetimes_match_scalar(name):
+    assert_truth_table_matches_scalar(PASS_THROUGH_CASES[name])
+
+
+def test_batch_moves_a_63_bit_run():
+    # the run's mask is the int64 maximum
+    values = [0, 1, 2 ** 62, 2 ** 63 - 1]
+    assert eval_circuit_batch(identity_circuit(63), np.array(values)).tolist() == values
+
+
+@st.composite
+def pass_through_circuits(draw):
+    """Random circuits whose outputs are drawn from the input wires alone."""
+    k_in = draw(st.integers(1, 5))
+    gate_count = draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2 ** 32))
+    outputs = draw(st.lists(st.integers(0, k_in - 1), min_size=1, max_size=8))
+    gates = random_circuit(k_in, 1, gate_count, seed).gates
+    return BoolCircuit(k_in, len(outputs), gates, tuple(outputs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pass_through_circuits())
+def test_batch_pass_through_outputs_match_scalar(circuit):
+    assert_truth_table_matches_scalar(circuit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits())
+def test_last_reads_marks_exactly_the_dead_gates(circuit):
+    # independent reference: walk back from the outputs through gate inputs
+    live = set(circuit.outputs)
+    for gate in reversed(circuit.gates):
+        if gate.out in live:
+            live.update(gate.inputs)
+    last = last_reads(circuit)
+    assert [last[g.out] < 0 for g in circuit.gates] == [g.out not in live for g in circuit.gates]
 
 
 def test_batch_packs_63_output_bits():

@@ -134,6 +134,35 @@ class TestReduce:
         assert code == 2
         assert "k_out" in output.err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("in", [0, 0.5]),
+            ("outputs", [2.0]),
+            ("k_in", 2.0),
+            ("in", [0, True]),
+            ("outputs", [True]),
+        ],
+        ids=["float-gate-input", "float-output", "float-width", "bool-gate-input", "bool-output"],
+    )
+    def test_non_int_wire_or_width_is_a_parse_error(self, field, value, tmp_path, capsys):
+        # a float crashed with a TypeError (exit 1 reads as NO); true read as wire 1
+        circuit = BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,)).to_json_dict()
+        if field == "in":
+            circuit["gates"][0]["in"] = value
+        else:
+            circuit[field] = value
+        stats_path, sd_path = tmp_path / "circuit.json", tmp_path / "sd.json"
+        write_json(str(stats_path), circuit)
+        write_json(str(sd_path), {"c0": circuit, "c1": circuit, "a": "0.1", "b": "0.9"})
+        for argv in (
+            ["circuit", "stats", "--instance", stats_path],
+            ["reduce", "sd-to-sisd", "--instance", sd_path, "--out", tmp_path / "x.json"],
+        ):
+            code, output = run(capsys, argv)
+            assert code == 2
+            assert output.err.startswith("error:") and "must be an int" in output.err
+
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -14,6 +14,7 @@ from oilab.circuits import (
     identity_circuit,
     random_circuit,
 )
+from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import point_mass, tv_distance, uniform_distribution
 from oilab.errors import MalformedSequenceError, PreconditionError, ResourceError
 from oilab.invseq import (
@@ -377,6 +378,83 @@ class TestPolarize:
         )
         assert result == Fraction(6183, 8192)
         assert result > Fraction(3, 4)
+
+
+def dead_gates(circuit: BoolCircuit) -> list[Gate]:
+    """Gates whose wire no output reads, directly or through other gates."""
+    live = set(circuit.outputs)
+    for gate in reversed(circuit.gates):
+        if gate.out in live:
+            live.update(gate.inputs)
+    return [gate for gate in circuit.gates if gate.out not in live]
+
+
+def all_inputs(width: int) -> list[str]:
+    return [format(x, f"0{width}b") for x in range(1 << width)]
+
+
+class TestLiveInlining:
+    """Compiled circuits copy only the gates their outputs read, and still
+    compose their parts exactly."""
+
+    SOURCES = [random_circuit(3, 2, 10, seed) for seed in range(4)]
+
+    def test_sources_carry_dead_gates(self):
+        assert all(dead_gates(c) for c in self.SOURCES)
+
+    def test_compiled_circuits_have_no_dead_gates(self):
+        c0, c1 = self.SOURCES[0], random_circuit(2, 2, 9, seed=5)
+        compiled = [
+            xor_combine(c0, c1, 3, 1),
+            direct_product(c0, 2),
+            _apply_circuit_step(c1, 3).forward,
+            polarize(SdInstance(c0, c1, "1/3", "2/3"), 2, 2, 2).c0,
+        ]
+        for circuit in compiled:
+            assert dead_gates(circuit) == []
+
+    def test_direct_product_concatenates_scalar_outputs(self):
+        for c in self.SOURCES:
+            doubled = direct_product(c, 2)
+            for x in all_inputs(c.k_in):
+                for y in all_inputs(c.k_in):
+                    assert eval_circuit(doubled, x + y) == eval_circuit(c, x) + eval_circuit(c, y)
+
+    def test_apply_circuit_step_xors_scalar_value(self):
+        for c in self.SOURCES:
+            step = _apply_circuit_step(c, c.k_in + 1).forward
+            for x in all_inputs(c.k_in + 1):
+                for y in all_inputs(c.k_out):
+                    value = eval_circuit(c, x[: c.k_in])
+                    flipped = "".join(str(int(u) ^ int(v)) for u, v in zip(y, value))
+                    assert eval_circuit(step, x + y) == x + flipped
+
+    def test_xor_combine_selects_scalar_outputs(self):
+        c0, c1 = random_circuit(2, 2, 8, seed=11), self.SOURCES[1]
+        for which in (0, 1):
+            mixed = xor_combine(c0, c1, 2, which)
+            for blocks in all_inputs(6):
+                for selector in "01":
+                    chosen = (int(selector), int(selector) ^ which)
+                    expected = "".join(
+                        eval_circuit((c0, c1)[pick], block[: (c0, c1)[pick].k_in])
+                        for pick, block in zip(chosen, (blocks[:3], blocks[3:]))
+                    )
+                    assert eval_circuit(mixed, blocks + selector) == expected
+
+    def test_polarized_corpus_distances_are_unchanged(self):
+        # exact distances of build_sd_corpus(20, 2026) after polarize_corpus,
+        # as compiled before dead gates were pruned
+        expected = [
+            "1", "45/64", "0", "0", "45/64", "45/64", "0", "45/64", "45/64", "0",
+            "0", "1", "45/64", "0", "0", "0", "1", "0", "0", "1",
+        ]
+        polarized = polarize_corpus(build_sd_corpus(20, 2026))
+        distances = [
+            tv_distance(*(enumerate_distribution(c) for c in (item.instance.c0, item.instance.c1)))
+            for item in polarized
+        ]
+        assert distances == [Fraction(d) for d in expected]
 
 
 class TestSerialization:
