@@ -31,7 +31,7 @@ import numpy as np
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import ParseError, ResourceError, WidthError
-from .jsonio import require_field, typed_fields
+from .jsonio import as_exact_probability, fraction_to_string, require_field, require_int, typed_fields
 from .seeding import derive_rng
 
 GATE_ARITY = {
@@ -45,12 +45,6 @@ GATE_ARITY = {
 }
 
 
-def _require_int(value, what: str) -> None:
-    # bool is an int subclass, but a JSON ``true`` is no wire index
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Gate:
     kind: str
@@ -59,7 +53,7 @@ class Gate:
 
     def __post_init__(self):
         for wire in (*self.inputs, self.out):
-            _require_int(wire, "wire index")
+            require_int(wire, "wire index")
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.inputs) != GATE_ARITY[self.kind]:
@@ -79,9 +73,9 @@ class BoolCircuit:
 
     def __post_init__(self):
         for width in (self.k_in, self.k_out):
-            _require_int(width, "circuit width")
+            require_int(width, "circuit width")
         for wire in self.outputs:
-            _require_int(wire, "output wire")
+            require_int(wire, "output wire")
         if self.k_in < 1 or self.k_out < 1:
             raise WidthError("circuit widths must be >= 1")
         for position, gate in enumerate(self.gates):
@@ -312,8 +306,6 @@ class SdInstance:
     b: Fraction
 
     def __post_init__(self):
-        from .jsonio import as_exact_probability
-
         object.__setattr__(self, "a", as_exact_probability(self.a))
         object.__setattr__(self, "b", as_exact_probability(self.b))
         if self.c0.k_out != self.c1.k_out:
@@ -322,8 +314,6 @@ class SdInstance:
             raise ValueError("promise requires a <= b")
 
     def to_json_dict(self) -> dict:
-        from .jsonio import fraction_to_string
-
         return {
             "c0": self.c0.to_json_dict(),
             "c1": self.c1.to_json_dict(),

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: ``circuit stats``, ``reduce sd-to-sisd``, ``polarize``,
-``decide sd|sisd``, ``oracle oi|ci``, ``validate``,
+``decide sd|sisd|corpus``, ``oracle oi|ci``, ``validate``,
 ``lwe gen|to-gapcvp|dist|experiment``.  The three commands that enumerate
 or solve CVP (``circuit stats``, ``lwe dist``, ``lwe experiment``) take
 ``--cap-bits``, the one brute-force budget: at most 2^B enumerated inputs
@@ -25,6 +25,7 @@ import sys
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
 from .config import CVP_BITS, ENUM_BITS, ENV_CAP_BITS, cap_bits_from_env
+from .corpus import build_sd_corpus, polarize_corpus
 from .errors import OilabError, ParseError
 from .invseq import (
     InvertibleSequence,
@@ -151,6 +152,25 @@ def _cmd_decide(args) -> int:
     decision = decide(instance_type.from_json_dict(load_json(args.instance)), cfg)
     _report(args, f"decide {args.sub}", decision.to_json_dict(), args.out)
     return EXIT_YES if decision.verdict == "YES" else EXIT_NO
+
+
+def _cmd_decide_corpus(args) -> int:
+    cfg = SolverConfig(seed=args.seed)
+    rows = []
+    for index, item in enumerate(polarize_corpus(build_sd_corpus(args.instances, args.seed))):
+        decision = decide_sd(item.instance, cfg)
+        rows.append({
+            "index": index,
+            "raw_delta": fraction_to_string(item.delta),
+            "label": item.label,
+            "verdict": decision.verdict,
+            "estimate": decision.estimate,
+        })
+    correct = sum(row["verdict"] == row["label"] for row in rows)
+    accuracy = correct / len(rows)
+    payload = {"instances": len(rows), "correct": correct, "accuracy": accuracy, "rows": rows}
+    _report(args, "decide corpus", payload, args.out)
+    return EXIT_YES
 
 
 def _load_oracle_query(args) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
@@ -314,6 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(dec)
         _add_solver_flags(dec)
         dec.set_defaults(handler=_cmd_decide)
+    corpus = decide.add_parser("corpus", help="decide the labeled corpus, report accuracy")
+    corpus.add_argument("--instances", type=int, default=100)
+    _add_common(corpus)
+    corpus.set_defaults(handler=_cmd_decide_corpus)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
     for name in _ORACLES:

@@ -40,6 +40,8 @@ class LabeledInstance:
 def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
     """Rejection-sample ``count`` promise-valid instances, roughly balanced
     between the two sides."""
+    if count < 1:
+        raise ValueError(f"a corpus needs at least one instance, got {count}")
     want_yes = count // 2
     want_no = count - want_yes
     yes: list[LabeledInstance] = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DegenerateInputError, ParseError, WidthError
-from .jsonio import fraction_to_string
+from .jsonio import fraction_to_string, require_field
 
 
 def _validate_key(key: int, width: int) -> None:
@@ -78,8 +78,6 @@ class Distribution:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Distribution":
-        from .jsonio import require_field
-
         width = require_field(obj, "width", "distribution object")
         raw = require_field(obj, "probs", "distribution object")
         probs: dict[int, Fraction] = {}

@@ -31,7 +31,7 @@ from .circuits import BoolCircuit, Gate, SdInstance, eval_circuit_batch, last_re
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
-from .jsonio import as_exact_probability, fraction_to_string, require_field, typed_fields
+from .jsonio import as_exact_probability, fraction_to_string, require_field, require_int, typed_fields
 from .seeding import derive_rng
 
 
@@ -46,6 +46,8 @@ class InvPair:
     r: int
 
     def __post_init__(self):
+        require_int(self.k, "k")
+        require_int(self.r, "r")
         if self.k < 1 or self.r < 0:
             raise MalformedSequenceError("need k >= 1 and r >= 0")
         for name, circ in (("forward", self.forward), ("backward", self.backward)):
@@ -69,6 +71,7 @@ class InvertibleSequence:
     k: int
 
     def __post_init__(self):
+        require_int(self.k, "k")
         for i, pair in enumerate(self.pairs):
             if pair.k != self.k:
                 raise MalformedSequenceError(

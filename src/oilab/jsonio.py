@@ -96,6 +96,12 @@ def load_json(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
+def require_int(value, what: str) -> None:
+    # bool is an int subclass, but a JSON ``true`` is no count or index
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 def require_field(obj: dict, key: str, context: str):
     if not isinstance(obj, dict):
         raise ParseError(f"{context} must be a JSON object, got {type(obj).__name__}")

@@ -25,7 +25,8 @@ import numpy as np
 
 from .config import CVP_BITS
 from .errors import ResourceError, WidthError
-from .jsonio import require_field, typed_fields
+from .jsonio import require_field, require_int, typed_fields
+from .seeding import derive_rng
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class LweParams:
     alpha: float    # relative error width; the Gaussian width is alpha*q
 
     def __post_init__(self):
+        for name in ("n", "q", "m"):
+            require_int(getattr(self, name), name)
         if self.n < 1 or self.q < 2 or self.m < self.n:
             raise ValueError("need n >= 1, q >= 2, m >= n")
         if not 0 < self.alpha < 1:
@@ -371,8 +374,6 @@ def gap_experiment(
     calibration); the asymptotic approximation factor for the containment
     regime is reported alongside for reference.
     """
-    from .seeding import derive_rng
-
     d = params.distance_threshold
     rows: list[GapTrialRow] = []
     lwe_dists: list[float] = []

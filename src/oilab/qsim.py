@@ -42,7 +42,7 @@ from .errors import (
     WidthError,
 )
 from .invseq import InvPair
-from .jsonio import require_field, typed_fields
+from .jsonio import require_field, require_int, typed_fields
 
 NORMALIZATION_TOLERANCE = 1e-10
 UNITARITY_TOLERANCE = 1e-9
@@ -77,12 +77,6 @@ class StateVector:
     def is_normalized(self, tol: float = NORMALIZATION_TOLERANCE) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
-    def normalized(self) -> "StateVector":
-        norm = self.norm()
-        if norm == 0:
-            raise DegenerateInputError("cannot normalize the zero vector")
-        return StateVector(self.n, self.amps / norm)
-
     def inner(self, other: "StateVector") -> complex:
         if self.n != other.n:
             raise WidthError("qubit counts differ")
@@ -110,6 +104,7 @@ class SimUnitary:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        require_int(self.n, "n")
         dim = 1 << self.n
         if (self.table is None) == (self.matrix is None):
             raise ValueError("exactly one of table/matrix must be given")
@@ -130,10 +125,6 @@ class SimUnitary:
             if defect > UNITARITY_TOLERANCE:
                 raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
             object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def kind(self) -> str:
-        return "permutation" if self.table is not None else "dense"
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         if self.table is not None:

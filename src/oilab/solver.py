@@ -119,13 +119,11 @@ def build_output_state(
             unitaries = tuple(
                 permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r)
             )
-            attempts = 0
-            outcome = None
             for attempts in range(1, cfg.retry_budget + 1):
                 outcome = ci_oracle_query(unitaries, state, cfg.lam, rng)
                 if outcome.success:
                     break
-            if outcome is None or not outcome.success:
+            else:
                 raise OracleFailureError(stage, outcome.success_probability, attempts)
             state = outcome.state
             probability = outcome.success_probability

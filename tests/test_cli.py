@@ -11,7 +11,9 @@ from oilab.circuits import (
     random_circuit,
 )
 from oilab.cli import main
-from oilab.jsonio import write_json
+from oilab.corpus import build_sd_corpus, polarize_corpus
+from oilab.jsonio import fraction_to_string, write_json
+from oilab.solver import SolverConfig, decide_sd
 
 
 @pytest.fixture
@@ -162,6 +164,25 @@ class TestReduce:
             code, output = run(capsys, argv)
             assert code == 2
             assert output.err.startswith("error:") and "must be an int" in output.err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", 1.0), ("k", 4.0), ("r", True)],
+        ids=["float-r", "float-k", "bool-r"],
+    )
+    def test_non_int_sequence_field_is_a_parse_error(self, field, value, sd_files, tmp_path, capsys):
+        # a float crashed validate with a TypeError (exit 1 reads as NO); true ran as r = 1
+        yes_path, _ = sd_files
+        sisd_path = tmp_path / "seq.json"
+        run(capsys, ["reduce", "sd-to-sisd", "--instance", yes_path, "--out", sisd_path])
+        sisd = json.loads(sisd_path.read_text())
+        target = sisd["seq0"]["pairs"][0] if field == "r" else sisd["seq0"]
+        target[field] = value
+        write_json(str(sisd_path), sisd)
+        for argv in (["validate", "--instance", sisd_path], ["decide", "sisd", "--instance", sisd_path]):
+            code, output = run(capsys, argv)
+            assert code == 2
+            assert output.err.startswith("error: ill-typed field in sequence object")
 
     def test_invalid_json_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -316,6 +337,16 @@ class TestOracle:
             assert code == 2
             assert output.err.startswith("error:")
 
+    def test_bool_qubit_count_is_a_parse_error(self, query_file, capsys):
+        # "n": true ran as a one-qubit unitary
+        query = json.loads(query_file.read_text())
+        query["unitaries"][0]["n"] = True
+        write_json(str(query_file), query)
+        for kind in ("oi", "ci"):
+            code, output = run(capsys, ["oracle", kind, "--query", query_file])
+            assert code == 2
+            assert output.err.startswith("error: ill-typed field in unitary object")
+
 
 class TestLwe:
     def test_gen_to_gapcvp_dist_chain(self, tmp_path, capsys):
@@ -382,8 +413,53 @@ class TestLwe:
         assert code == 2
         assert output.err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("m", 8.0)], ids=["float-n", "float-m"])
+    def test_non_int_lwe_parameter_is_a_parse_error(self, field, value, tmp_path, capsys):
+        # a float dimension was accepted and carried into the GapCVP file
+        inst = tmp_path / "inst.json"
+        run(capsys, ["lwe", "gen", "--n", 2, "--q", 101, "--m", 8, "--alpha", 0.02, "--out", inst])
+        write_json(str(inst), {**json.loads(inst.read_text()), field: value})
+        argv = ["lwe", "to-gapcvp", "--instance", inst, "--gamma", 3, "--out", tmp_path / "cvp.json"]
+        code, output = run(capsys, argv)
+        assert code == 2
+        assert output.err.startswith("error: ill-typed field in lwe instance")
+
     def test_missing_file_is_error(self, capsys):
         code, output = run(capsys, ["lwe", "dist", "--instance", "/nonexistent.json"])
+        assert code == 2
+        assert output.err.startswith("error:")
+
+
+class TestDecideCorpus:
+    def test_rows_are_the_library_decisions(self, tmp_path, capsys):
+        out = tmp_path / "corpus.json"
+        argv = ["decide", "corpus", "--instances", 4, "--seed", 2026, "--out", out]
+        code, first = run(capsys, argv)
+        assert code == 0
+        _, second = run(capsys, argv)
+        assert first.out == second.out == out.read_text()
+        report = json.loads(first.out)
+        assert report["command"] == "decide corpus" and report["seed"] == 2026
+        cfg = SolverConfig(seed=2026)
+        corpus = polarize_corpus(build_sd_corpus(4, 2026))
+        assert report["rows"] == [
+            {
+                "index": index,
+                "raw_delta": fraction_to_string(item.delta),
+                "label": item.label,
+                "verdict": decision.verdict,
+                "estimate": decision.estimate,
+            }
+            for index, item in enumerate(corpus)
+            for decision in [decide_sd(item.instance, cfg)]
+        ]
+        correct = sum(row["verdict"] == row["label"] for row in report["rows"])
+        assert (report["instances"], report["correct"]) == (4, correct)
+        assert report["accuracy"] == correct / 4
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_corpus_is_an_error(self, count, capsys):
+        code, output = run(capsys, ["decide", "corpus", "--instances", count])
         assert code == 2
         assert output.err.startswith("error:")
 

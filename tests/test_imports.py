@@ -1,9 +1,11 @@
-"""Static check: every module under src/oilab uses each name it imports.
+"""Static checks: every module under src/oilab imports at module level
+only, and uses each name it imports.
 
-No linter is a dependency, so this walks the syntax tree with ``ast``: a
-name bound by an import must appear as a ``Name`` somewhere else in the
-module (annotations included, since ``from __future__ import annotations``
-keeps them in the tree).
+No linter is a dependency, so this walks the syntax tree with ``ast``: an
+import must be a top-level statement of its module, and a name bound by an
+import must appear as a ``Name`` somewhere else in the module (annotations
+included, since ``from __future__ import annotations`` keeps them in the
+tree).
 """
 
 import ast
@@ -28,11 +30,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
+def nested_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import numpy as np\nimport os\nos.getcwd()\n") == ["line 1: np"]
     assert unused_imports("from typing import Iterator\ndef f() -> Iterator: ...\n") == []
 
 
+def test_checker_flags_a_nested_import():
+    source = "import os\ndef f():\n    import sys\n    return sys\nif os:\n    import json\n"
+    assert nested_imports(source) == ["line 3", "line 6"]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(path.read_text()) == []

@@ -231,6 +231,12 @@ class TestDecideSd:
         )
         assert correct == 10
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_corpus_needs_an_instance(self, count):
+        # an empty corpus has no accuracy to report
+        with pytest.raises(ValueError, match="at least one instance"):
+            build_sd_corpus(count, seed=881)
+
 
 class TestSolverConfig:
     def test_counts_validated(self):
