@@ -65,11 +65,12 @@ EXIT_ERROR = 2
 
 def _report(args, command: str, payload: dict, path: str | None = None) -> None:
     """Print the payload under the provenance envelope; also write it to
-    ``path`` when one is given."""
+    ``path`` when one is given.  Output destinations are left out of the
+    hashed config, so where a report goes does not change it."""
     config = {
         key: value
         for key, value in sorted(vars(args).items())
-        if key != "handler" and not callable(value)
+        if key not in ("handler", "out", "out_prefix") and not callable(value)
     }
     envelope = {
         "command": command,

@@ -23,7 +23,7 @@ def as_exact_probability(value) -> Fraction:
     """Coerce a probability-like value to an exact Fraction in [0, 1]."""
     if isinstance(value, Fraction):
         frac = value
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):  # JSON true is no 1
         frac = Fraction(value)
     elif isinstance(value, float):
         frac = Fraction(repr(value))

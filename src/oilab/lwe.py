@@ -18,6 +18,7 @@ can assert facts like dist <= ||e||; serialization never emits it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -130,10 +131,13 @@ class GapCvpInstance:
             raise WidthError("A must be (m, n) and target length m")
         if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        if self.d <= 0:
-            raise ValueError("d must be positive")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        for name, value in (("d", self.d), ("gamma", self.gamma)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not self.d > 0:  # negated, so NaN fails too
+            raise ValueError(f"d must be positive, got {self.d!r}")
+        if not self.gamma >= 1:
+            raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "target", target)
 

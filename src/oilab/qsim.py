@@ -19,6 +19,10 @@ Conventions
   are for hand-built examples.  Keeping permutations as index tables makes
   an order-interference query cost O(m! * m * 2^n) instead of paying for
   matrix products.
+* Amplitudes are float64 unless a value needs complex128: a state built
+  from real input, and every permutation of it, stays real, while complex
+  input (a state read from JSON) or a dense matrix (always complex)
+  promotes the result by numpy's type promotion.
 
 All operations are pure given an explicit generator; concurrent tasks
 should each derive their own stream via ``seeding.derive_rng``.
@@ -50,20 +54,22 @@ UNITARITY_TOLERANCE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitudes over n qubits; index i <-> n-bit string of i."""
+    """Amplitudes over n qubits; index i <-> n-bit string of i.  Real input
+    is kept as float64, complex input as complex128."""
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = np.asarray(self.amps)
+        amps = amps.astype(np.complex128 if np.iscomplexobj(amps) else np.float64, copy=False)
         if amps.shape != (1 << self.n,):
             raise WidthError(f"amplitude vector must have length 2^{self.n}")
         object.__setattr__(self, "amps", amps)
 
     @classmethod
     def basis(cls, n: int, bits: str) -> "StateVector":
-        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps = np.zeros(1 << n)
         amps[int(bits, 2)] = 1.0
         return cls(n, amps)
 
@@ -234,8 +240,10 @@ def _alphas(
 ) -> np.ndarray:
     """Per-ordering amplitudes, shape (orderings, 2^n): row j applies the
     unitaries of orderings[j] in turn.  Order interference takes the m!
-    permutations, choice interference the m one-element orderings."""
-    alphas = np.empty((len(orderings), 1 << psi.n), dtype=np.complex128)
+    permutations, choice interference the m one-element orderings.  Rows
+    are real unless the state or a dense matrix is complex."""
+    dtype = np.result_type(psi.amps, *(u.matrix for u in unitaries if u.matrix is not None))
+    alphas = np.empty((len(orderings), 1 << psi.n), dtype=dtype)
     for row, ordering in enumerate(orderings):
         amps = psi.amps
         for index in ordering:

@@ -413,6 +413,15 @@ class TestLwe:
         assert code == 2
         assert output.err.startswith("error:")
 
+    @pytest.mark.parametrize("field", ["d", "gamma"])
+    def test_bool_distance_or_gamma_is_an_error(self, field, tmp_path, capsys):
+        # a JSON true ran as 1 and was echoed back in the report
+        cvp = tmp_path / "cvp.json"
+        write_json(str(cvp), {**small_gapcvp(), field: True})
+        code, output = run(capsys, ["lwe", "dist", "--instance", cvp])
+        assert code == 2
+        assert output.err.startswith(f"error: {field} must be a real number")
+
     @pytest.mark.parametrize("field, value", [("n", 2.0), ("m", 8.0)], ids=["float-n", "float-m"])
     def test_non_int_lwe_parameter_is_a_parse_error(self, field, value, tmp_path, capsys):
         # a float dimension was accepted and carried into the GapCVP file
@@ -457,6 +466,12 @@ class TestDecideCorpus:
         assert (report["instances"], report["correct"]) == (4, correct)
         assert report["accuracy"] == correct / 4
 
+    def test_report_does_not_depend_on_out(self, tmp_path, capsys):
+        argv = ["decide", "corpus", "--instances", 2, "--seed", 1]
+        _, printed = run(capsys, argv)
+        _, written = run(capsys, argv + ["--out", tmp_path / "x.json"])
+        assert printed.out == written.out
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_corpus_is_an_error(self, count, capsys):
         code, output = run(capsys, ["decide", "corpus", "--instances", count])
@@ -484,8 +499,12 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
         '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "NOT", "in": 5, "out": 2}], "outputs": [2]}, '
         '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
         None,  # a directory where the instance file belongs
+        # a JSON true was read as the probability 1 and decided
+        '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST0", "in": [], "out": 2}], "outputs": [2]}, '
+        '"c1": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST1", "in": [], "out": 2}], "outputs": [2]}, '
+        '"a": "0.1", "b": true}',
     ],
-    ids=["top-level-number", "string-width", "gate-inputs-number", "directory"],
+    ids=["top-level-number", "string-width", "gate-inputs-number", "directory", "bool-bound"],
 )
 def test_malformed_instance_is_an_error_not_a_no(content, tmp_path, capsys):
     path = tmp_path / "instance"

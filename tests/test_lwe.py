@@ -130,6 +130,16 @@ class TestCvp:
         assert dist_to_lattice(GapCvpInstance(A, target=np.array([1, 2]), **base)) == 0.0
         assert dist_to_lattice(GapCvpInstance(A, target=np.array([2, 2]), **base)) == 1.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", True), ("gamma", False), ("d", "1.0"), ("gamma", [3]), ("d", math.nan),
+         ("gamma", math.nan)],
+    )
+    def test_distance_and_gamma_must_be_real(self, field, value):
+        params = dict(q=5, target=np.array([1, 2]), d=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GapCvpInstance(np.array([[1], [2]]), **{**params, field: value})
+
     def test_enumeration_cap(self):
         A = np.ones((13, 13), dtype=np.int64)
         cvp = GapCvpInstance(A, q=3, target=np.zeros(13, dtype=np.int64), d=1.0, gamma=1.0)

@@ -360,3 +360,70 @@ class TestSwapTest:
         psi = StateVector.basis(1, "0")
         with pytest.raises(ValueError):
             swap_test(psi, psi, 0, derive_rng(26, "z"))
+
+
+def step_table_groups() -> list[tuple[SimUnitary, ...]]:
+    """Unitary tuples built from circuit tables, as the solver queries them:
+    the two randomness choices of XOR-bit steps, and deterministic
+    circuit-application steps of equal width side by side."""
+    groups = [
+        tuple(permutation_unitary_from_circuit(_xor_bit_step(k, bit), z) for z in (0, 1))
+        for k, bit in ((2, 0), (4, 3), (6, 1))
+    ]
+    for count in (2, 3):
+        groups.append(tuple(
+            permutation_unitary_from_circuit(
+                _apply_circuit_step(random_circuit(3, 2, 12, seed=seed), 4), 0
+            )
+            for seed in range(count)
+        ))
+    return groups
+
+
+def as_complex(psi: StateVector) -> StateVector:
+    return StateVector(psi.n, psi.amps.astype(np.complex128))
+
+
+class TestRealAmplitudes:
+    """Real states and permutation tables stay float64; each result agrees
+    with the same computation on the state cast to complex128."""
+
+    def test_dtype_follows_the_values(self):
+        assert StateVector(1, [1, 0]).amps.dtype == np.float64
+        assert StateVector(1, np.array([0.6, 0.8], dtype=np.float32)).amps.dtype == np.float64
+        assert StateVector(1, np.array([0.6, 0.8j])).amps.dtype == np.complex128
+        assert StateVector.basis(2, "01").amps.dtype == np.float64
+        assert StateVector.zero(2).amps.dtype == np.float64
+        assert StateVector.from_json_list([[1.0, 0.0], [0.0, 0.0]]).amps.dtype == np.complex128
+        real = StateVector.basis(1, "0")
+        assert oi_vector((identity_unitary(1),), real).vector.dtype == np.float64
+        assert ci_vector((identity_unitary(1), pauli_z()), real).dtype == np.complex128
+
+    @pytest.mark.parametrize("query", [ci_oracle_query, oi_oracle_query], ids=["ci", "oi"])
+    def test_oracle_matches_complex_path(self, query):
+        for index, unitaries in enumerate(step_table_groups()):
+            n = unitaries[0].n
+            real = random_nonnegative_state(n, derive_rng(40, index))
+            for lam in (1, 100):
+                rngs = derive_rng(41, index, lam), derive_rng(41, index, lam)
+                got = query(unitaries, real, lam, rngs[0])
+                want = query(unitaries, as_complex(real), lam, rngs[1])
+                assert got.success == want.success
+                for name in ("success_probability", "interference_norm", "phase_alignment"):
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), rel=1e-15, abs=1e-15
+                    )
+                if got.success:
+                    assert got.state.amps.dtype == np.float64
+                    assert np.allclose(got.state.amps, want.state.amps)
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_swap_test_matches_complex_path(self):
+        for index in range(20):
+            n = 1 + index % 4
+            phi = random_nonnegative_state(n, derive_rng(42, index, "phi"))
+            psi = random_nonnegative_state(n, derive_rng(42, index, "psi"))
+            got = swap_test(phi, psi, 4096, derive_rng(43, index))
+            want = swap_test(as_complex(phi), as_complex(psi), 4096, derive_rng(43, index))
+            assert got.accepts == want.accepts
+            assert got.exact_overlap == pytest.approx(want.exact_overlap, rel=1e-13)

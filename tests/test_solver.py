@@ -16,7 +16,7 @@ from oilab.circuits import (
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, cosine_similarity, tv_distance, uniform_distribution
-from oilab.errors import GapViolationError, OracleFailureError, ResourceError
+from oilab.errors import GapViolationError, OracleFailureError, ParseError, ResourceError
 from oilab.invseq import InvertibleSequence, InvPair, _xor_bit_step, polarize, reduce_sd_to_sisd
 from oilab.qsim import StateVector
 from oilab.seeding import derive_rng, derive_seed
@@ -69,6 +69,11 @@ class TestDeriveThreshold:
         spec = derive_threshold("0.05", "0.95")
         assert spec.gap == spec.yes_bound - spec.no_bound
 
+    @pytest.mark.parametrize("a, b", [(0, True), (False, 1)])
+    def test_bool_bound_is_a_parse_error(self, a, b):
+        with pytest.raises(ParseError, match="type bool"):
+            derive_threshold(a, b)
+
 
 class TestBuildOutputState:
     def test_all_identity_sequence(self):
@@ -98,6 +103,14 @@ class TestBuildOutputState:
         assert np.abs(state.amps.real - expected).max() < 1e-9
         assert len(log) == len(seq)
         assert all(r.min_real_amplitude >= -1e-12 for r in log)
+
+    def test_compiled_sequences_stay_real(self):
+        # polarized as the corpus is: 14 state bits, the qubit cap
+        inst = SdInstance(random_circuit(2, 1, 5, seed=35), random_circuit(2, 1, 6, seed=36), 0, 1)
+        sisd = reduce_sd_to_sisd(polarize(inst, 2, 2, 2))
+        for index, seq in enumerate((sisd.seq0, sisd.seq1)):
+            state = build_output_state(seq, SolverConfig(seed=5), derive_rng(5, "real", index))
+            assert state.amps.dtype == np.float64
 
     def test_stage_success_probability_bound(self):
         # with r <= 1 and lambda = 100 every stage succeeds w.p. >= 100/(100+sqrt(2))
