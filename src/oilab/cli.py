@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
@@ -48,11 +50,11 @@ from .lwe import (
     GapCvpInstance,
     LweInstance,
     LweParams,
-    dist_to_lattice,
     gap_experiment,
     lwe_to_gapcvp,
     sample_lwe,
     sample_uniform,
+    squared_distance_to_lattice,
 )
 from .qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query
 from .seeding import derive_rng
@@ -224,13 +226,14 @@ def _cmd_lwe_to_gapcvp(args) -> int:
 
 def _cmd_lwe_dist(args) -> int:
     cvp = GapCvpInstance.from_json_dict(load_json(args.instance))
-    dist = dist_to_lattice(cvp, cap_bits_from_env(args.cap_bits, CVP_BITS))
+    dist_sq = squared_distance_to_lattice(cvp, cap_bits_from_env(args.cap_bits, CVP_BITS))
+    d_sq = Fraction(cvp.d) ** 2  # exact, so a d beyond the float range compares too
     payload = {
-        "dist": dist,
+        "dist": math.sqrt(dist_sq),
         "d": cvp.d,
         "gamma": cvp.gamma,
-        "within_d": dist <= cvp.d,
-        "beyond_gamma_d": dist > cvp.gamma * cvp.d,
+        "within_d": dist_sq <= d_sq,
+        "beyond_gamma_d": dist_sq > Fraction(cvp.gamma) ** 2 * d_sq,
     }
     _report(args, "lwe dist", payload, args.out)
     return EXIT_YES
@@ -283,6 +286,16 @@ def _cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser assembly
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
@@ -358,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--q", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--alpha", type=float, required=True)
+    gen.add_argument("--alpha", type=_finite_float, required=True)
     gen.add_argument("--uniform", action="store_true")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=0)
@@ -366,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tocvp = lwe.add_parser("to-gapcvp")
     tocvp.add_argument("--instance", required=True)
-    tocvp.add_argument("--gamma", type=float, required=True)
+    tocvp.add_argument("--gamma", type=_finite_float, required=True)
     tocvp.add_argument("--out", required=True)
     tocvp.set_defaults(handler=_cmd_lwe_to_gapcvp)
 
@@ -380,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--q", type=int, required=True)
     exp.add_argument("--m", type=int, required=True)
-    exp.add_argument("--alpha", type=float, required=True)
-    exp.add_argument("--gamma", type=float, default=1.0)
-    exp.add_argument("--factor", type=float, default=3.0, help="calibrated NO-side factor")
+    exp.add_argument("--alpha", type=_finite_float, required=True)
+    exp.add_argument("--gamma", type=_finite_float, default=1.0)
+    exp.add_argument("--factor", type=_finite_float, default=3.0, help="calibrated NO-side factor")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--out-prefix", default=None)
     exp.add_argument("--seed", type=int, default=0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -61,7 +62,9 @@ def fraction_to_string(frac: Fraction) -> str:
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; a NaN or an infinity raises ValueError, since
+    neither is JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def config_hash(obj: Any) -> str:
@@ -88,12 +91,24 @@ def write_json(path: str, obj: Any) -> None:
     atomic_write_text(path, canonical_dumps(obj))
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"{token} is not a finite JSON number")
+    return value
+
+
 def load_json(path: str) -> Any:
+    """Parse strict JSON: the NaN and Infinity tokens that Python's json
+    module accepts, and float literals beyond the float range, raise
+    ParseError."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def require_int(value, what: str) -> None:

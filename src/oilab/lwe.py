@@ -4,7 +4,12 @@ The lattice attached to a sample matrix A is the set of integer vectors
 congruent mod q to As for some s, which decomposes as {As mod q} + q*Z^m.
 That decomposition is what makes exact desk-scale CVP possible: minimize
 over all q^n choices of s with per-coordinate centered reduction, no basis
-construction or lattice reduction needed.
+construction or lattice reduction needed.  The scan keeps a table of the
+residues (t - A's') mod q over the leading n-1 secret coordinates (q^(n-1)
+rows of m) and sweeps the last coordinate against it in blocks of at most
+2^14 candidates, in the narrowest integer type that holds +-q, so beyond
+the table one call holds one block whatever q is.  The squared distance
+comes out as an exact int.
 
 The error model is the discrete Gaussian on Z with mass proportional to
 exp(-x^2 / width^2), sampled exactly over a support truncated at ten
@@ -127,14 +132,16 @@ class GapCvpInstance:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.int64)
         target = np.asarray(self.target, dtype=np.int64)
-        if A.ndim != 2 or target.shape != (A.shape[0],):
-            raise WidthError("A must be (m, n) and target length m")
+        if A.ndim != 2 or 0 in A.shape or target.shape != (A.shape[0],):
+            raise WidthError("A must be (m, n) with m, n >= 1 and target length m")
         if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 2:
             raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
         for name, value in (("d", self.d), ("gamma", self.gamma)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not self.d > 0:  # negated, so NaN fails too
+            if value != value or abs(value) == math.inf:  # exact for huge ints too
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not self.d > 0:
             raise ValueError(f"d must be positive, got {self.d!r}")
         if not self.gamma >= 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
@@ -238,29 +245,59 @@ def centered_mod(values: np.ndarray, q: int) -> np.ndarray:
     return np.where(reduced * 2 > q, reduced - q, reduced)
 
 
-def _secret_blocks(n: int, q: int, chunk: int = 2 ** 14) -> Iterator[np.ndarray]:
-    total = q ** n
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        yield (indices[:, None] // powers) % q
+BLOCK_CANDIDATES = 2 ** 14  # candidate secrets per block of the CVP scan
 
 
-def dist_to_lattice(inst: GapCvpInstance, cap_bits: int = CVP_BITS) -> float:
-    """Exact distance from the target to the lattice, by enumerating all q^n
-    candidate secrets and reducing each residual coordinate-wise into the
-    centered range.  Valid because the lattice is {As mod q} + q*Z^m.
-    More than 2^cap_bits candidates raise ResourceError."""
+def _narrow_dtype(q: int) -> type:
+    """The narrowest signed integer type that holds -q and q."""
+    return next(dt for dt in (np.int8, np.int16, np.int32, np.int64) if q <= np.iinfo(dt).max)
+
+
+def _residue_table(A: np.ndarray, target: np.ndarray, q: int, dtype: type) -> np.ndarray:
+    """(t - A s) mod q for every s over the columns of A, one row per s,
+    built one coordinate at a time."""
+    table = (target % q).astype(dtype)[None, :]
+    for column in A.T:
+        shifts = (np.multiply.outer(np.arange(q), column) % q).astype(dtype)
+        table = (table[:, None, :] - shifts[None, :, :]).reshape(-1, A.shape[0])
+        table %= q
+    return table
+
+
+def _block_minima(A: np.ndarray, target: np.ndarray, q: int) -> Iterator[int]:
+    """The least squared centered residual over each block of at most
+    BLOCK_CANDIDATES secrets: the residue table of the leading coordinates
+    against a run of values of the last one."""
+    dtype = _narrow_dtype(q)
+    table = _residue_table(A[:, :-1], target, q, dtype)
+    rows = min(len(table), BLOCK_CANDIDATES)
+    cols = min(q, BLOCK_CANDIDATES // rows)
+    for k in range(0, q, cols):
+        shifts = np.multiply.outer(np.arange(k, min(k + cols, q)), A[:, -1])
+        shifts = (shifts % q).astype(dtype)
+        for r in range(0, len(table), rows):
+            residue = table[r:r + rows, None, :] - shifts
+            residue %= q
+            np.minimum(residue, q - residue, out=residue)
+            yield int(np.einsum("...i,...i->...", residue, residue, dtype=np.int64).min())
+
+
+def squared_distance_to_lattice(inst: GapCvpInstance, cap_bits: int = CVP_BITS) -> int:
+    """Exact squared distance from the target to the lattice, by scanning
+    all q^n candidate secrets and reducing each residual coordinate-wise
+    into the centered range.  Valid because the lattice is
+    {As mod q} + q*Z^m.  More than 2^cap_bits candidates raise
+    ResourceError."""
     total = inst.q ** inst.n
     if total > 1 << cap_bits:
         raise ResourceError(f"CVP enumeration over q^n = {total} exceeds cap {1 << cap_bits}")
-    best = None
-    for secrets in _secret_blocks(inst.n, inst.q):
-        residual = centered_mod(inst.target[None, :] - secrets @ inst.A.T, inst.q)
-        block_min = int((residual.astype(np.int64) ** 2).sum(axis=1).min())
-        best = block_min if best is None else min(best, block_min)
-    return math.sqrt(best)
+    return min(_block_minima(inst.A % inst.q, inst.target, inst.q))
+
+
+def dist_to_lattice(inst: GapCvpInstance, cap_bits: int = CVP_BITS) -> float:
+    """Exact distance from the target to the lattice: the square root of
+    ``squared_distance_to_lattice``."""
+    return math.sqrt(squared_distance_to_lattice(inst, cap_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +361,7 @@ class GapExperimentReport:
     params: LweParams
     gamma: float
     calibrated_factor: float
-    asymptotic_gamma: float
+    asymptotic_gamma: float | None  # None at n = 1, where it is undefined
     d: float
     trials: int
     seed: int
@@ -400,7 +437,7 @@ def gap_experiment(
         params,
         gamma,
         calibrated_factor,
-        szk_regime_gamma(params.n) if params.n >= 2 else float("nan"),
+        szk_regime_gamma(params.n) if params.n >= 2 else None,
         d,
         trials,
         seed,

@@ -33,6 +33,13 @@ def run(capsys, argv):
     return code, capsys.readouterr()
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as a strict JSON parser does."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def small_gapcvp() -> dict:
     """A one-dimensional GapCVP file: lattice {(s, 2s) mod 5}, target (1, 2)."""
     return {"n": 1, "q": 5, "m": 2, "A": [[1], [2]], "b": [1, 2], "d": 1.0, "gamma": 1.0}
@@ -432,6 +439,59 @@ class TestLwe:
         code, output = run(capsys, argv)
         assert code == 2
         assert output.err.startswith("error: ill-typed field in lwe instance")
+
+    def test_huge_integer_distance_compares_exactly(self, tmp_path, capsys):
+        # gamma * d overflowed a float: exit 1, which reads as NO
+        cvp = tmp_path / "cvp.json"
+        write_json(str(cvp), {**small_gapcvp(), "b": [2, 2], "d": 10 ** 400, "gamma": 2.0})
+        code, output = run(capsys, ["lwe", "dist", "--instance", cvp])
+        assert code == 0
+        report = strict_json(output.out)
+        assert report["dist"] == 1.0 and report["d"] == 10 ** 400
+        assert report["within_d"] is True and report["beyond_gamma_d"] is False
+
+    def test_distance_comparisons_are_exact_at_the_boundary(self, tmp_path, capsys):
+        # dist = 1, d = 1/2, gamma = 2: dist equals gamma * d, so not beyond it
+        cvp = tmp_path / "cvp.json"
+        write_json(str(cvp), {**small_gapcvp(), "b": [2, 2], "d": 0.5, "gamma": 2})
+        code, output = run(capsys, ["lwe", "dist", "--instance", cvp])
+        assert code == 0
+        report = strict_json(output.out)
+        assert report["within_d"] is False and report["beyond_gamma_d"] is False
+
+    @pytest.mark.parametrize(
+        "field, token",
+        [("gamma", "Infinity"), ("gamma", "-Infinity"), ("d", "NaN"), ("d", "1e400")],
+    )
+    def test_non_finite_distance_or_gamma_is_a_parse_error(self, field, token, tmp_path, capsys):
+        # "gamma": Infinity ran, and the report echoed the non-JSON token
+        cvp = tmp_path / "cvp.json"
+        cvp.write_text(json.dumps({**small_gapcvp(), field: "@"}).replace('"@"', token))
+        code, output = run(capsys, ["lwe", "dist", "--instance", cvp])
+        assert code == 2 and output.out == ""
+        assert output.err.startswith(f"error: {cvp}: ")
+
+    def test_one_dimensional_experiment_reports_null_gamma(self, capsys):
+        # the asymptotic factor is undefined at n = 1 and was printed as NaN
+        code, output = run(
+            capsys,
+            ["lwe", "experiment", "--n", 1, "--q", 11, "--m", 2, "--alpha", 0.02, "--trials", 2],
+        )
+        assert code == 0
+        assert strict_json(output.out)["asymptotic_gamma"] is None
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma", "inf"), ("--factor", "nan"), ("--alpha", "-inf"), ("--gamma", "three")],
+    )
+    def test_non_finite_float_option_is_a_usage_error(self, flag, value, capsys):
+        argv = ["lwe", "experiment", "--n", "2", "--q", "11", "--m", "4", "--alpha", "0.02",
+                "--trials", "2", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        output = capsys.readouterr()
+        assert output.out == "" and f"argument {flag}: must be a finite number" in output.err
 
     def test_missing_file_is_error(self, capsys):
         code, output = run(capsys, ["lwe", "dist", "--instance", "/nonexistent.json"])

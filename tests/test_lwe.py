@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oilab.errors import ResourceError
+from oilab.errors import ResourceError, WidthError
 from oilab.jsonio import canonical_dumps
 from oilab.lwe import (
     GapCvpInstance,
@@ -22,6 +25,7 @@ from oilab.lwe import (
     sample_discrete_gaussian,
     sample_lwe,
     sample_uniform,
+    squared_distance_to_lattice,
     szk_regime_gamma,
 )
 from oilab.seeding import derive_rng
@@ -140,6 +144,11 @@ class TestCvp:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             GapCvpInstance(np.array([[1], [2]]), **{**params, field: value})
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 2)])
+    def test_empty_lattice_basis_is_a_width_error(self, shape):
+        with pytest.raises(WidthError):
+            GapCvpInstance(np.zeros(shape, dtype=np.int64), 5, np.zeros(shape[0]), 1.0, 1.0)
+
     def test_enumeration_cap(self):
         A = np.ones((13, 13), dtype=np.int64)
         cvp = GapCvpInstance(A, q=3, target=np.zeros(13, dtype=np.int64), d=1.0, gamma=1.0)
@@ -174,6 +183,77 @@ class TestCvp:
             cvp = GapCvpInstance(A, q=q, target=b, d=1.0, gamma=1.0)
             dists.append(dist_to_lattice(cvp))
         assert dists[0] <= dists[1] <= dists[2]
+
+
+def brute_force_sq_distance(A: np.ndarray, target: np.ndarray, q: int) -> int:
+    """min over all secrets s of sum_i ((t_i - (As)_i) centered mod q)^2, in
+    plain Python ints."""
+    rows = A.tolist()
+    best = None
+    for s in itertools.product(range(q), repeat=A.shape[1]):
+        total = 0
+        for row, t in zip(rows, target.tolist()):
+            r = (t - sum(map(operator.mul, row, s))) % q
+            total += min(r, q - r) ** 2
+        best = total if best is None else min(best, total)
+    return best
+
+
+def random_cvp(seed: int, n: int, q: int, m: int, target: str) -> GapCvpInstance:
+    rng = derive_rng(seed, "cvp-differential", n, q, m, target)
+    A = rng.integers(0, q, size=(m, n))
+    if target == "on-lattice":  # a lattice point, lifted by multiples of q
+        b = A @ rng.integers(0, q, size=n) + q * rng.integers(-3, 4, size=m)
+    elif target == "last-candidate":  # the only secret at distance 0 is the last one scanned
+        A[:n] = np.eye(n, dtype=np.int64)
+        b = A @ np.full(n, q - 1)
+    else:  # negative and beyond q, never reduced
+        b = rng.integers(-3 * q, 3 * q, size=m)
+    return GapCvpInstance(A, q, b, 1.0, 1.0)
+
+
+class TestSquaredDistanceDifferential:
+    # (n, q, m): prime, composite and even moduli; m = n; n = 1 with q above
+    # 2^15 (an int32 scan split over several blocks of the last coordinate);
+    # q^(n-1) above 2^14 (the residue table split over several blocks)
+    @pytest.mark.parametrize(
+        "n, q, m",
+        [(1, 2, 1), (1, 7, 3), (1, 40000, 3), (1, 65521, 2), (2, 12, 2), (2, 13, 5),
+         (2, 127, 3), (2, 128, 3), (3, 8, 3), (3, 9, 4), (3, 11, 6), (10, 3, 10)],
+    )
+    @pytest.mark.parametrize("target", ["unreduced", "on-lattice", "last-candidate"])
+    def test_matches_pure_python_scan(self, n, q, m, target):
+        cvp = random_cvp(1, n, q, m, target)
+        expected = brute_force_sq_distance(cvp.A, cvp.target, q)
+        found = squared_distance_to_lattice(cvp)
+        assert type(found) is int and found == expected
+        assert dist_to_lattice(cvp) == math.sqrt(expected)
+        if target != "unreduced":
+            assert expected == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(2, 12), st.integers(n, n + 3))
+        ),
+        st.integers(0, 2 ** 32),
+    )
+    def test_random_small_instances(self, shape, seed):
+        n, q, m = shape
+        cvp = random_cvp(seed, n, q, m, "unreduced")
+        assert squared_distance_to_lattice(cvp) == brute_force_sq_distance(cvp.A, cvp.target, q)
+
+
+@pytest.mark.parametrize("n, q, m", [(1, 1048573, 8), (3, 53, 12)])
+def test_one_scan_stays_under_four_megabytes(n, q, m):
+    cvp = random_cvp(3, n, q, m, "unreduced")
+    tracemalloc.start()
+    try:
+        squared_distance_to_lattice(cvp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @settings(max_examples=60, deadline=None)
