@@ -28,7 +28,7 @@ from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
 from .config import CVP_BITS, ENUM_BITS, ENV_CAP_BITS, cap_bits_from_env
 from .corpus import build_sd_corpus, polarize_corpus
-from .errors import OilabError, ParseError
+from .errors import OilabError
 from .invseq import (
     InvertibleSequence,
     SisdInstance,
@@ -43,6 +43,8 @@ from .jsonio import (
     fraction_to_string,
     load_json,
     require_field,
+    require_int,
+    require_real,
     typed_fields,
     write_json,
 )
@@ -184,9 +186,8 @@ def _load_oracle_query(args) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
             for raw in require_field(obj, "unitaries", "oracle query")
         )
         psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
-    lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
-    if isinstance(lam, bool) or not isinstance(lam, int):
-        raise ParseError(f"oracle query lambda must be an integer, got {lam!r}")
+        lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
+        require_int(lam, "lambda")
     return unitaries, psi, lam
 
 
@@ -289,12 +290,9 @@ def _cmd_validate(args) -> int:
 
 def _finite_float(text: str) -> float:
     try:
-        value = float(text)
+        return require_real(float(text), "option")
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
 def _add_common(parser):
@@ -409,7 +407,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (OilabError, OSError, ValueError) as exc:
+    except (OilabError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DegenerateInputError, ParseError, WidthError
-from .jsonio import fraction_to_string, require_field
+from .errors import DegenerateInputError, WidthError
+from .jsonio import fraction_to_string
 
 
 def _validate_key(key: int, width: int) -> None:
@@ -75,21 +75,6 @@ class Distribution:
             for key, value in sorted(self.probs.items())
         }
         return {"width": self.width, "probs": probs}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Distribution":
-        width = require_field(obj, "width", "distribution object")
-        raw = require_field(obj, "probs", "distribution object")
-        probs: dict[int, Fraction] = {}
-        for hexkey, value in raw.items():
-            try:
-                key = int(hexkey, 16)
-            except ValueError as exc:
-                raise ParseError(f"bad hex key {hexkey!r} in distribution") from exc
-            if key >> width:
-                raise ParseError(f"key {hexkey!r} does not fit width {width}")
-            probs[key] = Fraction(value)
-        return cls(width, probs)
 
 
 def uniform_distribution(width: int) -> Distribution:

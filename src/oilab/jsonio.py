@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from .errors import ParseError
 
 
@@ -111,10 +113,32 @@ def load_json(path: str) -> Any:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def require_int(value, what: str) -> None:
+def require_int(value, what: str) -> int:
     # bool is an int subclass, but a JSON ``true`` is no count or index
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def require_real(value, what: str):
+    """Return a finite int or float as is; an int of any size is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
+def int_array(value, what: str) -> np.ndarray:
+    """An int64 array from an integer ndarray, or from a rectangular nested
+    list of ints within the int64 range; anything else raises TypeError."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and np.can_cast(value.dtype, np.int64):
+        return value.astype(np.int64, copy=False)
+    if not isinstance(value, (list, np.ndarray)):
+        raise TypeError(f"{what} must be a list of ints, got {value!r}")
+    leaves = np.array(value, dtype=object)
+    for leaf in leaves.flat:  # the rows of a ragged list are leaves, and fail here
+        if not -(1 << 63) <= require_int(leaf, f"{what} entry") < 1 << 63:
+            raise TypeError(f"{what} entry {leaf} does not fit int64")
+    return leaves.astype(np.int64)
 
 
 def require_field(obj: dict, key: str, context: str):

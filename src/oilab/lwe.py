@@ -23,7 +23,6 @@ can assert facts like dist <= ||e||; serialization never emits it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .config import CVP_BITS
 from .errors import ResourceError, WidthError
-from .jsonio import require_field, require_int, typed_fields
+from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 from .seeding import derive_rng
 
 
@@ -47,7 +46,7 @@ class LweParams:
             require_int(getattr(self, name), name)
         if self.n < 1 or self.q < 2 or self.m < self.n:
             raise ValueError("need n >= 1, q >= 2, m >= n")
-        if not 0 < self.alpha < 1:
+        if not 0 < require_real(self.alpha, "alpha") < 1:
             raise ValueError("alpha must lie in (0, 1)")
 
     @property
@@ -78,8 +77,8 @@ class LweInstance:
     secret: LweSecret | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.int64) % self.params.q
-        b = np.asarray(self.b, dtype=np.int64) % self.params.q
+        A = int_array(self.A, "A") % self.params.q
+        b = int_array(self.b, "b") % self.params.q
         if A.shape != (self.params.m, self.params.n) or b.shape != (self.params.m,):
             raise WidthError("A must be (m, n) and b length m")
         if self.origin not in ("lwe", "uniform"):
@@ -102,19 +101,10 @@ class LweInstance:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LweInstance":
+        keys = ("n", "q", "m", "alpha", "A", "b", "origin")
         with typed_fields("lwe instance"):
-            params = LweParams(
-                require_field(obj, "n", "lwe instance"),
-                require_field(obj, "q", "lwe instance"),
-                require_field(obj, "m", "lwe instance"),
-                require_field(obj, "alpha", "lwe instance"),
-            )
-            return cls(
-                params,
-                np.array(require_field(obj, "A", "lwe instance")),
-                np.array(require_field(obj, "b", "lwe instance")),
-                require_field(obj, "origin", "lwe instance"),
-            )
+            n, q, m, alpha, A, b, origin = (require_field(obj, key, "lwe instance") for key in keys)
+            return cls(LweParams(n, q, m, alpha), A, b, origin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +120,20 @@ class GapCvpInstance:
     origin: str | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.int64)
-        target = np.asarray(self.target, dtype=np.int64)
-        if A.ndim != 2 or 0 in A.shape or target.shape != (A.shape[0],):
-            raise WidthError("A must be (m, n) with m, n >= 1 and target length m")
-        if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 2:
-            raise ValueError(f"q must be an integer >= 2, got {self.q!r}")
-        for name, value in (("d", self.d), ("gamma", self.gamma)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if value != value or abs(value) == math.inf:  # exact for huge ints too
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.d > 0:
+        A = int_array(self.A, "A")  # A's shape is checked before the target's type
+        if A.ndim != 2 or 0 in A.shape:
+            raise WidthError("A must be (m, n) with m, n >= 1")
+        target = int_array(self.target, "b")
+        if target.shape != (A.shape[0],):
+            raise WidthError("the target must have length m")
+        if require_int(self.q, "q") < 2:
+            raise ValueError(f"q must be >= 2, got {self.q!r}")
+        if not require_real(self.d, "d") > 0:
             raise ValueError(f"d must be positive, got {self.d!r}")
-        if not self.gamma >= 1:
+        if not require_real(self.gamma, "gamma") >= 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
+        if self.alpha is not None:
+            require_real(self.alpha, "alpha")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "target", target)
 
@@ -174,16 +163,13 @@ class GapCvpInstance:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GapCvpInstance":
+        keys = ("n", "m", "A", "q", "b", "d", "gamma")
         with typed_fields("gapcvp instance"):
-            return cls(
-                np.array(require_field(obj, "A", "gapcvp instance")),
-                require_field(obj, "q", "gapcvp instance"),
-                np.array(require_field(obj, "b", "gapcvp instance")),
-                require_field(obj, "d", "gapcvp instance"),
-                require_field(obj, "gamma", "gapcvp instance"),
-                obj.get("alpha"),
-                obj.get("origin"),
-            )
+            n, m, A, q, b, d, gamma = (require_field(obj, key, "gapcvp instance") for key in keys)
+            inst = cls(A, q, b, d, gamma, obj.get("alpha"), obj.get("origin"))
+            if inst.A.shape != (require_int(m, "m"), require_int(n, "n")):
+                raise WidthError(f"A is {inst.m}x{inst.n}, but the file gives m = {m} and n = {n}")
+            return inst
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,14 @@ from .errors import (
     WidthError,
 )
 from .invseq import InvPair
-from .jsonio import require_field, require_int, typed_fields
+from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 
 NORMALIZATION_TOLERANCE = 1e-10
 UNITARITY_TOLERANCE = 1e-9
+
+
+def _complex(re, im) -> complex:
+    return complex(require_real(re, "real part"), require_real(im, "imaginary part"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +98,7 @@ class StateVector:
     @classmethod
     def from_json_list(cls, pairs: list) -> "StateVector":
         with typed_fields("state vector"):
-            amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+            amps = np.array([_complex(re, im) for re, im in pairs], dtype=np.complex128)
             n = int(round(math.log2(len(amps))))
             if 1 << n != len(amps):
                 raise WidthError("amplitude list length is not a power of two")
@@ -115,7 +119,7 @@ class SimUnitary:
         if (self.table is None) == (self.matrix is None):
             raise ValueError("exactly one of table/matrix must be given")
         if self.table is not None:
-            table = np.asarray(self.table, dtype=np.int64)
+            table = int_array(self.table, "permutation table")
             seen = np.zeros(dim, dtype=bool)
             # range-checked first: a negative entry would wrap in the scatter
             if table.shape == (dim,) and table.min() >= 0 and table.max() < dim:
@@ -154,10 +158,10 @@ class SimUnitary:
             kind = require_field(obj, "kind", "unitary object")
             n = require_field(obj, "n", "unitary object")
             if kind == "permutation":
-                return cls(n, table=np.array(require_field(obj, "table", "unitary object")))
+                return cls(n, table=require_field(obj, "table", "unitary object"))
             if kind == "dense":
                 rows = require_field(obj, "matrix", "unitary object")
-                matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+                matrix = np.array([[_complex(re, im) for re, im in row] for row in rows])
                 return cls(n, matrix=matrix)
             raise ValueError(f"unknown unitary kind {kind!r}")
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oilab.circuits import (
     BoolCircuit,
@@ -12,6 +18,7 @@ from oilab.circuits import (
 )
 from oilab.cli import main
 from oilab.corpus import build_sd_corpus, polarize_corpus
+from oilab.invseq import reduce_sd_to_sisd
 from oilab.jsonio import fraction_to_string, write_json
 from oilab.solver import SolverConfig, decide_sd
 
@@ -43,6 +50,29 @@ def strict_json(text: str):
 def small_gapcvp() -> dict:
     """A one-dimensional GapCVP file: lattice {(s, 2s) mod 5}, target (1, 2)."""
     return {"n": 1, "q": 5, "m": 2, "A": [[1], [2]], "b": [1, 2], "d": 1.0, "gamma": 1.0}
+
+
+def small_query() -> dict:
+    """An oracle query file: a dense X and a permutation-table X on |0>."""
+    return {
+        "lambda": 10,
+        "psi": [[1.0, 0.0], [0.0, 0.0]],
+        "unitaries": [
+            {"kind": "dense", "n": 1, "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+            {"kind": "permutation", "n": 1, "table": [1, 0]},
+        ],
+    }
+
+
+def edited(obj, path: tuple, value):
+    """A copy of obj with the leaf at path set to value."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
 
 
 class TestDecide:
@@ -429,7 +459,22 @@ class TestLwe:
         assert code == 2
         assert output.err.startswith(f"error: {field} must be a real number")
 
-    @pytest.mark.parametrize("field, value", [("n", 2.0), ("m", 8.0)], ids=["float-n", "float-m"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.0),
+            ("m", 8.0),
+            # A is 8x2 and b has 8 entries; each row spoils the first entry.
+            # Past int64 exited 1 with an OverflowError; 1.5, true and "3"
+            # ran as 1, 1 and 3.
+            *[("A", [[bad, 0]] + [[0, 0]] * 7) for bad in (10 ** 30, 1.5, True, "3")],
+            ("A", [[0, 0]] * 7 + [[0]]),
+            *[("b", [bad] + [0] * 7) for bad in (10 ** 30, 1.5, True, "3")],
+            ("b", [[0]] + [0] * 7),
+        ],
+        ids=["float-n", "float-m", "huge-A", "float-A", "bool-A", "string-A", "ragged-A",
+             "huge-b", "float-b", "bool-b", "string-b", "ragged-b"],
+    )
     def test_non_int_lwe_parameter_is_a_parse_error(self, field, value, tmp_path, capsys):
         # a float dimension was accepted and carried into the GapCVP file
         inst = tmp_path / "inst.json"
@@ -437,7 +482,7 @@ class TestLwe:
         write_json(str(inst), {**json.loads(inst.read_text()), field: value})
         argv = ["lwe", "to-gapcvp", "--instance", inst, "--gamma", 3, "--out", tmp_path / "cvp.json"]
         code, output = run(capsys, argv)
-        assert code == 2
+        assert code == 2 and output.out == ""
         assert output.err.startswith("error: ill-typed field in lwe instance")
 
     def test_huge_integer_distance_compares_exactly(self, tmp_path, capsys):
@@ -550,28 +595,167 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
     assert report_path.read_text() == output.out
 
 
+DECIDE_SD = ("decide", "sd", "--instance")
+LWE_DIST = ("lwe", "dist", "--instance")
+ORACLE_CI = ("oracle", "ci", "--query")
+
+
 @pytest.mark.parametrize(
-    "content",
+    "command, content",
     [
-        "5",
-        '{"c0": {"k_in": "2", "k_out": 1, "gates": [], "outputs": [0]}, '
-        '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
-        '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "NOT", "in": 5, "out": 2}], "outputs": [2]}, '
-        '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
-        None,  # a directory where the instance file belongs
+        pytest.param(DECIDE_SD, "5", id="top-level-number"),
+        pytest.param(
+            DECIDE_SD,
+            '{"c0": {"k_in": "2", "k_out": 1, "gates": [], "outputs": [0]}, '
+            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+            id="string-width",
+        ),
+        pytest.param(
+            DECIDE_SD,
+            '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "NOT", "in": 5, "out": 2}], "outputs": [2]}, '
+            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+            id="gate-inputs-number",
+        ),
+        # a directory where the instance file belongs
+        pytest.param(DECIDE_SD, None, id="directory"),
         # a JSON true was read as the probability 1 and decided
-        '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST0", "in": [], "out": 2}], "outputs": [2]}, '
-        '"c1": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST1", "in": [], "out": 2}], "outputs": [2]}, '
-        '"a": "0.1", "b": true}',
+        pytest.param(
+            DECIDE_SD,
+            '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST0", "in": [], "out": 2}], "outputs": [2]}, '
+            '"c1": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST1", "in": [], "out": 2}], "outputs": [2]}, '
+            '"a": "0.1", "b": true}',
+            id="bool-bound",
+        ),
+        # A and b entries past int64 exited 1 with an OverflowError; 1.5, true
+        # and "3" ran as 1, 1 and 3
+        *[
+            pytest.param(LWE_DIST, json.dumps(edited(small_gapcvp(), path, bad)), id=f"gapcvp-{name}-{field}")
+            for field, path in (("A", ("A", 0, 0)), ("b", ("b", 0)))
+            for name, bad in (("huge", 10 ** 30), ("float", 1.5), ("bool", True), ("string", "3"))
+        ],
+        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "A": [[1, 1], [2]]}), id="gapcvp-ragged-A"),
+        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "b": [[1], 2]}), id="gapcvp-ragged-b"),
+        # n and m were never read, so they could disagree with A
+        *[
+            pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), **shape}), id=f"gapcvp-{name}")
+            for name, shape in (("n-m", {"n": 7, "m": 9}), ("n", {"n": 2}), ("m", {"m": 3}))
+        ],
+        # tables of floats and bools ran as their int casts; past int64 exited 1
+        *[
+            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "table"), table)),
+                         id=f"table-{name}")
+            for name, table in (("float", [1.7, 0]), ("bool", [True, False]), ("huge", [10 ** 30, 0]))
+        ],
+        # an int too large for float or shift arithmetic raised OverflowError, exit 1
+        pytest.param(ORACLE_CI, json.dumps({**small_query(), "lambda": 10 ** 400}), id="lambda-huge"),
+        pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "n"), 10 ** 400)),
+                     id="qubits-huge"),
+        # a true amplitude or matrix entry ran as 1
+        *[
+            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), path, bad)), id=f"{where}-{name}")
+            for where, path in (("amplitude", ("psi", 0, 0)), ("matrix", ("unitaries", 0, "matrix", 0, 1, 0)))
+            for name, bad in (("bool", True), ("string", "1"))
+        ],
     ],
-    ids=["top-level-number", "string-width", "gate-inputs-number", "directory", "bool-bound"],
 )
-def test_malformed_instance_is_an_error_not_a_no(content, tmp_path, capsys):
+def test_malformed_instance_is_an_error_not_a_no(command, content, tmp_path, capsys):
     path = tmp_path / "instance"
     if content is None:
         path.mkdir()
     else:
         path.write_text(content)
-    code, output = run(capsys, ["decide", "sd", "--instance", path])
-    assert code == 2
+    code, output = run(capsys, [*command, path])
+    assert code == 2 and output.out == ""
     assert output.err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# one valid file per kind the CLI reads, each mutated at one leaf
+
+def _valid_files() -> dict:
+    """kind -> (argv before the file path, a valid file); the reals are
+    written as floats, so every int leaf is a field that must be an int."""
+    and_circuit = BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,))
+    circuit = and_circuit.to_json_dict()
+    sd = SdInstance(and_circuit, constant_circuit(2, "0"), "0.1", "0.9")
+    sisd = reduce_sd_to_sisd(sd).to_json_dict()
+    lwe = {"n": 1, "q": 5, "m": 2, "alpha": 0.1, "A": [[1], [2]], "b": [1, 2], "origin": "lwe"}
+    decide = ["--trials", "2", "--shots", "64", "--instance"]
+    return {
+        "circuit": (["circuit", "stats", "--instance"], circuit),
+        "sd": (["decide", "sd", *decide], sd.to_json_dict()),
+        "sisd": (["decide", "sisd", *decide], sisd),
+        "sequence": (["validate", "--instance"], sisd["seq0"]),
+        "query": (["oracle", "ci", "--query"], small_query()),
+        "lwe": (["lwe", "to-gapcvp", "--gamma", "3", "--out", "@out", "--instance"], lwe),
+        "gapcvp": (["lwe", "dist", "--instance"], {**small_gapcvp(), "alpha": 0.1, "origin": "lwe"}),
+    }
+
+
+VALID_FILES = _valid_files()
+
+
+def leaf_paths(obj, path=()):
+    """The path of every scalar and every empty list or object in obj."""
+    if isinstance(obj, (dict, list)) and obj:
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+class Token(str):
+    """JSON text written as is, such as NaN, which json.dumps cannot emit."""
+
+
+class Drop:
+    """Delete the leaf instead of replacing it."""
+
+    def __repr__(self):
+        return "Drop()"
+
+
+REPLACEMENTS = st.one_of(
+    st.builds(Drop),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.none(),
+    st.just(10 ** 400),
+    st.sampled_from([Token("NaN"), Token("Infinity"), Token("-Infinity")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_is_an_error_or_a_report(data, tmp_path_factory):
+    kind = data.draw(st.sampled_from(sorted(VALID_FILES)), label="kind")
+    prefix, obj = VALID_FILES[kind]
+    path = data.draw(st.sampled_from(list(leaf_paths(obj))), label="path")
+    replacement = data.draw(REPLACEMENTS, label="replacement")
+    mutated = json.loads(json.dumps(obj))
+    *parents, last = path
+    parent = mutated
+    for key in parents:
+        parent = parent[key]
+    original = parent[last]
+    if isinstance(replacement, Drop):
+        del parent[last]
+    else:
+        parent[last] = "@token" if isinstance(replacement, Token) else replacement
+    # a new directory per example: truncating and rewriting one file is slow on some file systems
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    instance = workdir / "instance.json"
+    instance.write_text(json.dumps(mutated).replace('"@token"', str(replacement)))
+    argv = [str(workdir / "out.json") if a == "@out" else a for a in prefix] + [str(instance)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # anything raised here escapes main, and fails the test
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        strict_json(out.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    if type(original) is int:
+        assert code == 2, err.getvalue()

@@ -1,11 +1,12 @@
 """Static checks: every module under src/oilab imports at module level
-only, and uses each name it imports.
+only, and uses each name it imports; and only ``jsonio`` types values.
 
 No linter is a dependency, so this walks the syntax tree with ``ast``: an
 import must be a top-level statement of its module, and a name bound by an
 import must appear as a ``Name`` somewhere else in the module (annotations
 included, since ``from __future__ import annotations`` keeps them in the
-tree).
+tree).  What a file value may be is decided in ``jsonio`` alone, so no
+other module asks ``isinstance(..., bool)`` or imports ``numbers``.
 """
 
 import ast
@@ -39,6 +40,24 @@ def nested_imports(source: str) -> list[str]:
     ]
 
 
+def value_typing(source: str) -> list[str]:
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append(f"line {node.lineno}: isinstance(..., bool)")
+        imports_numbers = (
+            isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        )
+        if imports_numbers:
+            found.append(f"line {node.lineno}: import numbers")
+    return found
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import numpy as np\nimport os\nos.getcwd()\n") == ["line 1: np"]
     assert unused_imports("from typing import Iterator\ndef f() -> Iterator: ...\n") == []
@@ -57,3 +76,23 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_imports_at_module_level(path):
     assert nested_imports(path.read_text()) == []
+
+
+def test_checker_flags_value_typing():
+    source = (
+        "import numbers\nfrom numbers import Real\n"
+        "isinstance(x, bool)\nisinstance(x, (int, bool))\nisinstance(x, int)\n"
+    )
+    assert value_typing(source) == [
+        "line 1: import numbers",
+        "line 2: import numbers",
+        "line 3: isinstance(..., bool)",
+        "line 4: isinstance(..., bool)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "jsonio.py"), ids=lambda path: path.name
+)
+def test_only_jsonio_types_values(path):
+    assert value_typing(path.read_text()) == []
