@@ -15,7 +15,10 @@ its outcomes by them, and callers build and read batches with integer
 arithmetic (``(x << r) | z`` puts state bits ``x`` before randomness bits
 ``z``).  The batch evaluator's cost follows the live gates (``last_reads``),
 and a run of outputs that are consecutive input wires moves as one bit
-field; ``eval_circuit`` is the independent scalar reference.
+field; ``eval_circuit`` is the independent scalar reference.  Brute-force
+passes (enumeration here, validation and the sequence fold in ``invseq``)
+read their domain through ``blocks``, one cache-sized block at a time, so
+their memory follows the block, not 2^width.
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -23,6 +26,7 @@ concurrent readers need no locking.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,11 +236,19 @@ def eval_circuit(circuit: BoolCircuit, x: str) -> str:
     return "".join("1" if wires[w] else "0" for w in circuit.outputs)
 
 
-_CHUNK_ROWS = 2 ** 18
+_CHUNK_ROWS = 2 ** 15  # rows per block: a block's bool wires and packed values stay in cache
+
+
+def blocks(total: int) -> Iterator[np.ndarray]:
+    """The packed values ``0 .. total-1`` in order, as int64 blocks of at
+    most ``_CHUNK_ROWS`` rows, so a brute-force pass holds one block at a
+    time whatever ``total`` is."""
+    for start in range(0, total, _CHUNK_ROWS):
+        yield np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
 
 
 def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> Distribution:
-    """Exact output distribution by iterating all 2^k_in inputs.
+    """Exact output distribution by iterating all 2^k_in inputs, block by block.
 
     Probabilities come out as Fractions with denominator 2^k_in.  Inputs
     wider than ``cap_bits`` raise ResourceError: brute force is infeasible
@@ -246,10 +258,9 @@ def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> D
         raise ResourceError(f"enumeration over {circuit.k_in} bits exceeds cap of {cap_bits}")
     total = 1 << circuit.k_in
     counts: dict[int, int] = {}
-    for start in range(0, total, _CHUNK_ROWS):
-        outs = eval_circuit_batch(circuit, np.arange(start, min(start + _CHUNK_ROWS, total)))
-        values, chunk_counts = np.unique(outs, return_counts=True)
-        for value, count in zip(values.tolist(), chunk_counts.tolist()):
+    for inputs in blocks(total):
+        values, block_counts = np.unique(eval_circuit_batch(circuit, inputs), return_counts=True)
+        for value, count in zip(values.tolist(), block_counts.tolist()):
             counts[value] = counts.get(value, 0) + count
     denom = Fraction(1, total)
     return Distribution(circuit.k_out, {v: c * denom for v, c in counts.items()})

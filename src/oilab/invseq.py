@@ -4,7 +4,8 @@ A sequence step is a pair of circuits on ``k`` state bits plus ``r_i``
 random bits; once the random bits are hard-wired the two directions invert
 each other, so each direction acts as a permutation of {0,1}^k.  The
 output distribution of a sequence is obtained by folding the forward
-circuits from the all-zero state over all randomness tuples.
+circuits from the all-zero state over all randomness tuples, keeping after
+each step only the distinct reachable states with their exact counts.
 
 ``reduce_sd_to_sisd`` compiles a statistical-difference instance into two
 such sequences using one random bit per step: the first block of steps
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, Gate, SdInstance, eval_circuit_batch, last_reads
+from .circuits import BoolCircuit, Gate, SdInstance, blocks, eval_circuit_batch, last_reads
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -176,21 +177,45 @@ class SequenceValidationReport:
         return all(c.ok for c in self.checks)
 
 
-def _check_pair(pair: InvPair, index: int, points: np.ndarray, exhaustive: bool) -> PairCheck:
-    """Check backward((forward(x; z) << r) | z) == x on packed (x, z) points."""
-    r = pair.r
-    states = eval_circuit_batch(pair.forward, points)
-    back_points = (states << r) | (points & ((1 << r) - 1))
+def _forward_table(circuit: BoolCircuit, points: int) -> np.ndarray:
+    """The circuit's packed outputs on inputs 0 .. points-1, in order: one
+    int64 array filled a block at a time, or the one block's own outputs."""
+    table = None
+    for block in blocks(points):
+        states = eval_circuit_batch(circuit, block)
+        if len(states) == points:
+            return states
+        if table is None:
+            table = np.empty(points, dtype=np.int64)
+        table[block[0] : block[0] + len(block)] = states
+    return table
+
+
+def _check_pair(pair: InvPair, index: int, sample: np.ndarray | None) -> PairCheck:
+    """Check backward((forward(x; z) << r) | z) == x on packed (x, z) points:
+    the seeded ``sample``, or with None the whole domain one block at a time.
+    Every point is checked; the counterexample is the first failure in order.
+    When backward is forward, round trips are read from forward's table.
+    """
+    r, width = pair.r, pair.k + pair.r
+    exhaustive = sample is None
+    points = 1 << width if exhaustive else len(sample)
+    table = None
     if exhaustive and pair.backward == pair.forward:
-        # points is the whole domain in order, so states is forward's table
-        round_trip = states[back_points]
-    else:
-        round_trip = eval_circuit_batch(pair.backward, back_points)
-    good = round_trip == points >> r
-    if good.all():
-        return PairCheck(index, exhaustive, len(points), True, None)
-    row = format(int(points[np.argmin(good)]), f"0{pair.k + r}b")
-    return PairCheck(index, exhaustive, len(points), False, (row[: pair.k], row[pair.k :]))
+        table = _forward_table(pair.forward, points)
+    counterexample = None
+    for block in blocks(points) if exhaustive else (sample,):
+        if table is None:
+            states = eval_circuit_batch(pair.forward, block)
+        else:  # blocks are contiguous, so a block's states are a slice
+            states = table[block[0] : block[0] + len(block)]
+        back = (states << r) | (block & ((1 << r) - 1))
+        round_trip = eval_circuit_batch(pair.backward, back) if table is None else table[back]
+        good = round_trip == block >> r
+        if counterexample is None and not good.all():
+            row = format(int(block[np.argmin(good)]), f"0{width}b")
+            counterexample = (row[: pair.k], row[pair.k :])
+    return PairCheck(index, exhaustive, points, counterexample is None, counterexample)
 
 
 def validate_sequence(seq: InvertibleSequence, seed: int = 0) -> SequenceValidationReport:
@@ -202,34 +227,61 @@ def validate_sequence(seq: InvertibleSequence, seed: int = 0) -> SequenceValidat
     checks = []
     for index, pair in enumerate(seq.pairs):
         width = pair.k + pair.r
-        exhaustive = (1 << width) <= EXHAUSTIVE_POINTS
-        if exhaustive:
-            points = np.arange(1 << width)
-        else:
-            rng = derive_rng(seed, "validate", index)
-            bits = rng.integers(0, 2, size=(SAMPLED_POINTS, width))
-            points = bits @ (1 << np.arange(width - 1, -1, -1))
-        checks.append(_check_pair(pair, index, points, exhaustive))
+        sample = _sample(seed, index, width) if (1 << width) > EXHAUSTIVE_POINTS else None
+        checks.append(_check_pair(pair, index, sample))
     return SequenceValidationReport(tuple(checks))
+
+
+def _sample(seed: int, index: int, width: int) -> np.ndarray:
+    """SAMPLED_POINTS seeded packed points for pair ``index``; the bit
+    matrix they are drawn as is freed on return, before the check runs."""
+    bits = derive_rng(seed, "validate", index).integers(0, 2, size=(SAMPLED_POINTS, width))
+    return bits @ (1 << np.arange(width - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
 # output distribution
 
+def _merge_counts(states: list[np.ndarray], counts: list[np.ndarray]):
+    """The distinct states, sorted, each with the sum of its counts (an
+    exact int64 scatter-add)."""
+    distinct, slot = np.unique(np.concatenate(states), return_inverse=True)
+    summed = np.zeros(len(distinct), dtype=np.int64)
+    np.add.at(summed, slot, np.concatenate(counts))
+    return distinct, summed
+
+
 def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
     """Exact D(sequence): fold forward circuits from 0^k over all randomness
-    tuples.  Cost is 2^(total random bits), guarded by the enumeration cap."""
+    tuples.
+
+    After each step only the distinct reachable states are kept, each with
+    the exact number of randomness prefixes reaching it, so a step of r
+    random bits evaluates (reachable states) * 2^r rows, read in blocks; a
+    step need not be a bijection.  The total random bits are guarded by the
+    enumeration cap, which keeps every count well inside int64.
+    """
     total_bits = seq.total_random_bits
     if total_bits > ENUM_BITS:
         raise ResourceError(f"folding over {total_bits} random bits exceeds cap of {ENUM_BITS}")
     states = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
     for pair in seq.pairs:
-        states = eval_circuit_batch(
-            pair.forward, ((states[:, None] << pair.r) | np.arange(1 << pair.r)).ravel()
-        )
-    values, counts = np.unique(states, return_counts=True)
-    denom = Fraction(1, len(states))
-    return Distribution(seq.k, {v: c * denom for v, c in zip(values.tolist(), counts.tolist())})
+        r = pair.r
+        reached, weights, merged = [], [], 0
+        for rows in blocks(len(states) << r):
+            owner = rows >> r  # row = (state slot << r) | z
+            points = (states[owner] << r) | (rows & ((1 << r) - 1))
+            reached.append(eval_circuit_batch(pair.forward, points))
+            weights.append(counts[owner])
+            # merging once the rows added since the last merge outgrow it
+            # bounds what is held by a few times the distinct states
+            if sum(map(len, reached)) > 2 * merged + len(rows):
+                distinct, summed = _merge_counts(reached, weights)
+                reached, weights, merged = [distinct], [summed], len(distinct)
+        states, counts = _merge_counts(reached, weights)
+    denom = Fraction(1, 1 << total_bits)
+    return Distribution(seq.k, {v: c * denom for v, c in zip(states.tolist(), counts.tolist())})
 
 
 # ---------------------------------------------------------------------------

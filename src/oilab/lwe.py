@@ -46,6 +46,8 @@ class LweParams:
             require_int(getattr(self, name), name)
         if self.n < 1 or self.q < 2 or self.m < self.n:
             raise ValueError("need n >= 1, q >= 2, m >= n")
+        if self.q >= 1 << 63:  # entries mod q are int64
+            raise ValueError(f"q must be below 2^63, got a {len(str(self.q))}-digit q")
         if not 0 < require_real(self.alpha, "alpha") < 1:
             raise ValueError("alpha must lie in (0, 1)")
 

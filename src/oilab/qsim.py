@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import eval_circuit_batch
-from .config import MAX_ORACLE_UNITARIES
+from .config import MAX_ORACLE_UNITARIES, QUBIT_CAP
 from .errors import (
     DegenerateInputError,
     InvalidPairError,
@@ -99,9 +100,9 @@ class StateVector:
     def from_json_list(cls, pairs: list) -> "StateVector":
         with typed_fields("state vector"):
             amps = np.array([_complex(re, im) for re, im in pairs], dtype=np.complex128)
-            n = int(round(math.log2(len(amps))))
-            if 1 << n != len(amps):
-                raise WidthError("amplitude list length is not a power of two")
+            n = len(amps).bit_length() - 1
+            if n < 0 or 1 << n != len(amps):
+                raise WidthError(f"psi has {len(amps)} amplitudes, not a power of two")
             return cls(n, amps)
 
 
@@ -114,7 +115,8 @@ class SimUnitary:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        require_int(self.n, "n")
+        if not 0 <= require_int(self.n, "n") <= QUBIT_CAP:
+            raise WidthError(f"unitary n must lie in [0, {QUBIT_CAP}] qubits, got n = {self.n}")
         dim = 1 << self.n
         if (self.table is None) == (self.matrix is None):
             raise ValueError("exactly one of table/matrix must be given")
@@ -220,8 +222,8 @@ def _check_query(
             f"cap is {MAX_ORACLE_UNITARIES}"
         )
     _check_widths(unitaries, psi)
-    if lam is not None and lam < 1:
-        raise ValueError("lambda must be a positive integer")
+    if lam is not None and not 1 <= lam <= sys.float_info.max:  # 1/lambda is a float
+        raise ValueError("lambda must be a positive integer within the float range")
     if not psi.is_normalized():
         raise PreconditionError("query state must be normalized")
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,10 @@ class TestEnumerate:
             counts[y] = counts.get(y, 0) + 1
         expected = Distribution(3, {int(k, 2): Fraction(v, 1 << 7) for k, v in counts.items()})
         assert enumerate_distribution(c) == expected
+
+    def test_one_block_at_a_time(self):
+        circuit = random_circuit(22, 4, 64, seed=1)
+        assert traced_peak_bytes(lambda: enumerate_distribution(circuit)) < 4_000_000
 
     def test_probabilities_are_dyadic_and_exact(self):
         dist = enumerate_distribution(random_circuit(5, 3, 12, seed=3))

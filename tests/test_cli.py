@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -50,6 +51,11 @@ def strict_json(text: str):
 def small_gapcvp() -> dict:
     """A one-dimensional GapCVP file: lattice {(s, 2s) mod 5}, target (1, 2)."""
     return {"n": 1, "q": 5, "m": 2, "A": [[1], [2]], "b": [1, 2], "d": 1.0, "gamma": 1.0}
+
+
+def small_lwe() -> dict:
+    """An LWE file with the lattice of small_gapcvp."""
+    return {"n": 1, "q": 5, "m": 2, "alpha": 0.1, "A": [[1], [2]], "b": [1, 2], "origin": "lwe"}
 
 
 def small_query() -> dict:
@@ -598,75 +604,84 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
 DECIDE_SD = ("decide", "sd", "--instance")
 LWE_DIST = ("lwe", "dist", "--instance")
 ORACLE_CI = ("oracle", "ci", "--query")
+LWE_TO_GAPCVP = ("lwe", "to-gapcvp", "--gamma", "3", "--out", "@out", "--instance")
 
 
 @pytest.mark.parametrize(
-    "command, content",
+    "command, content, field",
     [
-        pytest.param(DECIDE_SD, "5", id="top-level-number"),
+        pytest.param(DECIDE_SD, "5", None, id="top-level-number"),
         pytest.param(
             DECIDE_SD,
             '{"c0": {"k_in": "2", "k_out": 1, "gates": [], "outputs": [0]}, '
-            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}', None,
             id="string-width",
         ),
         pytest.param(
             DECIDE_SD,
             '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "NOT", "in": 5, "out": 2}], "outputs": [2]}, '
-            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}',
+            '"c1": {"k_in": 2, "k_out": 1, "gates": [], "outputs": [0]}, "a": "0.1", "b": "0.9"}', None,
             id="gate-inputs-number",
         ),
         # a directory where the instance file belongs
-        pytest.param(DECIDE_SD, None, id="directory"),
+        pytest.param(DECIDE_SD, None, None, id="directory"),
         # a JSON true was read as the probability 1 and decided
         pytest.param(
             DECIDE_SD,
             '{"c0": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST0", "in": [], "out": 2}], "outputs": [2]}, '
             '"c1": {"k_in": 2, "k_out": 1, "gates": [{"kind": "CONST1", "in": [], "out": 2}], "outputs": [2]}, '
-            '"a": "0.1", "b": true}',
+            '"a": "0.1", "b": true}', None,
             id="bool-bound",
         ),
         # A and b entries past int64 exited 1 with an OverflowError; 1.5, true
         # and "3" ran as 1, 1 and 3
         *[
-            pytest.param(LWE_DIST, json.dumps(edited(small_gapcvp(), path, bad)), id=f"gapcvp-{name}-{field}")
+            pytest.param(LWE_DIST, json.dumps(edited(small_gapcvp(), path, bad)), None, id=f"gapcvp-{name}-{field}")
             for field, path in (("A", ("A", 0, 0)), ("b", ("b", 0)))
             for name, bad in (("huge", 10 ** 30), ("float", 1.5), ("bool", True), ("string", "3"))
         ],
-        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "A": [[1, 1], [2]]}), id="gapcvp-ragged-A"),
-        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "b": [[1], 2]}), id="gapcvp-ragged-b"),
+        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "A": [[1, 1], [2]]}), None, id="gapcvp-ragged-A"),
+        pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), "b": [[1], 2]}), None, id="gapcvp-ragged-b"),
         # n and m were never read, so they could disagree with A
         *[
-            pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), **shape}), id=f"gapcvp-{name}")
+            pytest.param(LWE_DIST, json.dumps({**small_gapcvp(), **shape}), None, id=f"gapcvp-{name}")
             for name, shape in (("n-m", {"n": 7, "m": 9}), ("n", {"n": 2}), ("m", {"m": 3}))
         ],
         # tables of floats and bools ran as their int casts; past int64 exited 1
         *[
-            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "table"), table)),
+            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "table"), table)), None,
                          id=f"table-{name}")
             for name, table in (("float", [1.7, 0]), ("bool", [True, False]), ("huge", [10 ** 30, 0]))
         ],
         # an int too large for float or shift arithmetic raised OverflowError, exit 1
-        pytest.param(ORACLE_CI, json.dumps({**small_query(), "lambda": 10 ** 400}), id="lambda-huge"),
-        pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "n"), 10 ** 400)),
+        pytest.param(ORACLE_CI, json.dumps({**small_query(), "lambda": 10 ** 400}), "lambda", id="lambda-huge"),
+        pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "n"), 10 ** 400)), "n",
                      id="qubits-huge"),
         # a true amplitude or matrix entry ran as 1
         *[
-            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), path, bad)), id=f"{where}-{name}")
+            pytest.param(ORACLE_CI, json.dumps(edited(small_query(), path, bad)), None, id=f"{where}-{name}")
             for where, path in (("amplitude", ("psi", 0, 0)), ("matrix", ("unitaries", 0, "matrix", 0, 1, 0)))
             for name, bad in (("bool", True), ("string", "1"))
         ],
+        # an out-of-range value failed in arithmetic with an error naming no field
+        pytest.param(ORACLE_CI, json.dumps({**small_query(), "psi": []}), "psi", id="psi-empty"),
+        pytest.param(ORACLE_CI, json.dumps(edited(small_query(), ("unitaries", 1, "n"), -1)), "n",
+                     id="qubits-negative"),
+        pytest.param(LWE_TO_GAPCVP, json.dumps({**small_lwe(), "q": 10 ** 400}), "q", id="lwe-q-huge"),
     ],
 )
-def test_malformed_instance_is_an_error_not_a_no(command, content, tmp_path, capsys):
+def test_malformed_instance_is_an_error_not_a_no(command, content, field, tmp_path, capsys):
     path = tmp_path / "instance"
     if content is None:
         path.mkdir()
     else:
         path.write_text(content)
-    code, output = run(capsys, [*command, path])
+    argv = [tmp_path / "out.json" if a == "@out" else a for a in command]
+    code, output = run(capsys, [*argv, path])
     assert code == 2 and output.out == ""
     assert output.err.startswith("error:")
+    if field is not None:  # the error names the field as a word
+        assert re.search(rf"\b{field}\b", output.err), output.err
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +694,7 @@ def _valid_files() -> dict:
     circuit = and_circuit.to_json_dict()
     sd = SdInstance(and_circuit, constant_circuit(2, "0"), "0.1", "0.9")
     sisd = reduce_sd_to_sisd(sd).to_json_dict()
-    lwe = {"n": 1, "q": 5, "m": 2, "alpha": 0.1, "A": [[1], [2]], "b": [1, 2], "origin": "lwe"}
+    lwe = small_lwe()
     decide = ["--trials", "2", "--shots", "64", "--instance"]
     return {
         "circuit": (["circuit", "stats", "--instance"], circuit),

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import traced_peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,16 +13,18 @@ from oilab.circuits import (
     constant_circuit,
     enumerate_distribution,
     eval_circuit,
+    eval_circuit_batch,
     identity_circuit,
     random_circuit,
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.distributions import point_mass, tv_distance, uniform_distribution
+from oilab.distributions import Distribution, point_mass, tv_distance, uniform_distribution
 from oilab.errors import MalformedSequenceError, PreconditionError, ResourceError
 from oilab.invseq import (
     SAMPLED_POINTS,
     InvPair,
     InvertibleSequence,
+    PairCheck,
     SisdInstance,
     _apply_circuit_step,
     _Builder,
@@ -480,3 +484,133 @@ def test_reduction_preserves_distance_property(index):
         sequence_output_distribution(red.seq0), sequence_output_distribution(red.seq1)
     )
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the block paths against the one-batch paths they replaced
+
+def one_batch_check(pair: InvPair, index: int, points: np.ndarray, exhaustive: bool) -> PairCheck:
+    """The pair check as it was before it read blocks: every point in one
+    batch, with forward's whole table when backward is the same circuit."""
+    r = pair.r
+    states = eval_circuit_batch(pair.forward, points)
+    back_points = (states << r) | (points & ((1 << r) - 1))
+    if exhaustive and pair.backward == pair.forward:
+        round_trip = states[back_points]
+    else:
+        round_trip = eval_circuit_batch(pair.backward, back_points)
+    good = round_trip == points >> r
+    if good.all():
+        return PairCheck(index, exhaustive, len(points), True, None)
+    row = format(int(points[np.argmin(good)]), f"0{pair.k + r}b")
+    return PairCheck(index, exhaustive, len(points), False, (row[: pair.k], row[pair.k :]))
+
+
+def one_batch_fold(seq: InvertibleSequence) -> Distribution:
+    """The output distribution as it was before states were merged: every
+    randomness tuple carried to the end."""
+    states = np.zeros(1, dtype=np.int64)
+    for pair in seq.pairs:
+        states = eval_circuit_batch(
+            pair.forward, ((states[:, None] << pair.r) | np.arange(1 << pair.r)).ravel()
+        )
+    values, counts = np.unique(states, return_counts=True)
+    denom = Fraction(1, len(states))
+    return Distribution(seq.k, {v: c * denom for v, c in zip(values.tolist(), counts.tolist())})
+
+
+def random_step(k: int, r: int, seed: int) -> InvPair:
+    """A step whose forward circuit is random, so rarely a bijection."""
+    circuit = random_circuit(k + r, k, 14, seed)
+    return InvPair(circuit, circuit, k, r)
+
+
+def is_bijection(step: InvPair) -> bool:
+    """Whether every hard-wired z makes the forward circuit a permutation."""
+    return all(
+        len(np.unique(eval_circuit_batch(step.forward, (np.arange(1 << step.k) << step.r) | z)))
+        == 1 << step.k
+        for z in range(1 << step.r)
+    )
+
+
+class TestBlocksMatchOneBatch:
+    @pytest.mark.parametrize("case", ["distinct", "shared"])
+    def test_validation(self, case, monkeypatch):
+        # blocks of 7 rows put block boundaries off every power of two
+        monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 7)
+        pairs = []
+        for index in range(12):
+            r = index % 4
+            step = involution(4, r, derive_seed(6, "step", index))
+            flipped = with_rare_flip(step, derive_seed(6, "flip", index))
+            pairs.append(InvPair(flipped if case == "shared" else step, flipped, 4, r))
+        pairs.append(xor_step(4, 1))
+        report = validate_sequence(InvertibleSequence(tuple(pairs), 4))
+        expected = [
+            one_batch_check(pair, index, np.arange(1 << (pair.k + pair.r)), True)
+            for index, pair in enumerate(pairs)
+        ]
+        assert list(report.checks) == expected
+        # first failures fall mid-block and past the first block
+        firsts = [int("".join(c.counterexample), 2) for c in expected if c.counterexample]
+        assert any(p % 7 for p in firsts) and any(p >= 7 for p in firsts)
+        assert any(c.ok for c in expected)
+
+    def test_sampled_validation(self, monkeypatch):
+        monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 7)
+        step = involution(20, 1, seed=8)
+        pairs = (InvPair(step, with_rare_flip(step, seed=9), 20, 1), InvPair(step, step, 20, 1))
+        report = validate_sequence(InvertibleSequence(pairs, 20), seed=4)
+        expected = []
+        for index, pair in enumerate(pairs):
+            bits = derive_rng(4, "validate", index).integers(0, 2, size=(SAMPLED_POINTS, 21))
+            expected.append(one_batch_check(pair, index, bits @ (1 << np.arange(20, -1, -1)), False))
+        assert list(report.checks) == expected and not expected[0].ok
+
+    def test_fold_on_compiled_corpus(self):
+        sequences = [
+            seq
+            for item in polarize_corpus(build_sd_corpus(20, 2026))
+            for red in [reduce_sd_to_sisd(item.instance)]
+            for seq in (red.seq0, red.seq1)
+        ]
+        assert len(sequences) == 40
+        for seq in sequences:
+            assert sequence_output_distribution(seq).to_json_dict() == one_batch_fold(seq).to_json_dict()
+
+    @pytest.mark.parametrize("rows", [7, 2 ** 15])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fold_on_non_bijective_steps(self, rows, seed, monkeypatch):
+        # r = 0, r = 1 and r >= 2 steps whose random circuits merge states
+        monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", rows)
+        steps = tuple(
+            random_step(5, r, derive_seed(seed, "step", i)) for i, r in enumerate((2, 0, 3, 1, 2, 0))
+        )
+        seq = InvertibleSequence(steps, 5)
+        assert not all(map(is_bijection, steps))
+        assert sequence_output_distribution(seq) == one_batch_fold(seq)
+
+    def test_fold_of_one_wide_step(self, monkeypatch):
+        # one step of 12 random bits from one state: the rows of a step span
+        # many blocks, and the states reached are merged along the way
+        monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 64)
+        seq = InvertibleSequence((random_step(6, 12, seed=3), random_step(6, 2, seed=4)), 6)
+        assert sequence_output_distribution(seq) == one_batch_fold(seq)
+
+
+class TestMemoryBounds:
+    """Peak traced allocation of the brute-force paths, each of which holds
+    one block (and validation one int64 table) whatever the domain."""
+
+    def test_exhaustive_validation_of_a_width_20_pair(self):
+        inst = SdInstance(random_circuit(16, 4, 40, seed=1), random_circuit(16, 4, 40, seed=2), 0, 1)
+        seq = reduce_sd_to_sisd(inst).seq0
+        assert any(c.exhaustive and c.points_checked == 2 ** 20 for c in validate_sequence(seq).checks)
+        assert traced_peak_bytes(lambda: validate_sequence(seq)) < 12_000_000
+
+    def test_fold_over_24_random_bits(self):
+        inst = SdInstance(random_circuit(12, 4, 40, seed=1), random_circuit(12, 4, 40, seed=2), 0, 1)
+        seq = reduce_sd_to_sisd(inst).seq0
+        assert seq.total_random_bits == 24
+        assert traced_peak_bytes(lambda: sequence_output_distribution(seq)) < 8_000_000

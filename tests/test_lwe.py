@@ -2,10 +2,10 @@ import itertools
 import json
 import math
 import operator
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,13 +247,7 @@ class TestSquaredDistanceDifferential:
 @pytest.mark.parametrize("n, q, m", [(1, 1048573, 8), (3, 53, 12)])
 def test_one_scan_stays_under_four_megabytes(n, q, m):
     cvp = random_cvp(3, n, q, m, "unreduced")
-    tracemalloc.start()
-    try:
-        squared_distance_to_lattice(cvp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+    assert traced_peak_bytes(lambda: squared_distance_to_lattice(cvp)) < 4_000_000
 
 
 @settings(max_examples=60, deadline=None)
