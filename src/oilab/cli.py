@@ -2,12 +2,15 @@
 
 Commands: ``circuit stats``, ``reduce sd-to-sisd``, ``polarize``,
 ``decide sd|sisd|corpus``, ``oracle oi|ci``, ``validate``,
-``lwe gen|to-gapcvp|dist|experiment``.  The three commands that enumerate
-or solve CVP (``circuit stats``, ``lwe dist``, ``lwe experiment``) take
-``--cap-bits``, the one brute-force budget: at most 2^B enumerated inputs
-or CVP candidates.  It wins over OILAB_CAP_BITS; with neither, the
-defaults are ``config.ENUM_BITS`` and ``config.CVP_BITS``.  Only the
-commands that draw randomness take ``--seed``.
+``lwe gen|to-gapcvp|dist|experiment``.  Every setting has one source.
+The three commands that enumerate or solve CVP (``circuit stats``, ``lwe
+dist``, ``lwe experiment``) take ``--cap-bits``, the only brute-force
+budget: at most 2^B enumerated inputs or CVP candidates, by default
+``config.ENUM_BITS`` and ``config.CVP_BITS``.  Only the commands that draw
+randomness (``decide sd|sisd|corpus``, ``oracle oi|ci``, ``validate``,
+``lwe gen``, ``lwe experiment``) take ``--seed``.  An oracle call reads
+lambda from its query file; the decide flags default to ``SolverConfig``'s
+fields.
 
 Every report embeds the seed, a hash of the parsed configuration, and the
 package version; re-running a command with the same inputs and seed
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
-from .config import CVP_BITS, ENUM_BITS, ENV_CAP_BITS, cap_bits_from_env
+from .config import CVP_BITS, ENUM_BITS
 from .corpus import build_sd_corpus, polarize_corpus
 from .errors import OilabError
 from .invseq import (
@@ -49,6 +52,7 @@ from .jsonio import (
     write_json,
 )
 from .lwe import (
+    CALIBRATED_FACTOR,
     GapCvpInstance,
     LweInstance,
     LweParams,
@@ -88,6 +92,15 @@ def _report(args, command: str, payload: dict, path: str | None = None) -> None:
         atomic_write_text(path, text)
 
 
+def _cap_bits(args, default: int) -> int:
+    """``--cap-bits`` when given, else the command's default budget."""
+    if args.cap_bits is None:
+        return default
+    if args.cap_bits <= 0:
+        raise ValueError(f"--cap-bits must be positive, got {args.cap_bits}")
+    return args.cap_bits
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -99,7 +112,7 @@ def _cmd_circuit_stats(args) -> int:
         "gate_count": len(circuit.gates),
         "wire_count": circuit.n_wires,
     }
-    cap_bits = cap_bits_from_env(args.cap_bits, ENUM_BITS)
+    cap_bits = _cap_bits(args, ENUM_BITS)
     if circuit.k_in <= cap_bits:
         dist = enumerate_distribution(circuit, cap_bits)
         payload["distribution"] = {
@@ -178,16 +191,15 @@ def _cmd_decide_corpus(args) -> int:
     return EXIT_YES
 
 
-def _load_oracle_query(args) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
-    obj = load_json(args.query)
+def _load_oracle_query(path: str) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
+    obj = load_json(path)
     with typed_fields("oracle query"):
         unitaries = tuple(
             SimUnitary.from_json_dict(raw)
             for raw in require_field(obj, "unitaries", "oracle query")
         )
         psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
-        lam = args.lam if args.lam is not None else require_field(obj, "lambda", "oracle query")
-        require_int(lam, "lambda")
+        lam = require_int(require_field(obj, "lambda", "oracle query"), "lambda")
     return unitaries, psi, lam
 
 
@@ -195,7 +207,7 @@ _ORACLES = {"oi": oi_oracle_query, "ci": ci_oracle_query}
 
 
 def _cmd_oracle(args) -> int:
-    unitaries, psi, lam = _load_oracle_query(args)
+    unitaries, psi, lam = _load_oracle_query(args.query)
     query = _ORACLES[args.sub]
     outcome = query(unitaries, psi, lam, derive_rng(args.seed, "oracle", args.sub))
     payload = {
@@ -227,7 +239,7 @@ def _cmd_lwe_to_gapcvp(args) -> int:
 
 def _cmd_lwe_dist(args) -> int:
     cvp = GapCvpInstance.from_json_dict(load_json(args.instance))
-    dist_sq = squared_distance_to_lattice(cvp, cap_bits_from_env(args.cap_bits, CVP_BITS))
+    dist_sq = squared_distance_to_lattice(cvp, _cap_bits(args, CVP_BITS))
     d_sq = Fraction(cvp.d) ** 2  # exact, so a d beyond the float range compares too
     payload = {
         "dist": math.sqrt(dist_sq),
@@ -242,7 +254,7 @@ def _cmd_lwe_dist(args) -> int:
 
 def _cmd_lwe_experiment(args) -> int:
     params = LweParams(args.n, args.q, args.m, args.alpha)
-    cap_bits = cap_bits_from_env(args.cap_bits, CVP_BITS)
+    cap_bits = _cap_bits(args, CVP_BITS)
     report = gap_experiment(params, args.gamma, args.trials, args.seed, args.factor, cap_bits)
     prefix = args.out_prefix
     _report(args, "lwe experiment", report.to_json_dict(), prefix and prefix + ".json")
@@ -295,21 +307,9 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}") from None
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-
-
-def _add_cap_bits(parser):
-    help_text = f"enumeration and CVP budget in bits (overrides {ENV_CAP_BITS})"
+def _add_cap_bits(parser, default: int):
+    help_text = f"brute-force budget in bits (default {default})"
     parser.add_argument("--cap-bits", type=int, default=None, help=help_text)
-
-
-def _add_solver_flags(parser):
-    parser.add_argument("--lambda", dest="lam", type=int, default=100)
-    parser.add_argument("--shots", type=int, default=4096)
-    parser.add_argument("--trials", type=int, default=25)
-    parser.add_argument("--retry-budget", type=int, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,12 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oilab", description="order-interference decision workbench"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands; only the commands that draw
+    # randomness take --seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--out", default=None, help="write the JSON report here")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--lambda", dest="lam", type=int, default=SolverConfig.lam)
+    solver.add_argument("--shots", type=int, default=SolverConfig.swap_shots)
+    solver.add_argument("--trials", type=int, default=SolverConfig.trial_count)
+    solver.add_argument("--retry-budget", type=int, default=SolverConfig.retry_budget)
 
     circuit = sub.add_parser("circuit").add_subparsers(dest="sub", required=True)
-    stats = circuit.add_parser("stats", help="circuit shape and distribution summary")
+    stats = circuit.add_parser(
+        "stats", parents=[report], help="circuit shape and distribution summary"
+    )
     stats.add_argument("--instance", required=True)
-    _add_common(stats)
-    _add_cap_bits(stats)
+    _add_cap_bits(stats, ENUM_BITS)
     stats.set_defaults(handler=_cmd_circuit_stats)
 
     reduce_ = sub.add_parser("reduce").add_subparsers(dest="sub", required=True)
@@ -341,38 +353,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     decide = sub.add_parser("decide").add_subparsers(dest="sub", required=True)
     for name in ("sd", "sisd"):
-        dec = decide.add_parser(name)
+        dec = decide.add_parser(name, parents=[seeded, report, solver])
         dec.add_argument("--instance", required=True)
-        _add_common(dec)
-        _add_solver_flags(dec)
         dec.set_defaults(handler=_cmd_decide)
-    corpus = decide.add_parser("corpus", help="decide the labeled corpus, report accuracy")
+    corpus = decide.add_parser(
+        "corpus", parents=[seeded, report], help="decide the labeled corpus, report accuracy"
+    )
     corpus.add_argument("--instances", type=int, default=100)
-    _add_common(corpus)
     corpus.set_defaults(handler=_cmd_decide_corpus)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
     for name in _ORACLES:
-        op = oracle.add_parser(name)
+        op = oracle.add_parser(name, parents=[seeded, report])
         op.add_argument("--query", required=True)
-        op.add_argument("--lambda", dest="lam", type=int, default=None)
-        _add_common(op)
         op.set_defaults(handler=_cmd_oracle)
 
-    val = sub.add_parser("validate", help="check a sequence's inverse identities")
+    val = sub.add_parser(
+        "validate", parents=[seeded, report], help="check a sequence's inverse identities"
+    )
     val.add_argument("--instance", required=True)
-    _add_common(val)
     val.set_defaults(handler=_cmd_validate)
 
     lwe = sub.add_parser("lwe").add_subparsers(dest="sub", required=True)
-    gen = lwe.add_parser("gen")
+    gen = lwe.add_parser("gen", parents=[seeded])
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--q", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--alpha", type=_finite_float, required=True)
     gen.add_argument("--uniform", action="store_true")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(handler=_cmd_lwe_gen)
 
     tocvp = lwe.add_parser("to-gapcvp")
@@ -381,23 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
     tocvp.add_argument("--out", required=True)
     tocvp.set_defaults(handler=_cmd_lwe_to_gapcvp)
 
-    dist = lwe.add_parser("dist")
+    dist = lwe.add_parser("dist", parents=[report])
     dist.add_argument("--instance", required=True)
-    _add_common(dist)
-    _add_cap_bits(dist)
+    _add_cap_bits(dist, CVP_BITS)
     dist.set_defaults(handler=_cmd_lwe_dist)
 
-    exp = lwe.add_parser("experiment")
+    exp = lwe.add_parser("experiment", parents=[seeded])
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--q", type=int, required=True)
     exp.add_argument("--m", type=int, required=True)
     exp.add_argument("--alpha", type=_finite_float, required=True)
     exp.add_argument("--gamma", type=_finite_float, default=1.0)
-    exp.add_argument("--factor", type=_finite_float, default=3.0, help="calibrated NO-side factor")
+    exp.add_argument(
+        "--factor", type=_finite_float, default=CALIBRATED_FACTOR, help="calibrated NO-side factor"
+    )
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--out-prefix", default=None)
-    exp.add_argument("--seed", type=int, default=0)
-    _add_cap_bits(exp)
+    _add_cap_bits(exp, CVP_BITS)
     exp.set_defaults(handler=_cmd_lwe_experiment)
 
     return parser

@@ -46,9 +46,13 @@ class Distribution:
             if value != 0:
                 cleaned[key] = value
         object.__setattr__(self, "probs", cleaned)
-        total = sum(cleaned.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        # one Fraction: sum the numerators over the common denominator, which
+        # is one power of two for an enumeration or a fold
+        values = cleaned.values()
+        common = math.lcm(*{p.denominator for p in values})
+        numerator = sum(p.numerator * (common // p.denominator) for p in values)
+        if numerator != common:
+            raise ValueError(f"probabilities sum to {Fraction(numerator, common)}, not 1")
 
     def prob(self, key: int) -> Fraction:
         _validate_key(key, self.width)

@@ -335,6 +335,9 @@ def szk_regime_gamma(n: int, c_prime: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # the gap experiment
 
+CALIBRATED_FACTOR = 3.0  # the NO side lies beyond this many times d
+
+
 @dataclass(frozen=True)
 class GapTrialRow:
     trial: int
@@ -393,7 +396,7 @@ def gap_experiment(
     gamma: float,
     trials: int,
     seed: int,
-    calibrated_factor: float = 3.0,
+    calibrated_factor: float = CALIBRATED_FACTOR,
     cap_bits: int = CVP_BITS,
 ) -> GapExperimentReport:
     """Sample `trials` LWE and `trials` uniform instances, measure exact

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from oilab.circuits import (
     identity_circuit,
     random_circuit,
 )
-from oilab.cli import main
+from oilab.cli import build_parser, main
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.invseq import reduce_sd_to_sisd
 from oilab.jsonio import fraction_to_string, write_json
@@ -144,6 +145,12 @@ class TestDecide:
               "--product-reps", "2", "--seed", "5"], "--seed"),
             (["lwe", "to-gapcvp", "--instance", str(yes_path), "--gamma", "3", "--out", out,
               "--seed", "5"], "--seed"),
+            # neither command draws randomness
+            (["circuit", "stats", "--instance", str(yes_path), "--seed", "5"], "--seed"),
+            (["lwe", "dist", "--instance", str(yes_path), "--seed", "5"], "--seed"),
+            # lambda comes from the query file alone
+            (["oracle", "oi", "--query", str(yes_path), "--lambda", "100"], "--lambda"),
+            (["oracle", "ci", "--query", str(yes_path), "--lambda", "100"], "--lambda"),
         ]:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
@@ -297,14 +304,6 @@ class TestCircuitStats:
         assert code == 0
         assert "distribution" not in json.loads(output.out)
 
-    def test_env_cap_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("OILAB_CAP_BITS", "2")
-        path = tmp_path / "circ.json"
-        write_json(str(path), random_circuit(3, 2, 6, seed=72).to_json_dict())
-        code, output = run(capsys, ["circuit", "stats", "--instance", path])
-        assert code == 0
-        assert "distribution" not in json.loads(output.out)
-
     @pytest.mark.parametrize("k_out", [64, 65])
     def test_outputs_wider_than_63_bits_are_an_error(self, k_out, tmp_path, capsys):
         # output 0 is the input bit, the others a constant 0: two outcomes at 1/2
@@ -316,21 +315,15 @@ class TestCircuitStats:
         assert code == 2
         assert output.err.startswith("error:") and "at most 63" in output.err
 
-    @pytest.mark.parametrize(
-        "flag, env",
-        [("0", None), ("-3", None), (None, "-1"), (None, "abc")],
-        ids=["flag-zero", "flag-negative", "env-negative", "env-not-int"],
-    )
-    def test_bad_budget_is_an_error(self, flag, env, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag", ["0", "-3"], ids=["flag-zero", "flag-negative"])
+    def test_bad_budget_is_an_error(self, flag, tmp_path, capsys):
         circuit, cvp = tmp_path / "circ.json", tmp_path / "cvp.json"
         write_json(str(circuit), random_circuit(3, 2, 6, seed=72).to_json_dict())
         write_json(str(cvp), small_gapcvp())
-        if env is not None:
-            monkeypatch.setenv("OILAB_CAP_BITS", env)
         for argv in (["circuit", "stats", "--instance", circuit], ["lwe", "dist", "--instance", cvp]):
-            code, output = run(capsys, argv + (["--cap-bits", flag] if flag else []))
+            code, output = run(capsys, argv + ["--cap-bits", flag])
             assert code == 2
-            assert output.err.startswith("error:")
+            assert output.err.startswith("error: --cap-bits must be positive")
 
 
 class TestOracle:
@@ -363,13 +356,6 @@ class TestOracle:
         assert code == 0
         report = json.loads(output.out)
         assert report["diagnostics"]["success_probability"] == pytest.approx(0.87610, abs=5e-6)
-
-    def test_lambda_flag_overrides_file(self, query_file, capsys):
-        code, output = run(
-            capsys, ["oracle", "ci", "--query", query_file, "--seed", 1, "--lambda", 1000]
-        )
-        report = json.loads(output.out)
-        assert report["diagnostics"]["success_probability"] > 0.99
 
     @pytest.mark.parametrize("lam", [2.7, True, "10"], ids=["float", "bool", "string"])
     def test_non_integer_lambda_is_an_error(self, lam, query_file, capsys):
@@ -434,19 +420,15 @@ class TestLwe:
         assert len(csv_lines) == 11
         assert json.loads((tmp_path / "exp.json").read_text())["trials"] == 5
 
-    @pytest.mark.parametrize("how", ["flag", "env"])
-    def test_cap_bits_bounds_cvp_candidates(self, how, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("cap_bits", [10], ids=["flag"])
+    def test_cap_bits_bounds_cvp_candidates(self, cap_bits, tmp_path, capsys):
         inst, cvp = tmp_path / "inst.json", tmp_path / "cvp.json"
         run(capsys, ["lwe", "gen", "--n", 2, "--q", 101, "--m", 8, "--alpha", 0.02, "--out", inst])
         run(capsys, ["lwe", "to-gapcvp", "--instance", inst, "--gamma", 3, "--out", cvp])
-        argv = ["lwe", "dist", "--instance", cvp]
-        if how == "flag":
-            argv += ["--cap-bits", 10]
-        else:
-            monkeypatch.setenv("OILAB_CAP_BITS", "10")
+        argv = ["lwe", "dist", "--instance", cvp, "--cap-bits", cap_bits]
         code, output = run(capsys, argv)  # q^n = 10,201 candidates > 2^10
         assert code == 2
-        assert "exceeds cap 1024" in output.err
+        assert f"exceeds cap {1 << cap_bits}" in output.err
 
     @pytest.mark.parametrize("q", ["101", 101.5, 0, 1, True], ids=["string", "float", "zero", "one", "bool"])
     def test_bad_modulus_is_an_error(self, q, tmp_path, capsys):
@@ -599,6 +581,20 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
     )
     assert code == 0
     assert report_path.read_text() == output.out
+
+
+def test_readme_commands_parse():
+    # every `oilab ...` line of README.md's bash blocks uses only options
+    # the parser has, so the documented commands cannot drift from it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("oilab ")]
+    assert len(commands) >= 15  # every bash block was read
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 DECIDE_SD = ("decide", "sd", "--instance")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,27 @@ class TestConstruction:
             Distribution(1, {0: 0.5, 1: 0.5})
         with pytest.raises(TypeError):
             Distribution(1, {0: Fraction(1, 2), 1: 0.5})
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=96) | st.integers(0, 2),
+            max_size=16,
+        ),
+        st.booleans(),
+    )
+    def test_sum_check_matches_fraction_sum(self, probs, normalise):
+        # the common-denominator sum accepts and rejects exactly as sum() of
+        # the Fractions does, over mixed and non-dyadic denominators
+        total = sum(probs)
+        if normalise and total:
+            probs = [Fraction(p) / total for p in probs]
+            total = sum(probs)
+        mapping = dict(enumerate(probs))
+        if total == 1:
+            assert Distribution(4, mapping).probs == {k: p for k, p in mapping.items() if p}
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"probabilities sum to {total}, not 1")):
+                Distribution(4, mapping)
 
     def test_negative_probability(self):
         with pytest.raises(ValueError):
