@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, Gate, SdInstance, blocks, eval_circuit_batch, last_reads
+from .circuits import BoolCircuit, Gate, SdInstance, blocks, eval_circuit_batch
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -288,30 +288,79 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
 # circuit assembly helpers
 
 class _Builder:
-    """Accumulates gates with the consecutive-output-wire discipline."""
+    """Accumulates gates with the consecutive-output-wire discipline.
+
+    A gate whose value is already known adds nothing: ``add`` returns the
+    wire that holds the value.  That covers COPY, a gate reading one wire
+    twice (XOR(w, w) is 0), any gate reading a constant (AND/OR with their
+    absorbing value give a constant, with their identity the other input;
+    XOR with 1 is NOT), and the constants themselves, one shared CONST wire
+    per value.  ``build`` keeps only the gates the outputs read.
+    """
 
     def __init__(self, k_in: int):
         self.k_in = k_in
-        self.gates: list[Gate] = []
+        self.gates: list[tuple[str, tuple[int, ...]]] = []
+        self.constants = [-1, -1]  # the CONST0 and CONST1 wires, once added
+
+    def _append(self, kind: str, inputs: tuple[int, ...]) -> int:
+        self.gates.append((kind, inputs))
+        return self.k_in + len(self.gates) - 1
+
+    def _constant(self, bit: int) -> int:
+        if self.constants[bit] < 0:
+            self.constants[bit] = self._append(("CONST0", "CONST1")[bit], ())
+        return self.constants[bit]
+
+    def _bit(self, wire: int) -> int | None:
+        return self.constants.index(wire) if wire in self.constants else None
 
     def add(self, kind: str, *inputs: int) -> int:
-        wire = self.k_in + len(self.gates)
-        self.gates.append(Gate(kind, tuple(inputs), wire))
-        return wire
+        if kind in ("CONST0", "CONST1"):
+            return self._constant(kind == "CONST1")
+        if kind == "COPY":
+            return inputs[0]
+        if kind == "NOT":
+            bit = self._bit(inputs[0])
+            return self._append(kind, inputs) if bit is None else self._constant(1 - bit)
+        a, b = inputs
+        if a == b:
+            return self._constant(0) if kind == "XOR" else a
+        if self._bit(a) is not None:  # AND, OR and XOR commute: the constant goes second
+            a, b = b, a
+        bit = self._bit(b)
+        if bit is None:
+            return self._append(kind, inputs)
+        if kind == "XOR":
+            return self.add("NOT", a) if bit else a
+        return self._constant(bit) if bit == (kind == "OR") else a
 
     def inline(self, circuit: BoolCircuit, input_wires: list[int]) -> list[int]:
-        """Splice in the sub-circuit's live gates (those its outputs read),
-        reading from the given wires."""
-        mapping = dict(enumerate(input_wires))
-        last = last_reads(circuit)
-        for position, gate in enumerate(circuit.gates):
-            wire = circuit.k_in + position
-            if last[wire] >= 0:
-                mapping[wire] = self.add(gate.kind, *(mapping[w] for w in gate.inputs))
+        """Splice in the sub-circuit, reading from the given wires."""
+        mapping = list(input_wires)
+        for gate in circuit.gates:
+            mapping.append(self.add(gate.kind, *(mapping[w] for w in gate.inputs)))
         return [mapping[w] for w in circuit.outputs]
 
     def build(self, outputs: list[int]) -> BoolCircuit:
-        return BoolCircuit(self.k_in, len(outputs), tuple(self.gates), tuple(outputs))
+        """The circuit of the gates the outputs read, directly or through
+        other gates, with their wires renumbered in order."""
+        live = [False] * (self.k_in + len(self.gates))
+        for wire in outputs:
+            live[wire] = True
+        for position in range(len(self.gates) - 1, -1, -1):
+            if live[self.k_in + position]:
+                for wire in self.gates[position][1]:
+                    live[wire] = True
+        renumbered = list(range(self.k_in))
+        gates: list[Gate] = []
+        for position, (kind, inputs) in enumerate(self.gates):
+            renumbered.append(self.k_in + len(gates))
+            if live[self.k_in + position]:
+                gates.append(Gate(kind, tuple(renumbered[w] for w in inputs), renumbered[-1]))
+        return BoolCircuit(
+            self.k_in, len(outputs), tuple(gates), tuple(renumbered[w] for w in outputs)
+        )
 
 
 def _xor_bit_step(state_width: int, bit: int) -> InvPair:
@@ -339,15 +388,16 @@ def reduce_sd_to_sisd(inst: SdInstance) -> SisdInstance:
     same promise parameters and exactly the same statistical difference.
 
     Each emitted sequence has length 2*max(k_in)+1 on max(k_in)+k_out state
-    bits; every step equals its own inverse, so backward == forward.
+    bits; every step equals its own inverse, so backward == forward.  The
+    perturb steps are the same objects in both sequences.
     """
     prefix_width = max(inst.c0.k_in, inst.c1.k_in)
     state_width = prefix_width + inst.c0.k_out
+    perturb = tuple(_xor_bit_step(state_width, i) for i in range(prefix_width))
 
     def compile_one(circuit: BoolCircuit) -> InvertibleSequence:
-        perturb = [_xor_bit_step(state_width, i) for i in range(prefix_width)]
         middle = _apply_circuit_step(circuit, prefix_width)
-        return InvertibleSequence(tuple(perturb) + (middle,) + tuple(perturb), state_width)
+        return InvertibleSequence(perturb + (middle,) + perturb, state_width)
 
     return SisdInstance(compile_one(inst.c0), compile_one(inst.c1), inst.a, inst.b)
 

@@ -31,9 +31,9 @@ from .circuits import SdInstance
 from .config import QUBIT_CAP
 from .distributions import Distribution, cosine_similarity, tv_distance
 from .errors import GapViolationError, OracleFailureError, ResourceError
-from .invseq import InvertibleSequence, SisdInstance, decision_gap, reduce_sd_to_sisd
+from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
-from .qsim import StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
+from .qsim import SimUnitary, StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
 from .seeding import derive_rng
 
 AMPLITUDE_REALITY_TOLERANCE = 1e-12
@@ -97,6 +97,7 @@ def build_output_state(
     cfg: SolverConfig,
     rng: np.random.Generator,
     stage_log: list[StageRecord] | None = None,
+    tables: dict[InvPair, tuple[SimUnitary, ...]] | None = None,
 ) -> StateVector:
     """Iteratively build the sequence's output-distribution state.
 
@@ -106,19 +107,27 @@ def build_output_state(
     than QUBIT_CAP qubits raise ResourceError up front.  All intermediate
     states must keep non-negative real amplitudes (they are counting
     states), which is asserted per stage.
+
+    ``tables`` maps each step seen so far to its permutation unitaries, one
+    per randomness; a step equal to one already built reads its entry, and
+    a new one is built when its stage comes, so a non-bijective step fails
+    at its own stage.
     """
     if seq.k > QUBIT_CAP:
         raise ResourceError(f"state width {seq.k} exceeds qubit cap {QUBIT_CAP}")
+    if tables is None:
+        tables = {}
     state = StateVector.zero(seq.k)
     for stage, pair in enumerate(seq.pairs):
-        if pair.r == 0:
-            unitary = permutation_unitary_from_circuit(pair, 0)
-            state = StateVector(seq.k, unitary.apply(state.amps))
-            attempts, probability = 0, 1.0
-        else:
-            unitaries = tuple(
+        unitaries = tables.get(pair)
+        if unitaries is None:
+            unitaries = tables[pair] = tuple(
                 permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r)
             )
+        if pair.r == 0:
+            state = StateVector(seq.k, unitaries[0].apply(state.amps))
+            attempts, probability = 0, 1.0
+        else:
             for attempts in range(1, cfg.retry_budget + 1):
                 outcome = ci_oracle_query(unitaries, state, cfg.lam, rng)
                 if outcome.success:
@@ -165,12 +174,15 @@ class Decision:
 
 def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     """Build both output states, estimate their squared overlap by repeated
-    swap tests, and compare the median estimate against the threshold."""
+    swap tests, and compare the median estimate against the threshold.
+    Both builds share one table memo, so a step the sequences have in common
+    is built once per decision."""
     spec = derive_threshold(inst.a, inst.b)
     log0: list[StageRecord] = []
     log1: list[StageRecord] = []
-    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0)
-    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1)
+    tables: dict[InvPair, tuple[SimUnitary, ...]] = {}
+    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, tables)
+    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, tables)
     estimates = []
     exact = 0.0
     for trial in range(cfg.trial_count):

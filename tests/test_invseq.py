@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oilab.circuits import (
+    GATE_ARITY,
     BoolCircuit,
     Gate,
     SdInstance,
@@ -397,6 +399,51 @@ def all_inputs(width: int) -> list[str]:
     return [format(x, f"0{width}b") for x in range(1 << width)]
 
 
+def foldable_gates(circuit: BoolCircuit) -> list[Gate]:
+    """Gates whose value a builder already knows: a COPY, a two-input gate
+    reading one wire twice, a gate reading a constant, or a second CONST
+    gate of one value."""
+    constants = {gate.out for gate in circuit.gates if gate.kind in ("CONST0", "CONST1")}
+    found, seen_constants = [], set()
+    for gate in circuit.gates:
+        repeated = len(gate.inputs) == 2 and gate.inputs[0] == gate.inputs[1]
+        if gate.kind in ("COPY", *seen_constants) or repeated or constants.intersection(gate.inputs):
+            found.append(gate)
+        elif gate.out in constants:
+            seen_constants.add(gate.kind)
+    return found
+
+
+class TestKnownValueFolding:
+    """_Builder.add folds every gate whose value it already knows, and what
+    it builds computes what the unfolded gate computes."""
+
+    # wires of a two-input builder after its two constants: x, y, 0, 1
+    OPERANDS = (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+    def test_every_rule_keeps_the_unfolded_truth_table(self, kind):
+        for inputs in itertools.product(self.OPERANDS, repeat=GATE_ARITY[kind]):
+            unfolded = BoolCircuit(
+                2, 1, (Gate("CONST0", (), 2), Gate("CONST1", (), 3), Gate(kind, inputs, 4)), (4,)
+            )
+            builder = _Builder(2)
+            assert [builder.add("CONST0"), builder.add("CONST1")] == [2, 3]
+            folded = builder.build([builder.add(kind, *inputs)])
+            for x in all_inputs(2):
+                assert eval_circuit(folded, x) == eval_circuit(unfolded, x), (kind, inputs, x)
+            assert foldable_gates(folded) == []
+            assert len(folded.gates) <= 1
+
+    def test_constants_are_shared_and_unread_ones_dropped(self):
+        builder = _Builder(1)
+        assert builder.add("CONST1") == builder.add("CONST1")
+        unread = builder.add("CONST0")
+        assert builder.add("AND", 0, unread) == unread
+        assert builder.add("OR", builder.add("CONST0"), 0) == 0
+        assert builder.build([0]).gates == ()
+
+
 class TestLiveInlining:
     """Compiled circuits copy only the gates their outputs read, and still
     compose their parts exactly."""
@@ -408,14 +455,17 @@ class TestLiveInlining:
 
     def test_compiled_circuits_have_no_dead_gates(self):
         c0, c1 = self.SOURCES[0], random_circuit(2, 2, 9, seed=5)
+        assert foldable_gates(c0) and foldable_gates(c1)
         compiled = [
             xor_combine(c0, c1, 3, 1),
+            xor_combine(c0, c1, 1, 0),  # a constant selector
             direct_product(c0, 2),
             _apply_circuit_step(c1, 3).forward,
             polarize(SdInstance(c0, c1, "1/3", "2/3"), 2, 2, 2).c0,
         ]
         for circuit in compiled:
             assert dead_gates(circuit) == []
+            assert foldable_gates(circuit) == []
 
     def test_direct_product_concatenates_scalar_outputs(self):
         for c in self.SOURCES:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oilab import solver
 from oilab.circuits import (
     BoolCircuit,
     Gate,
@@ -16,8 +18,21 @@ from oilab.circuits import (
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, cosine_similarity, tv_distance, uniform_distribution
-from oilab.errors import GapViolationError, OracleFailureError, ParseError, ResourceError
-from oilab.invseq import InvertibleSequence, InvPair, _xor_bit_step, polarize, reduce_sd_to_sisd
+from oilab.errors import (
+    GapViolationError,
+    InvalidPairError,
+    OracleFailureError,
+    ParseError,
+    ResourceError,
+)
+from oilab.invseq import (
+    InvertibleSequence,
+    InvPair,
+    SisdInstance,
+    _xor_bit_step,
+    polarize,
+    reduce_sd_to_sisd,
+)
 from oilab.qsim import StateVector
 from oilab.seeding import derive_rng, derive_seed
 from oilab.solver import (
@@ -249,6 +264,84 @@ class TestDecideSd:
         # an empty corpus has no accuracy to report
         with pytest.raises(ValueError, match="at least one instance"):
             build_sd_corpus(count, seed=881)
+
+
+# SHA-256 of the canonical JSON of decide_sd over the criterion-7 corpus at
+# SolverConfig(seed=99), recorded before step tables were memoized.  The
+# exact_overlap float is a BLAS reduction whose last bits move with the BLAS
+# thread count, so it is hashed to 12 significant digits; every other field
+# is hashed as written.
+CORPUS_DECISIONS_SHA256 = "f6fb32a29eed5402e2cad57b9e2363c788662487f52e26bbd489c94baa15c240"
+
+
+def record_table_builds(patch: pytest.MonkeyPatch) -> list:
+    """Patch the solver's table build to record each (pair, z) it builds."""
+    calls = []
+    build = solver.permutation_unitary_from_circuit
+
+    def recording(pair, z):
+        calls.append((pair, z))
+        return build(pair, z)
+
+    patch.setattr(solver, "permutation_unitary_from_circuit", recording)
+    return calls
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    return record_table_builds(monkeypatch)
+
+
+class TestStepTableMemo:
+    """Each distinct step's tables are built once per decision, in stage
+    order, and the decisions are those of unmemoized builds."""
+
+    @pytest.fixture(scope="class")
+    def corpus_pass(self):
+        corpus = polarize_corpus(build_sd_corpus(20, 2026))
+        per_decision, reports = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            builds = record_table_builds(patch)
+            for item in corpus:
+                before = len(builds)
+                reports.append(decide_sd(item.instance, SolverConfig(seed=99)).to_json_dict())
+                per_decision.append(len(builds) - before)
+        widths = [reduce_sd_to_sisd(item.instance).seq0.k for item in corpus]
+        return widths, per_decision, reports
+
+    def test_corpus_pass_builds_each_distinct_step_once(self, corpus_pass):
+        # p = 10 (width 14) or 6 (width 10) perturb steps of two tables each,
+        # shared by both sequences, plus each sequence's middle step: 2p + 2
+        # builds, against 8p + 2 without the memo
+        widths, per_decision, _ = corpus_pass
+        assert per_decision == [{14: 22, 10: 14}[width] for width in widths]
+        assert sum(per_decision) == 408
+
+    def test_corpus_decisions_match_the_recorded_digest(self, corpus_pass):
+        reports = [
+            {**report, "exact_overlap": format(report["exact_overlap"], ".12g")}
+            for report in corpus_pass[2]
+        ]
+        canonical = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == CORPUS_DECISIONS_SHA256
+
+    def test_non_bijective_step_fails_at_its_stage(self, table_builds):
+        # forward(x; z) = x AND NOT z: the identity for z = 0, constant for z = 1
+        gates = (Gate("NOT", (1,), 2), Gate("AND", (0, 2), 3))
+        broken_circuit = BoolCircuit(2, 1, gates, (3,))
+        broken = InvPair(broken_circuit, broken_circuit, 1, 1)
+        flip = _xor_bit_step(1, 0)
+        seq0 = InvertibleSequence((flip, broken, identity_pair(1)), 1)
+        seq1 = InvertibleSequence((flip,), 1)
+        with pytest.raises(InvalidPairError, match="randomness 1"):
+            decide_sisd(SisdInstance(seq0, seq1, 0, 1), SolverConfig(seed=4))
+        assert table_builds == [(flip, 0), (flip, 1), (broken, 0), (broken, 1)]
+
+    def test_equal_steps_of_both_sequences_share_tables(self, table_builds):
+        seq = reduce_sd_to_sisd(SdInstance(and4_circuit(), and4_circuit(), 0, 1)).seq0
+        copy = InvertibleSequence.from_json_dict(seq.to_json_dict())
+        decide_sisd(SisdInstance(seq, copy, 0, 1), SolverConfig(seed=6, trial_count=1))
+        assert len(table_builds) == 2 * 4 + 1
 
 
 class TestSolverConfig:
