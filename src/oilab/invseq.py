@@ -23,7 +23,7 @@ combined copies, exactly), and a direct product drives far ones apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +287,9 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
 # ---------------------------------------------------------------------------
 # circuit assembly helpers
 
+_CONSTANTS = ("CONST0", "CONST1")
+
+
 class _Builder:
     """Accumulates gates with the consecutive-output-wire discipline.
 
@@ -294,33 +297,44 @@ class _Builder:
     wire that holds the value.  That covers COPY, a gate reading one wire
     twice (XOR(w, w) is 0), any gate reading a constant (AND/OR with their
     absorbing value give a constant, with their identity the other input;
-    XOR with 1 is NOT), and the constants themselves, one shared CONST wire
-    per value.  ``build`` keeps only the gates the outputs read.
+    XOR with 1 is NOT), a NOT of a NOT (the wire negated twice), and a
+    repeat of an earlier gate, same kind on the same inputs in either order
+    (the earlier wire; so each constant is one CONST wire).  ``build``
+    keeps only the gates the outputs read.
     """
 
     def __init__(self, k_in: int):
         self.k_in = k_in
         self.gates: list[tuple[str, tuple[int, ...]]] = []
-        self.constants = [-1, -1]  # the CONST0 and CONST1 wires, once added
+        self.wires: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, sorted inputs) -> wire
 
     def _append(self, kind: str, inputs: tuple[int, ...]) -> int:
-        self.gates.append((kind, inputs))
-        return self.k_in + len(self.gates) - 1
+        key = (kind, tuple(sorted(inputs)))
+        if key not in self.wires:
+            self.gates.append((kind, inputs))
+            self.wires[key] = self.k_in + len(self.gates) - 1
+        return self.wires[key]
 
     def _constant(self, bit: int) -> int:
-        if self.constants[bit] < 0:
-            self.constants[bit] = self._append(("CONST0", "CONST1")[bit], ())
-        return self.constants[bit]
+        return self._append(_CONSTANTS[bit], ())
+
+    def _gate(self, wire: int) -> tuple[str, tuple[int, ...]] | None:
+        """The gate that writes the wire; None for a circuit input."""
+        return self.gates[wire - self.k_in] if wire >= self.k_in else None
 
     def _bit(self, wire: int) -> int | None:
-        return self.constants.index(wire) if wire in self.constants else None
+        gate = self._gate(wire)
+        return _CONSTANTS.index(gate[0]) if gate and gate[0] in _CONSTANTS else None
 
     def add(self, kind: str, *inputs: int) -> int:
-        if kind in ("CONST0", "CONST1"):
+        if kind in _CONSTANTS:
             return self._constant(kind == "CONST1")
         if kind == "COPY":
             return inputs[0]
         if kind == "NOT":
+            gate = self._gate(inputs[0])
+            if gate and gate[0] == "NOT":
+                return gate[1][0]
             bit = self._bit(inputs[0])
             return self._append(kind, inputs) if bit is None else self._constant(1 - bit)
         a, b = inputs
@@ -467,7 +481,9 @@ def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdIn
     ``product_reps * a**xor_reps`` by a union bound) and the direct product
     second (driving far pairs toward distance 1).  The compiled width grows
     with ``xor_reps * product_reps``, so the caller picks both counts for
-    the qubit budget at hand.
+    the qubit budget at hand.  The two circuits differ only where the
+    selector parity reaches, so each gate of c1 that equals a gate of c0 is
+    that same (frozen) object.
     """
     if inst.b * inst.b <= inst.a:
         raise PreconditionError(
@@ -479,5 +495,8 @@ def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdIn
     def compile_one(which: int) -> BoolCircuit:
         return direct_product(xor_combine(inst.c0, inst.c1, xor_reps, which), product_reps)
 
+    c0, c1 = compile_one(0), compile_one(1)
+    shared = {gate: gate for gate in c0.gates}
+    c1 = replace(c1, gates=tuple(shared.get(gate, gate) for gate in c1.gates))
     a_out = Fraction(1, 2 ** k)
-    return SdInstance(compile_one(0), compile_one(1), a_out, 1 - a_out)
+    return SdInstance(c0, c1, a_out, 1 - a_out)

@@ -23,6 +23,11 @@ Conventions
   from real input, and every permutation of it, stays real, while complex
   input (a state read from JSON) or a dense matrix (always complex)
   promotes the result by numpy's type promotion.
+* A choice-interference query over permutation tables on a real
+  non-negative state (every counting state of the decision pipeline) adds
+  the permuted states into one vector, without the per-choice block: no
+  amplitude can cancel, so the phase alignment is exactly 1.  Dense
+  matrices, complex states and mixed-sign states take the block path.
 
 All operations are pure given an explicit generator; concurrent tasks
 should each derive their own stream via ``seeding.derive_rng``.
@@ -303,14 +308,13 @@ class OIOutcome:
 
 
 def _oracle_outcome(
-    alphas: np.ndarray, lam: int, n: int, rng: np.random.Generator
+    vector: np.ndarray, alignment: float, rows: int, lam: int, n: int, rng: np.random.Generator
 ) -> OIOutcome:
-    """One attempt over per-ordering amplitudes; the interference norm is
-    scaled by the row count (m! orderings or m choices)."""
-    vector = alphas.sum(axis=0)
-    alignment = phase_alignment(alphas)
+    """One attempt, one draw, on an interference vector and its phase
+    alignment; the norm is scaled by the row count (m! orderings or m
+    choices)."""
     norm = float(np.linalg.norm(vector))
-    scaled = norm / len(alphas)
+    scaled = norm / rows
     norm_factor = scaled / (scaled + 1.0 / lam)
     probability = alignment * norm_factor
     success = norm > 0 and bool(rng.random() < probability)
@@ -334,7 +338,10 @@ def oi_oracle_query(
     unitaries = tuple(unitaries)
     _check_query(unitaries, psi, lam)
     orderings = tuple(itertools.permutations(range(len(unitaries))))
-    return _oracle_outcome(_alphas(unitaries, psi, orderings), lam, psi.n, rng)
+    alphas = _alphas(unitaries, psi, orderings)
+    return _oracle_outcome(
+        alphas.sum(axis=0), phase_alignment(alphas), len(alphas), lam, psi.n, rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +361,28 @@ def ci_oracle_query(
 ) -> OIOutcome:
     """Choice-interference oracle, simulated at the contract level: success
     probability alignment * (||CI||/m) / (||CI||/m + 1/lambda), success
-    state CI/||CI||."""
+    state CI/||CI||.
+
+    When every unitary is a permutation table and psi is real and
+    non-negative, CI is summed in place, choice by choice in order (the
+    additions the block's column sums make), and the alignment is exactly
+    1.  Otherwise the per-choice block is built and its alignment taken.
+    """
     unitaries = tuple(unitaries)
     _check_query(unitaries, psi, lam)
-    alphas = _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
-    return _oracle_outcome(alphas, lam, psi.n, rng)
+    if (
+        all(u.table is not None for u in unitaries)
+        and not np.iscomplexobj(psi.amps)
+        and psi.amps.min() >= 0
+    ):
+        vector = unitaries[0].apply(psi.amps)
+        for unitary in unitaries[1:]:
+            vector += unitary.apply(psi.amps)
+        alignment = 1.0
+    else:
+        alphas = _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
+        vector, alignment = alphas.sum(axis=0), phase_alignment(alphas)
+    return _oracle_outcome(vector, alignment, len(unitaries), lam, psi.n, rng)
 
 
 # ---------------------------------------------------------------------------

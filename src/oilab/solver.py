@@ -137,7 +137,11 @@ def build_output_state(
             state = outcome.state
             probability = outcome.success_probability
         min_real = float(state.amps.real.min())
-        if min_real < -AMPLITUDE_REALITY_TOLERANCE or np.abs(state.amps.imag).max() > AMPLITUDE_REALITY_TOLERANCE:
+        imaginary = (
+            np.iscomplexobj(state.amps)
+            and np.abs(state.amps.imag).max() > AMPLITUDE_REALITY_TOLERANCE
+        )
+        if min_real < -AMPLITUDE_REALITY_TOLERANCE or imaginary:
             raise AssertionError(
                 f"stage {stage} produced amplitudes outside the non-negative real cone"
             )

@@ -401,16 +401,25 @@ def all_inputs(width: int) -> list[str]:
 
 def foldable_gates(circuit: BoolCircuit) -> list[Gate]:
     """Gates whose value a builder already knows: a COPY, a two-input gate
-    reading one wire twice, a gate reading a constant, or a second CONST
-    gate of one value."""
+    reading one wire twice, a gate reading a constant, a NOT of a NOT, or a
+    gate of an earlier gate's kind on its inputs in either order (a second
+    CONST gate of one value among them)."""
     constants = {gate.out for gate in circuit.gates if gate.kind in ("CONST0", "CONST1")}
-    found, seen_constants = [], set()
+    negations = {gate.out for gate in circuit.gates if gate.kind == "NOT"}
+    found, seen = [], set()
     for gate in circuit.gates:
-        repeated = len(gate.inputs) == 2 and gate.inputs[0] == gate.inputs[1]
-        if gate.kind in ("COPY", *seen_constants) or repeated or constants.intersection(gate.inputs):
+        key = (gate.kind, tuple(sorted(gate.inputs)))
+        one_wire_twice = len(gate.inputs) == 2 and gate.inputs[0] == gate.inputs[1]
+        double_negation = gate.kind == "NOT" and gate.inputs[0] in negations
+        if (
+            gate.kind == "COPY"
+            or one_wire_twice
+            or double_negation
+            or key in seen
+            or constants.intersection(gate.inputs)
+        ):
             found.append(gate)
-        elif gate.out in constants:
-            seen_constants.add(gate.kind)
+        seen.add(key)
     return found
 
 
@@ -435,6 +444,26 @@ class TestKnownValueFolding:
             assert foldable_gates(folded) == []
             assert len(folded.gates) <= 1
 
+    def test_double_negations_and_repeated_gates_are_found_and_folded(self):
+        # x AND y twice (inputs swapped), and NOT NOT (x AND y)
+        gates = (
+            Gate("AND", (0, 1), 2),
+            Gate("AND", (1, 0), 3),
+            Gate("NOT", (2,), 4),
+            Gate("NOT", (4,), 5),
+            Gate("XOR", (3, 5), 6),
+            Gate("OR", (0, 6), 7),
+        )
+        source = BoolCircuit(2, 1, gates, (7,))
+        assert foldable_gates(source) == [gates[1], gates[3]]
+        builder = _Builder(2)
+        folded = builder.build(builder.inline(source, [0, 1]))
+        assert foldable_gates(folded) == []
+        # then XOR(w, w) is 0 and OR(x, 0) is x: no gate is left
+        assert folded.gates == () and folded.outputs == (0,)
+        for x in all_inputs(2):
+            assert eval_circuit(folded, x) == eval_circuit(source, x)
+
     def test_constants_are_shared_and_unread_ones_dropped(self):
         builder = _Builder(1)
         assert builder.add("CONST1") == builder.add("CONST1")
@@ -456,16 +485,28 @@ class TestLiveInlining:
     def test_compiled_circuits_have_no_dead_gates(self):
         c0, c1 = self.SOURCES[0], random_circuit(2, 2, 9, seed=5)
         assert foldable_gates(c0) and foldable_gates(c1)
+        polarized = polarize(SdInstance(c0, c1, "1/3", "2/3"), 2, 2, 2)
         compiled = [
-            xor_combine(c0, c1, 3, 1),
+            xor_combine(c0, c1, 3, 1),  # the last selector is NOT(parity): no NOT NOT
             xor_combine(c0, c1, 1, 0),  # a constant selector
+            xor_combine(c0, c0, 2, 1),  # both sides inline the same gates
             direct_product(c0, 2),
             _apply_circuit_step(c1, 3).forward,
-            polarize(SdInstance(c0, c1, "1/3", "2/3"), 2, 2, 2).c0,
+            polarized.c0,
+            polarized.c1,
         ]
         for circuit in compiled:
             assert dead_gates(circuit) == []
             assert foldable_gates(circuit) == []
+
+    def test_polarized_circuits_share_equal_gates(self):
+        c0, c1 = self.SOURCES[2], random_circuit(3, 2, 9, seed=6)
+        for xor_reps in (2, 3):  # one rep pins the selector: no common gates
+            out = polarize(SdInstance(c0, c1, "1/3", "2/3"), 2, xor_reps, 2)
+            first = {gate: gate for gate in out.c0.gates}
+            shared = [gate for gate in out.c1.gates if gate in first]
+            assert shared and len(shared) < len(out.c1.gates)
+            assert all(gate is first[gate] for gate in shared)
 
     def test_direct_product_concatenates_scalar_outputs(self):
         for c in self.SOURCES:

@@ -12,6 +12,7 @@ from oilab.errors import (
     ResourceError,
     WidthError,
 )
+from oilab import qsim
 from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step
 from oilab.qsim import (
     SimUnitary,
@@ -326,6 +327,89 @@ class TestCiOracle:
         )
         sigma = math.sqrt(p * (1 - p) * trials)
         assert abs(hits - p * trials) <= 3 * sigma
+
+
+class TestCiFastPath:
+    """A choice-interference query over permutation tables on a real
+    non-negative state sums the permuted states without the per-choice
+    block.  It agrees with the block path, whose alignment is 1 up to
+    rounding; any other query still takes the block path."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Records each block build and each outcome's (vector, alignment)."""
+        calls = {"alphas": 0, "outcomes": []}
+        alphas, outcome = qsim._alphas, qsim._oracle_outcome
+
+        def counting_alphas(*args):
+            calls["alphas"] += 1
+            return alphas(*args)
+
+        def recording_outcome(vector, alignment, *rest):
+            calls["outcomes"].append((vector.copy(), alignment))
+            return outcome(vector, alignment, *rest)
+
+        monkeypatch.setattr(qsim, "_alphas", counting_alphas)
+        monkeypatch.setattr(qsim, "_oracle_outcome", recording_outcome)
+        return calls
+
+    @staticmethod
+    def choice_groups():
+        """Tables of r = 1, 2 and 3 random bits: XOR-bit steps and random
+        permutations, each with a random non-negative state or a basis state."""
+        rng = derive_rng(50, "ci-fast")
+        for k, bit in ((2, 0), (5, 3), (9, 8)):
+            unitaries = tuple(
+                permutation_unitary_from_circuit(_xor_bit_step(k, bit), z) for z in (0, 1)
+            )
+            yield unitaries, random_nonnegative_state(k, rng)
+            yield unitaries, StateVector.basis(k, format(bit, f"0{k}b"))
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            unitaries = tuple(random_permutation_unitary(n, rng) for _ in range(2 << trial % 3))
+            yield unitaries, random_nonnegative_state(n, rng)
+
+    def test_fast_path_matches_the_block_path(self, calls):
+        for index, (unitaries, psi) in enumerate(self.choice_groups()):
+            for lam in (1, 10 ** 6):
+                rngs = derive_rng(51, index, lam), derive_rng(51, index, lam)
+                got = ci_oracle_query(unitaries, psi, lam, rngs[0])
+                assert calls["alphas"] == 0
+                vector, alignment = calls["outcomes"].pop()
+                assert alignment == got.phase_alignment == 1.0
+                alphas = qsim._alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
+                calls["alphas"] = 0
+                assert vector.tobytes() == alphas.sum(axis=0).tobytes()
+                want = qsim._oracle_outcome(
+                    alphas.sum(axis=0), phase_alignment(alphas), len(alphas), lam, psi.n, rngs[1]
+                )
+                calls["outcomes"].clear()
+                # the block's alignment sums |alpha| in another order than
+                # |sum alpha|, so it may fall short of 1 by rounding
+                assert want.phase_alignment == pytest.approx(1.0, rel=1e-15)
+                assert got.interference_norm == want.interference_norm
+                assert got.norm_factor == want.norm_factor == got.success_probability
+                assert got.success_probability == pytest.approx(want.success_probability, rel=1e-15)
+                assert got.success == want.success
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                if got.success:
+                    assert got.state.amps.tobytes() == want.state.amps.tobytes()
+
+    def test_other_queries_take_the_block_path(self, calls):
+        # a mixed-sign real state under I and X: (0.6, -0.8) + (-0.8, 0.6)
+        mixed = StateVector(1, [0.6, -0.8])
+        tables = (identity_unitary(1), SimUnitary(1, table=[1, 0]))
+        # dense X and Z on |+>: X|+> + Z|+> = (sqrt 2, 0)
+        plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
+        for unitaries, psi, alignment in (
+            (tables, mixed, 1 / 7),
+            ((pauli_x(), pauli_z()), plus, 0.5),
+            (tables, as_complex(random_nonnegative_state(1, derive_rng(52, "c"))), 1.0),
+        ):
+            outcome = ci_oracle_query(unitaries, psi, 10, derive_rng(52, "draw"))
+            assert calls["alphas"] == 1
+            calls["alphas"] = 0
+            assert outcome.phase_alignment == pytest.approx(alignment, abs=1e-12)
 
 
 class TestSwapTest:
