@@ -2,10 +2,12 @@
 
 The toolkit covers four layers that plug into each other:
 
-* boolean circuits with exact output-distribution enumeration and
-  distribution metrics (``circuits``, ``distributions``),
+* boolean circuits, the builder that assembles compiled ones, exact
+  output-distribution enumeration and the exact total-variation distance
+  (``circuits``, ``distributions``),
 * sequentially invertible circuit sequences, the statistical-difference
-  reduction compiler and gap polarization (``invseq``),
+  reduction compiler and gap polarization, both built on the circuit
+  builder (``invseq``),
 * exact state-vector simulation of order/choice interference oracles and
   the swap test (``qsim``), plus the decision pipeline built on them
   (``solver``),

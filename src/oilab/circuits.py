@@ -15,10 +15,14 @@ its outcomes by them, and callers build and read batches with integer
 arithmetic (``(x << r) | z`` puts state bits ``x`` before randomness bits
 ``z``).  The batch evaluator's cost follows the live gates (``last_reads``),
 and a run of outputs that are consecutive input wires moves as one bit
-field; ``eval_circuit`` is the independent scalar reference.  Brute-force
-passes (enumeration here, validation and the sequence fold in ``invseq``)
-read their domain through ``blocks``, one cache-sized block at a time, so
-their memory follows the block, not 2^width.
+field.  Brute-force passes (enumeration here, validation and the sequence
+fold in ``invseq``) read their domain through ``blocks``, one cache-sized
+block at a time, so their memory follows the block, not 2^width.
+
+Compiled circuits are assembled by ``CircuitBuilder``, which folds every
+gate whose value it already knows and keeps only the gates the outputs
+read; the same ``last_reads`` rule decides what is live in a built
+circuit and in a batch evaluation.
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -26,9 +30,10 @@ concurrent readers need no locking.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,19 +153,20 @@ _GATE_BATCH_OPS = {
 PACKED_BITS = 63  # widest bitstring a packed int64 holds
 
 
-def last_reads(circuit: BoolCircuit) -> list[int]:
-    """Per wire, the position of the last live gate reading it: ``len(gates)``
-    for a gate wire that is an output, -1 when nothing live reads it (so a
-    gate is dead exactly when its own wire is -1).  A gate is live when an
-    output reads it, directly or through live gates."""
-    n_gates = len(circuit.gates)
-    last = [-1] * circuit.n_wires
-    for wire in circuit.outputs:
-        if wire >= circuit.k_in:
+def last_reads(k_in: int, gates: Sequence[Gate | _Pending], outputs: Sequence[int]) -> list[int]:
+    """Per wire of a gate list over ``k_in`` inputs, the position of the last
+    live gate reading it: ``len(gates)`` for a gate wire that is an output,
+    -1 when nothing live reads it (so a gate is dead exactly when its own
+    wire is -1).  A gate is live when an output reads it, directly or
+    through live gates."""
+    n_gates = len(gates)
+    last = [-1] * (k_in + n_gates)
+    for wire in outputs:
+        if wire >= k_in:
             last[wire] = n_gates
     for position in range(n_gates - 1, -1, -1):
-        if last[circuit.k_in + position] >= 0:
-            for wire in circuit.gates[position].inputs:
+        if last[k_in + position] >= 0:
+            for wire in gates[position].inputs:
                 if last[wire] < 0:
                     last[wire] = position
     return last
@@ -185,7 +191,7 @@ def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
     if len(inputs) and (inputs.min() < 0 or int(inputs.max()) >> circuit.k_in):
         raise WidthError(f"batch holds values outside {circuit.k_in} bits")
     k_in = circuit.k_in
-    last = last_reads(circuit)
+    last = last_reads(k_in, circuit.gates, circuit.outputs)
     wires: list[np.ndarray | None] = [None] * circuit.n_wires
     for wire in range(k_in):
         if last[wire] >= 0:
@@ -211,29 +217,6 @@ def eval_circuit_batch(circuit: BoolCircuit, inputs: np.ndarray) -> np.ndarray:
         packed |= column
         j += run
     return packed
-
-
-def eval_circuit(circuit: BoolCircuit, x: str) -> str:
-    """Evaluate on a single bitstring."""
-    if len(x) != circuit.k_in or any(ch not in "01" for ch in x):
-        raise WidthError(f"input {x!r} is not a {circuit.k_in}-bit string")
-    wires = [ch == "1" for ch in x]
-    for gate in circuit.gates:
-        if gate.kind == "NOT":
-            wires.append(not wires[gate.inputs[0]])
-        elif gate.kind == "COPY":
-            wires.append(wires[gate.inputs[0]])
-        elif gate.kind == "AND":
-            wires.append(wires[gate.inputs[0]] and wires[gate.inputs[1]])
-        elif gate.kind == "OR":
-            wires.append(wires[gate.inputs[0]] or wires[gate.inputs[1]])
-        elif gate.kind == "XOR":
-            wires.append(wires[gate.inputs[0]] != wires[gate.inputs[1]])
-        elif gate.kind == "CONST0":
-            wires.append(False)
-        else:
-            wires.append(True)
-    return "".join("1" if wires[w] else "0" for w in circuit.outputs)
 
 
 _CHUNK_ROWS = 2 ** 15  # rows per block: a block's bool wires and packed values stay in cache
@@ -266,18 +249,6 @@ def enumerate_distribution(circuit: BoolCircuit, cap_bits: int = ENUM_BITS) -> D
     return Distribution(circuit.k_out, {v: c * denom for v, c in counts.items()})
 
 
-def identity_circuit(width: int) -> BoolCircuit:
-    return BoolCircuit(width, width, (), tuple(range(width)))
-
-
-def constant_circuit(k_in: int, bits: str) -> BoolCircuit:
-    """Circuit ignoring its input and emitting the fixed string ``bits``."""
-    gates = tuple(
-        Gate("CONST1" if ch == "1" else "CONST0", (), k_in + i) for i, ch in enumerate(bits)
-    )
-    return BoolCircuit(k_in, len(bits), gates, tuple(range(k_in, k_in + len(bits))))
-
-
 _RANDOM_KINDS = ("NOT", "AND", "OR", "XOR", "COPY", "CONST0", "CONST1")
 
 
@@ -301,6 +272,99 @@ def random_circuit(k_in: int, k_out: int, gate_count: int, seed: int) -> BoolCir
         n_wires = k_in + gate_count
         outputs = tuple(int(rng.integers(n_wires)) for _ in range(k_out))
     return BoolCircuit(k_in, k_out, tuple(gates), outputs)
+
+
+# ---------------------------------------------------------------------------
+# circuit assembly
+
+_CONSTANTS = ("CONST0", "CONST1")
+
+
+class _Pending(NamedTuple):
+    """A builder's gate before renumbering; like a ``Gate``, it has ``inputs``."""
+
+    kind: str
+    inputs: tuple[int, ...]
+
+
+class CircuitBuilder:
+    """Accumulates gates with the consecutive-output-wire discipline.
+
+    A gate whose value is already known adds nothing: ``add`` returns the
+    wire that holds the value.  That covers COPY, a gate reading one wire
+    twice (XOR(w, w) is 0), any gate reading a constant (AND/OR with their
+    absorbing value give a constant, with their identity the other input;
+    XOR with 1 is NOT), a NOT of a NOT (the wire negated twice), and a
+    repeat of an earlier gate, same kind on the same inputs in either order
+    (the earlier wire; so each constant is one CONST wire).  ``build``
+    keeps only the gates the outputs read.
+    """
+
+    def __init__(self, k_in: int):
+        self.k_in = k_in
+        self.gates: list[_Pending] = []
+        self.wires: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, sorted inputs) -> wire
+
+    def _append(self, kind: str, inputs: tuple[int, ...]) -> int:
+        key = (kind, tuple(sorted(inputs)))
+        if key not in self.wires:
+            self.gates.append(_Pending(kind, inputs))
+            self.wires[key] = self.k_in + len(self.gates) - 1
+        return self.wires[key]
+
+    def _constant(self, bit: int) -> int:
+        return self._append(_CONSTANTS[bit], ())
+
+    def _gate(self, wire: int) -> _Pending | None:
+        """The gate that writes the wire; None for a circuit input."""
+        return self.gates[wire - self.k_in] if wire >= self.k_in else None
+
+    def _bit(self, wire: int) -> int | None:
+        gate = self._gate(wire)
+        return _CONSTANTS.index(gate.kind) if gate and gate.kind in _CONSTANTS else None
+
+    def add(self, kind: str, *inputs: int) -> int:
+        if kind in _CONSTANTS:
+            return self._constant(kind == "CONST1")
+        if kind == "COPY":
+            return inputs[0]
+        if kind == "NOT":
+            gate = self._gate(inputs[0])
+            if gate and gate.kind == "NOT":
+                return gate.inputs[0]
+            bit = self._bit(inputs[0])
+            return self._append(kind, inputs) if bit is None else self._constant(1 - bit)
+        a, b = inputs
+        if a == b:
+            return self._constant(0) if kind == "XOR" else a
+        if self._bit(a) is not None:  # AND, OR and XOR commute: the constant goes second
+            a, b = b, a
+        bit = self._bit(b)
+        if bit is None:
+            return self._append(kind, inputs)
+        if kind == "XOR":
+            return self.add("NOT", a) if bit else a
+        return self._constant(bit) if bit == (kind == "OR") else a
+
+    def inline(self, circuit: BoolCircuit, input_wires: list[int]) -> list[int]:
+        """Splice in the sub-circuit, reading from the given wires."""
+        mapping = list(input_wires)
+        for gate in circuit.gates:
+            mapping.append(self.add(gate.kind, *(mapping[w] for w in gate.inputs)))
+        return [mapping[w] for w in circuit.outputs]
+
+    def build(self, outputs: list[int]) -> BoolCircuit:
+        """The circuit of the gates the outputs read, directly or through
+        other gates, with their wires renumbered in order."""
+        k_in = self.k_in
+        last = last_reads(k_in, self.gates, outputs)
+        renumbered = list(range(k_in))
+        gates: list[Gate] = []
+        for position, (kind, inputs) in enumerate(self.gates):
+            renumbered.append(k_in + len(gates))
+            if last[k_in + position] >= 0:
+                gates.append(Gate(kind, tuple(renumbered[w] for w in inputs), renumbered[-1]))
+        return BoolCircuit(k_in, len(outputs), tuple(gates), tuple(renumbered[w] for w in outputs))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, Gate, SdInstance, blocks, eval_circuit_batch
+from .circuits import BoolCircuit, CircuitBuilder, SdInstance, blocks, eval_circuit_batch
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -285,101 +285,11 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
 
 
 # ---------------------------------------------------------------------------
-# circuit assembly helpers
-
-_CONSTANTS = ("CONST0", "CONST1")
-
-
-class _Builder:
-    """Accumulates gates with the consecutive-output-wire discipline.
-
-    A gate whose value is already known adds nothing: ``add`` returns the
-    wire that holds the value.  That covers COPY, a gate reading one wire
-    twice (XOR(w, w) is 0), any gate reading a constant (AND/OR with their
-    absorbing value give a constant, with their identity the other input;
-    XOR with 1 is NOT), a NOT of a NOT (the wire negated twice), and a
-    repeat of an earlier gate, same kind on the same inputs in either order
-    (the earlier wire; so each constant is one CONST wire).  ``build``
-    keeps only the gates the outputs read.
-    """
-
-    def __init__(self, k_in: int):
-        self.k_in = k_in
-        self.gates: list[tuple[str, tuple[int, ...]]] = []
-        self.wires: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, sorted inputs) -> wire
-
-    def _append(self, kind: str, inputs: tuple[int, ...]) -> int:
-        key = (kind, tuple(sorted(inputs)))
-        if key not in self.wires:
-            self.gates.append((kind, inputs))
-            self.wires[key] = self.k_in + len(self.gates) - 1
-        return self.wires[key]
-
-    def _constant(self, bit: int) -> int:
-        return self._append(_CONSTANTS[bit], ())
-
-    def _gate(self, wire: int) -> tuple[str, tuple[int, ...]] | None:
-        """The gate that writes the wire; None for a circuit input."""
-        return self.gates[wire - self.k_in] if wire >= self.k_in else None
-
-    def _bit(self, wire: int) -> int | None:
-        gate = self._gate(wire)
-        return _CONSTANTS.index(gate[0]) if gate and gate[0] in _CONSTANTS else None
-
-    def add(self, kind: str, *inputs: int) -> int:
-        if kind in _CONSTANTS:
-            return self._constant(kind == "CONST1")
-        if kind == "COPY":
-            return inputs[0]
-        if kind == "NOT":
-            gate = self._gate(inputs[0])
-            if gate and gate[0] == "NOT":
-                return gate[1][0]
-            bit = self._bit(inputs[0])
-            return self._append(kind, inputs) if bit is None else self._constant(1 - bit)
-        a, b = inputs
-        if a == b:
-            return self._constant(0) if kind == "XOR" else a
-        if self._bit(a) is not None:  # AND, OR and XOR commute: the constant goes second
-            a, b = b, a
-        bit = self._bit(b)
-        if bit is None:
-            return self._append(kind, inputs)
-        if kind == "XOR":
-            return self.add("NOT", a) if bit else a
-        return self._constant(bit) if bit == (kind == "OR") else a
-
-    def inline(self, circuit: BoolCircuit, input_wires: list[int]) -> list[int]:
-        """Splice in the sub-circuit, reading from the given wires."""
-        mapping = list(input_wires)
-        for gate in circuit.gates:
-            mapping.append(self.add(gate.kind, *(mapping[w] for w in gate.inputs)))
-        return [mapping[w] for w in circuit.outputs]
-
-    def build(self, outputs: list[int]) -> BoolCircuit:
-        """The circuit of the gates the outputs read, directly or through
-        other gates, with their wires renumbered in order."""
-        live = [False] * (self.k_in + len(self.gates))
-        for wire in outputs:
-            live[wire] = True
-        for position in range(len(self.gates) - 1, -1, -1):
-            if live[self.k_in + position]:
-                for wire in self.gates[position][1]:
-                    live[wire] = True
-        renumbered = list(range(self.k_in))
-        gates: list[Gate] = []
-        for position, (kind, inputs) in enumerate(self.gates):
-            renumbered.append(self.k_in + len(gates))
-            if live[self.k_in + position]:
-                gates.append(Gate(kind, tuple(renumbered[w] for w in inputs), renumbered[-1]))
-        return BoolCircuit(
-            self.k_in, len(outputs), tuple(gates), tuple(renumbered[w] for w in outputs)
-        )
-
+# the reduction
 
 def _xor_bit_step(state_width: int, bit: int) -> InvPair:
     """Step XORing the single random bit into state position ``bit``; its own inverse."""
-    builder = _Builder(state_width + 1)
+    builder = CircuitBuilder(state_width + 1)
     flipped = builder.add("XOR", bit, state_width)
     outputs = list(range(state_width))
     outputs[bit] = flipped
@@ -390,7 +300,7 @@ def _xor_bit_step(state_width: int, bit: int) -> InvPair:
 def _apply_circuit_step(circuit: BoolCircuit, prefix_width: int) -> InvPair:
     """Deterministic step (x, y) -> (x, y XOR circuit(x-prefix)); an involution."""
     state_width = prefix_width + circuit.k_out
-    builder = _Builder(state_width)
+    builder = CircuitBuilder(state_width)
     value_wires = builder.inline(circuit, list(range(circuit.k_in)))
     out_wires = [builder.add("XOR", prefix_width + j, w) for j, w in enumerate(value_wires)]
     step = builder.build(list(range(prefix_width)) + out_wires)
@@ -429,7 +339,7 @@ def xor_combine(c0: BoolCircuit, c1: BoolCircuit, reps: int, which: int) -> Bool
     if reps < 1:
         raise ValueError("reps must be >= 1")
     block_width = max(c0.k_in, c1.k_in)
-    builder = _Builder(reps * block_width + (reps - 1))
+    builder = CircuitBuilder(reps * block_width + (reps - 1))
     selector_base = reps * block_width
 
     # parity-completing selector for the last block
@@ -459,7 +369,7 @@ def direct_product(circuit: BoolCircuit, reps: int) -> BoolCircuit:
     """Concatenate ``reps`` independent copies of the circuit."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    builder = _Builder(reps * circuit.k_in)
+    builder = CircuitBuilder(reps * circuit.k_in)
     outputs: list[int] = []
     for block in range(reps):
         base = block * circuit.k_in

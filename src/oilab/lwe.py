@@ -304,15 +304,6 @@ def no_side_log2_bound(params: LweParams, gamma: float) -> float:
     )
 
 
-def no_side_probability_bound(params: LweParams, gamma: float) -> float:
-    """Upper bound on the probability that a uniform target lands within
-    gamma*d of the lattice.  May exceed 1, signaling a vacuous bound."""
-    log2_bound = no_side_log2_bound(params, gamma)
-    if log2_bound > 1000:
-        return math.inf
-    return 2.0 ** log2_bound
-
-
 def alpha_bound(n: int, m: int, q: int, c_prime: float = 1.0) -> float:
     """Largest alpha for which the counting bound stays below 2^-n, up to the
     constant c_prime: c' * sqrt(log2 n) / (2^(n/m) * q^(n/m) * sqrt(n*m))."""

@@ -28,6 +28,9 @@ Conventions
   the permuted states into one vector, without the per-choice block: no
   amplitude can cancel, so the phase alignment is exactly 1.  Dense
   matrices, complex states and mixed-sign states take the block path.
+* The inner products and norms a report reads are numpy's own pairwise
+  sums, which add in one fixed order; a BLAS dot adds in an order that
+  follows its thread count.
 
 All operations are pure given an explicit generator; concurrent tasks
 should each derive their own stream via ``seeding.derive_rng``.
@@ -62,6 +65,12 @@ def _complex(re, im) -> complex:
     return complex(require_real(re, "real part"), require_real(im, "imaginary part"))
 
 
+def _inner(a: np.ndarray, b: np.ndarray):
+    """<a|b> by numpy's own pairwise sum, which adds in one fixed order; a
+    BLAS dot's order follows its thread count, and a report must not."""
+    return np.add.reduce(a.conj() * b)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Amplitudes over n qubits; index i <-> n-bit string of i.  Real input
@@ -78,25 +87,18 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def basis(cls, n: int, bits: str) -> "StateVector":
+    def zero(cls, n: int) -> "StateVector":
         amps = np.zeros(1 << n)
-        amps[int(bits, 2)] = 1.0
+        amps[0] = 1.0
         return cls(n, amps)
 
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        return cls.basis(n, "0" * n)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = NORMALIZATION_TOLERANCE) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(float(np.linalg.norm(self.amps)) - 1.0) <= NORMALIZATION_TOLERANCE
 
     def inner(self, other: "StateVector") -> complex:
         if self.n != other.n:
             raise WidthError("qubit counts differ")
-        return complex(np.vdot(self.amps, other.amps))
+        return complex(_inner(self.amps, other.amps))
 
     def to_json_list(self) -> list:
         return [[float(a.real), float(a.imag)] for a in self.amps]
@@ -150,15 +152,6 @@ class SimUnitary:
             return out
         return self.matrix @ amps
 
-    def to_json_dict(self) -> dict:
-        if self.table is not None:
-            return {"kind": "permutation", "n": self.n, "table": self.table.tolist()}
-        return {
-            "kind": "dense",
-            "n": self.n,
-            "matrix": [[[z.real, z.imag] for z in row] for row in self.matrix],
-        }
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimUnitary":
         with typed_fields("unitary object"):
@@ -171,18 +164,6 @@ class SimUnitary:
                 matrix = np.array([[_complex(re, im) for re, im in row] for row in rows])
                 return cls(n, matrix=matrix)
             raise ValueError(f"unknown unitary kind {kind!r}")
-
-
-def identity_unitary(n: int) -> SimUnitary:
-    return SimUnitary(n, table=np.arange(1 << n))
-
-
-def pauli_x() -> SimUnitary:
-    return SimUnitary(1, matrix=np.array([[0, 1], [1, 0]], dtype=np.complex128))
-
-
-def pauli_z() -> SimUnitary:
-    return SimUnitary(1, matrix=np.array([[1, 0], [0, -1]], dtype=np.complex128))
 
 
 def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
@@ -207,17 +188,13 @@ def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
 # ---------------------------------------------------------------------------
 # order interference
 
-def _check_widths(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> None:
-    if any(u.n != psi.n for u in unitaries):
-        raise WidthError("all unitaries must act on the state's qubit count")
-
-
 def _check_query(
     unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int | None = None
 ) -> None:
-    """Validation shared by the order- and choice-interference oracles, and
-    by oi_vector, which takes no lambda.  The unitary count is capped before
-    any of the m! orderings is enumerated."""
+    """Validation shared by the two oracles and by oi_vector, which takes no
+    lambda; the order-interference oracle checks its query with lambda
+    before it reads oi_vector.  The unitary count is capped before any of
+    the m! orderings is enumerated."""
     m = len(unitaries)
     if m < 1:
         raise ValueError("need at least one unitary")
@@ -226,7 +203,8 @@ def _check_query(
             f"{m} unitaries means {math.factorial(m)} orderings; "
             f"cap is {MAX_ORACLE_UNITARIES}"
         )
-    _check_widths(unitaries, psi)
+    if any(u.n != psi.n for u in unitaries):
+        raise WidthError("all unitaries must act on the state's qubit count")
     if lam is not None and not 1 <= lam <= sys.float_info.max:  # 1/lambda is a float
         raise ValueError("lambda must be a positive integer within the float range")
     if not psi.is_normalized():
@@ -237,11 +215,6 @@ def _check_query(
 class OIVectorResult:
     vector: np.ndarray                 # unnormalized sum over orderings
     alphas: np.ndarray                 # (orderings, 2^n) per-ordering amplitudes
-    orderings: tuple[tuple[int, ...], ...]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
 
 
 def _alphas(
@@ -270,14 +243,17 @@ def oi_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> OIVectorRe
     _check_query(unitaries, psi)
     orderings = tuple(itertools.permutations(range(len(unitaries))))
     alphas = _alphas(unitaries, psi, orderings)
-    return OIVectorResult(alphas.sum(axis=0), alphas, orderings)
+    return OIVectorResult(alphas.sum(axis=0), alphas)
 
 
 def phase_alignment(alphas: np.ndarray) -> float:
-    """How coherently the per-ordering amplitudes add, in [0, 1]."""
+    """How coherently the per-ordering amplitudes add, in [0, 1]; exactly 1
+    when every amplitude is real and non-negative, since none can cancel."""
     denominator = float(np.abs(alphas).sum())
     if denominator == 0.0:
         raise DegenerateInputError("all per-ordering amplitudes are zero")
+    if alphas.real.min() >= 0 and not (np.iscomplexobj(alphas) and alphas.imag.any()):
+        return 1.0
     numerator = float(np.abs(alphas.sum(axis=0)).sum())
     return min(numerator / denominator, 1.0)
 
@@ -313,7 +289,7 @@ def _oracle_outcome(
     """One attempt, one draw, on an interference vector and its phase
     alignment; the norm is scaled by the row count (m! orderings or m
     choices)."""
-    norm = float(np.linalg.norm(vector))
+    norm = math.sqrt(_inner(vector, vector).real)
     scaled = norm / rows
     norm_factor = scaled / (scaled + 1.0 / lam)
     probability = alignment * norm_factor
@@ -337,21 +313,14 @@ def oi_oracle_query(
     """
     unitaries = tuple(unitaries)
     _check_query(unitaries, psi, lam)
-    orderings = tuple(itertools.permutations(range(len(unitaries))))
-    alphas = _alphas(unitaries, psi, orderings)
+    result = oi_vector(unitaries, psi)
     return _oracle_outcome(
-        alphas.sum(axis=0), phase_alignment(alphas), len(alphas), lam, psi.n, rng
+        result.vector, phase_alignment(result.alphas), len(result.alphas), lam, psi.n, rng
     )
 
 
 # ---------------------------------------------------------------------------
 # choice interference
-
-def ci_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> np.ndarray:
-    """Unnormalized sum of each unitary applied once (no orderings)."""
-    _check_widths(unitaries, psi)
-    return _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries)))).sum(axis=0)
-
 
 def ci_oracle_query(
     unitaries: tuple[SimUnitary, ...],
@@ -412,7 +381,7 @@ def swap_test(
     for state in (phi, psi):
         if not state.is_normalized():
             raise PreconditionError("swap test inputs must be normalized")
-    overlap = abs(phi.inner(psi)) ** 2
+    overlap = min(abs(phi.inner(psi)) ** 2, 1.0)
     accept_probability = 0.5 + overlap / 2.0
     accepts = int(np.count_nonzero(rng.random(shots) < accept_probability))
     return SwapTestResult(2.0 * accepts / shots - 1.0, float(overlap), accepts, shots)

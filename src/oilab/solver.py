@@ -11,12 +11,14 @@ output distributions, which the promise gap separates across a threshold.
 
 Thresholding: a YES instance (distance <= a) keeps the squared overlap at
 or above (1-a)^2 while a NO instance (distance > b) pushes it below
-1 - b^2 — empirically for the cosine variant, hence the counterexample
-scanner at the bottom.  The decision threshold is the midpoint, and the
-gap (1-a)^2 - (1-b^2) = b^2 - 2a + a^2 must be positive.  Otherwise the
-caller polarizes first (``invseq.polarize``); the solver never picks an
-amplification itself, and raises GapViolationError instead.  States are
-at most ``config.QUBIT_CAP`` qubits wide.
+1 - b^2.  Those are the fidelity's bounds; for the cosine of probability
+vectors, which these states measure, they hold only empirically, and the
+tests keep a known YES-side counterexample.  The decision threshold is
+the midpoint, and the gap (1-a)^2 - (1-b^2) = b^2 - 2a + a^2 must be
+positive.  Otherwise the caller polarizes first (``invseq.polarize``);
+the solver never picks an amplification itself, and raises
+GapViolationError instead.  States are at most ``config.QUBIT_CAP``
+qubits wide.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .circuits import SdInstance
 from .config import QUBIT_CAP
-from .distributions import Distribution, cosine_similarity, tv_distance
 from .errors import GapViolationError, OracleFailureError, ResourceError
 from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
@@ -37,7 +38,6 @@ from .qsim import SimUnitary, StateVector, ci_oracle_query, permutation_unitary_
 from .seeding import derive_rng
 
 AMPLITUDE_REALITY_TOLERANCE = 1e-12
-COUNTEREXAMPLE_TOLERANCE = 1e-12  # float slack on the squared-cosine bounds
 
 
 @dataclass(frozen=True)
@@ -213,52 +213,3 @@ def decide_sd(inst: SdInstance, cfg: SolverConfig) -> Decision:
     that fails it raises GapViolationError and must be polarized first."""
     derive_threshold(inst.a, inst.b)
     return decide_sisd(reduce_sd_to_sisd(inst), cfg)
-
-
-# ---------------------------------------------------------------------------
-# empirical threshold validity
-
-@dataclass(frozen=True)
-class ThresholdCounterexample:
-    side: str            # "yes" or "no"
-    distance: float
-    squared_cosine: float
-    bound: float
-    d0: dict
-    d1: dict
-
-
-def cosine_threshold_counterexamples(
-    pairs: list[tuple[Distribution, Distribution]],
-    a,
-    b,
-) -> list[ThresholdCounterexample]:
-    """Scan distribution pairs for violations of the threshold bounds.
-
-    The bounds transplant a fidelity fact onto the cosine similarity of
-    probability vectors; that transfer is not guaranteed in general, so violations are
-    possible and are reported as structured counterexamples for logging.
-    """
-    a = as_exact_probability(a)
-    b = as_exact_probability(b)
-    yes_bound = float((1 - a) * (1 - a))
-    no_bound = float(1 - b * b)
-    found = []
-    for d0, d1 in pairs:
-        distance = tv_distance(d0, d1)  # compared exactly: float(1/5) > 1/5
-        squared = cosine_similarity(d0, d1) ** 2
-        if distance <= a and squared < yes_bound - COUNTEREXAMPLE_TOLERANCE:
-            found.append(
-                ThresholdCounterexample(
-                    "yes", float(distance), squared, yes_bound,
-                    d0.to_json_dict(), d1.to_json_dict(),
-                )
-            )
-        if distance > b and squared > no_bound + COUNTEREXAMPLE_TOLERANCE:
-            found.append(
-                ThresholdCounterexample(
-                    "no", float(distance), squared, no_bound,
-                    d0.to_json_dict(), d1.to_json_dict(),
-                )
-            )
-    return found

@@ -11,34 +11,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-
-from oilab.circuits import SdInstance, enumerate_distribution, random_circuit
-from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.distributions import Distribution, fidelity, tv_distance
-from oilab.errors import GapViolationError
-from oilab.invseq import (
-    reduce_sd_to_sisd,
-    sequence_output_distribution,
-    validate_sequence,
-)
-from oilab.lwe import (
-    LweParams,
-    centered_mod,
-    gap_experiment,
+from helpers import (
+    basis_state,
+    exact_distribution,
+    fidelity,
     no_side_probability_bound,
-)
-from oilab.qsim import (
-    SimUnitary,
-    StateVector,
-    ci_oracle_query,
-    ci_vector,
-    oi_oracle_query,
-    oi_vector,
     pauli_x,
     pauli_z,
-    swap_test,
+    random_sd_instance,
+    random_state,
+    sd_distance,
+    sisd_distance,
 )
-from oilab.seeding import derive_rng, derive_seed
+
+from oilab.corpus import build_sd_corpus, polarize_corpus
+from oilab.distributions import tv_distance
+from oilab.errors import GapViolationError
+from oilab.invseq import reduce_sd_to_sisd, sequence_output_distribution, validate_sequence
+from oilab.lwe import LweParams, centered_mod, gap_experiment
+from oilab.qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query, oi_vector, swap_test
+from oilab.seeding import derive_rng
 from oilab.solver import SolverConfig, StageRecord, build_output_state, decide_sd, derive_threshold
 
 
@@ -50,15 +42,6 @@ def criterion(number: int, title: str):
         print(f"[criterion {number:02d}] FAIL — {title}")
         raise
     print(f"[criterion {number:02d}] PASS — {title}")
-
-
-def random_sd_instance(index: int, seed: int = 42):
-    k0 = (index % 4) + 1
-    k1 = ((index * 7) % 4) + 1
-    k_out = (index % 3) + 1
-    c0 = random_circuit(k0, k_out, 3 + (index % 9), derive_seed(seed, "c0", index))
-    c1 = random_circuit(k1, k_out, 3 + ((index * 5) % 9), derive_seed(seed, "c1", index))
-    return SdInstance(c0, c1, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +72,7 @@ def test_criterion_01_reduction_exactness(reduced_instances):
     with criterion(1, "reduction preserves statistical difference exactly (200 instances)"):
         started = time.time()
         for inst, reduced in reduced_instances:
-            lhs = tv_distance(
-                enumerate_distribution(inst.c0), enumerate_distribution(inst.c1)
-            )
-            rhs = tv_distance(
-                sequence_output_distribution(reduced.seq0),
-                sequence_output_distribution(reduced.seq1),
-            )
-            assert lhs == rhs  # exact rational equality, zero tolerance
+            assert sd_distance(inst) == sisd_distance(reduced)  # exact rational equality, zero tolerance
         elapsed = time.time() - started
         assert elapsed < 60, f"took {elapsed:.1f}s"
 
@@ -111,11 +87,6 @@ def test_criterion_02_invertibility(reduced_instances):
                 assert all(check.exhaustive for check in report.checks)
 
 
-def _random_state(n: int, rng) -> StateVector:
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
-
-
 def _diagonal_unitary(n: int, rng) -> SimUnitary:
     phases = np.exp(2j * np.pi * rng.random(1 << n))
     return SimUnitary(n, matrix=np.diag(phases))
@@ -125,7 +96,7 @@ def test_criterion_03_oi_correctness():
     with criterion(3, "order-interference vector laws (cancellation, commuting, m=2)"):
         # anticommuting pair cancels exactly on every state
         for index in range(20):
-            psi = _random_state(1, derive_rng(31, "xz", index))
+            psi = random_state(1, derive_rng(31, "xz", index))
             result = oi_vector((pauli_x(), pauli_z()), psi)
             assert np.all(result.vector == 0)
 
@@ -144,18 +115,18 @@ def test_criterion_03_oi_correctness():
                     table = base[table]
                     powers.append(SimUnitary(n, table=table.copy()))
                 us = tuple(powers)
-            psi = _random_state(n, rng)
+            psi = random_state(n, rng)
             result = oi_vector(us, psi)
             product = psi.amps
             for u in us:
                 product = u.apply(product)
             expected = math.factorial(m) * float(np.linalg.norm(product))
-            assert abs(result.norm - expected) < 1e-9
+            assert abs(np.linalg.norm(result.vector) - expected) < 1e-9
 
         # m = 2 against the direct two-ordering formula
         rng = derive_rng(33, "m2")
         for _ in range(20):
-            psi = _random_state(2, rng)
+            psi = random_state(2, rng)
             z0 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             z1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             q0 = np.linalg.qr(z0)[0]
@@ -174,7 +145,7 @@ def test_criterion_04_oracle_probability_law():
         rng = derive_rng(41, "fixed")
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         dense = SimUnitary(1, matrix=np.linalg.qr(z)[0])
-        psi = _random_state(1, rng)
+        psi = random_state(1, rng)
 
         query = ((dense, pauli_x()), psi, 7)
         p_oi = oi_oracle_query(*query, derive_rng(0, "probe")).success_probability
@@ -185,7 +156,7 @@ def test_criterion_04_oracle_probability_law():
         sigma = math.sqrt(trials * p_oi * (1 - p_oi))
         assert abs(hits - trials * p_oi) <= 3 * sigma
 
-        ci_args = ((pauli_x(), pauli_z()), StateVector.basis(1, "0"), 10)
+        ci_args = ((pauli_x(), pauli_z()), basis_state(1, "0"), 10)
         p_ci = ci_oracle_query(*ci_args, derive_rng(0, "probe")).success_probability
         assert p_ci == pytest.approx(0.87610, abs=5e-6)
         hits = sum(
@@ -208,7 +179,7 @@ def test_criterion_05_ci_norm_bound(built_states):
             us = tuple(SimUnitary(n, table=rng.permutation(1 << n)) for _ in range(m))
             amps = np.abs(rng.normal(size=1 << n))
             psi = StateVector(n, amps / np.linalg.norm(amps))
-            norm = float(np.linalg.norm(ci_vector(us, psi)))
+            norm = ci_oracle_query(us, psi, 1, rng).interference_norm
             assert norm >= math.sqrt(m) * (1 - 1e-12)
         # solver pipeline states stay in the non-negative real cone
         for _, state, log in built_states:
@@ -315,12 +286,7 @@ def test_criterion_12_metric_bounds_and_swap_convergence():
                 weights = rng.integers(0, 20, size)
                 if weights.sum() == 0:
                     weights[0] = 1
-                total = int(weights.sum())
-                pair.append(
-                    Distribution(
-                        width, {i: Fraction(int(w), total) for i, w in enumerate(weights) if w}
-                    )
-                )
+                pair.append(exact_distribution(width, weights))
             delta = float(tv_distance(*pair))
             f = fidelity(*pair)
             assert 1 - f <= delta + 1e-9

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import traced_peak_bytes
+from helpers import constant_circuit, eval_circuit, identity_circuit, uniform_distribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +11,12 @@ from oilab.circuits import (
     BoolCircuit,
     Gate,
     SdInstance,
-    constant_circuit,
     enumerate_distribution,
-    eval_circuit,
     eval_circuit_batch,
-    identity_circuit,
     last_reads,
     random_circuit,
 )
-from oilab.distributions import Distribution, uniform_distribution
+from oilab.distributions import Distribution
 from oilab.errors import ParseError, ResourceError, WidthError
 
 
@@ -269,7 +267,7 @@ def test_last_reads_marks_exactly_the_dead_gates(circuit):
     for gate in reversed(circuit.gates):
         if gate.out in live:
             live.update(gate.inputs)
-    last = last_reads(circuit)
+    last = last_reads(circuit.k_in, circuit.gates, circuit.outputs)
     assert [last[g.out] < 0 for g in circuit.gates] == [g.out not in live for g in circuit.gates]
 
 

@@ -7,17 +7,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import constant_circuit, identity_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oilab.circuits import (
-    BoolCircuit,
-    Gate,
-    SdInstance,
-    constant_circuit,
-    identity_circuit,
-    random_circuit,
-)
+from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
 from oilab.cli import build_parser, main
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.invseq import reduce_sd_to_sisd

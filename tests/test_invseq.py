@@ -4,23 +4,33 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import traced_peak_bytes
+from helpers import (
+    constant_circuit,
+    eval_circuit,
+    identity_circuit,
+    identity_pair,
+    marginal,
+    point_mass,
+    random_sd_instance,
+    sd_distance,
+    sisd_distance,
+    uniform_distribution,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oilab.circuits import (
     GATE_ARITY,
     BoolCircuit,
+    CircuitBuilder,
     Gate,
     SdInstance,
-    constant_circuit,
     enumerate_distribution,
-    eval_circuit,
     eval_circuit_batch,
-    identity_circuit,
     random_circuit,
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.distributions import Distribution, point_mass, tv_distance, uniform_distribution
+from oilab.distributions import Distribution, tv_distance
 from oilab.errors import MalformedSequenceError, PreconditionError, ResourceError
 from oilab.invseq import (
     SAMPLED_POINTS,
@@ -29,7 +39,6 @@ from oilab.invseq import (
     PairCheck,
     SisdInstance,
     _apply_circuit_step,
-    _Builder,
     _xor_bit_step,
     direct_product,
     polarize,
@@ -41,30 +50,12 @@ from oilab.invseq import (
 from oilab.seeding import derive_rng, derive_seed
 
 
-def xor_step(width: int, bit: int) -> InvPair:
-    return _xor_bit_step(width, bit)
-
-
-def identity_pair(width: int) -> InvPair:
-    circuit = identity_circuit(width)
-    return InvPair(circuit, circuit, width, 0)
-
-
-def random_sd_instance(index: int, seed: int = 42, max_k_in: int = 4, k_out_cap: int = 3):
-    k0 = (index % max_k_in) + 1
-    k1 = ((index * 7) % max_k_in) + 1
-    k_out = (index % k_out_cap) + 1
-    c0 = random_circuit(k0, k_out, 3 + (index % 9), derive_seed(seed, "c0", index))
-    c1 = random_circuit(k1, k_out, 3 + ((index * 5) % 9), derive_seed(seed, "c1", index))
-    return SdInstance(c0, c1, 0, 1)
-
-
 def involution(k: int, r: int, seed: int) -> BoolCircuit:
     """Random step (x, z) -> x XOR g(z), or (x, y) -> (x, y XOR g(x)) when
     r = 0; either way its own inverse."""
     if r == 0:
         return _apply_circuit_step(random_circuit(k // 2, k - k // 2, 6, seed), k // 2).forward
-    builder = _Builder(k + r)
+    builder = CircuitBuilder(k + r)
     values = builder.inline(random_circuit(r, k, 6, seed), list(range(k, k + r)))
     return builder.build([builder.add("XOR", j, w) for j, w in enumerate(values)])
 
@@ -74,7 +65,7 @@ def with_rare_flip(circuit: BoolCircuit, seed: int) -> BoolCircuit:
     bits are all 1."""
     rng = derive_rng(seed, "rare-flip")
     a, b, c = (int(w) for w in rng.choice(circuit.k_in, 3, replace=False))
-    builder = _Builder(circuit.k_in)
+    builder = CircuitBuilder(circuit.k_in)
     outputs = builder.inline(circuit, list(range(circuit.k_in)))
     rare = builder.add("AND", builder.add("AND", a, b), c)
     j = int(rng.integers(circuit.k_out))
@@ -109,13 +100,13 @@ def assert_matches_scalar(pairs: list[InvPair], seed: int) -> None:
 
 class TestValidation:
     def test_xor_steps_are_involutions(self):
-        seq = InvertibleSequence(tuple(xor_step(3, i) for i in range(3)), 3)
+        seq = InvertibleSequence(tuple(_xor_bit_step(3, i) for i in range(3)), 3)
         report = validate_sequence(seq)
         assert report.ok
         assert all(c.exhaustive for c in report.checks)
 
     def test_constant_backward_fails_with_counterexample(self):
-        forward = xor_step(2, 0).forward
+        forward = _xor_bit_step(2, 0).forward
         broken = InvPair(forward, constant_circuit(3, "00"), 2, 1)
         report = validate_sequence(InvertibleSequence((broken,), 2))
         assert not report.ok
@@ -125,7 +116,7 @@ class TestValidation:
         assert eval_circuit(broken.backward, eval_circuit(forward, x + z) + z) != x
 
     def test_sampled_path_for_wide_pairs(self):
-        seq = InvertibleSequence((xor_step(24, 3),), 24)
+        seq = InvertibleSequence((_xor_bit_step(24, 3),), 24)
         report = validate_sequence(seq)
         assert report.ok
         assert not report.checks[0].exhaustive
@@ -147,9 +138,9 @@ class TestValidation:
                 pairs.append(InvPair(step, flipped, 4, r))
         # an intact involution, and one whose backward is an equal function
         # but not an equal circuit
-        xor = xor_step(4, 2).forward
+        xor = _xor_bit_step(4, 2).forward
         padded = BoolCircuit(5, 4, xor.gates + (Gate("COPY", (0,), 6),), xor.outputs)
-        pairs += [xor_step(4, 0), InvPair(xor, padded, 4, 1)]
+        pairs += [_xor_bit_step(4, 0), InvPair(xor, padded, 4, 1)]
         assert_matches_scalar(pairs, seed=0)
 
     def test_shared_direction_that_is_not_an_involution_fails(self):
@@ -184,7 +175,7 @@ class TestValidation:
 
 class TestSequenceDistribution:
     def test_single_xor_step_splits_evenly(self):
-        seq = InvertibleSequence((xor_step(3, 0),), 3)
+        seq = InvertibleSequence((_xor_bit_step(3, 0),), 3)
         dist = sequence_output_distribution(seq)
         assert dist.probs == {0b000: Fraction(1, 2), 0b100: Fraction(1, 2)}
 
@@ -193,7 +184,7 @@ class TestSequenceDistribution:
         assert sequence_output_distribution(seq) == point_mass(2, 0)
 
     def test_cap(self):
-        seq = InvertibleSequence(tuple(xor_step(2, 0) for _ in range(30)), 2)
+        seq = InvertibleSequence(tuple(_xor_bit_step(2, 0) for _ in range(30)), 2)
         with pytest.raises(ResourceError):
             sequence_output_distribution(seq)
 
@@ -223,40 +214,26 @@ class TestReduction:
         for index in range(30):
             inst = random_sd_instance(index)
             red = reduce_sd_to_sisd(inst)
-            lhs = tv_distance(
-                enumerate_distribution(inst.c0), enumerate_distribution(inst.c1)
-            )
-            rhs = tv_distance(
-                sequence_output_distribution(red.seq0),
-                sequence_output_distribution(red.seq1),
-            )
-            assert lhs == rhs  # exact rational equality
+            assert sd_distance(inst) == sisd_distance(red)  # exact rational equality
 
     def test_distance_preserved_at_wider_widths(self):
         # input widths up to 6 and output widths up to 4
         for index in range(6):
             inst = random_sd_instance(index, seed=314, max_k_in=6, k_out_cap=4)
             red = reduce_sd_to_sisd(inst)
-            lhs = tv_distance(
-                enumerate_distribution(inst.c0), enumerate_distribution(inst.c1)
-            )
-            rhs = tv_distance(
-                sequence_output_distribution(red.seq0),
-                sequence_output_distribution(red.seq1),
-            )
-            assert lhs == rhs
+            assert sd_distance(inst) == sisd_distance(red)
 
     def test_output_is_product_of_uniform_and_circuit_distribution(self):
         inst = random_sd_instance(5)
         prefix = max(inst.c0.k_in, inst.c1.k_in)
         k_out = inst.c0.k_out
         dist = sequence_output_distribution(reduce_sd_to_sisd(inst).seq0)
-        assert dist.marginal(0, prefix) == uniform_distribution(prefix)
-        assert dist.marginal(prefix, prefix + k_out) == enumerate_distribution(inst.c0)
+        assert marginal(dist, 0, prefix) == uniform_distribution(prefix)
+        assert marginal(dist, prefix, prefix + k_out) == enumerate_distribution(inst.c0)
         # full product structure, not just the marginals
         circuit_dist = enumerate_distribution(inst.c0)
         for key, prob in dist.probs.items():
-            assert prob == Fraction(1, 2 ** prefix) * circuit_dist.prob(key & ((1 << k_out) - 1))
+            assert prob == Fraction(1, 2 ** prefix) * circuit_dist.probs.get(key & ((1 << k_out) - 1), 0)
 
     def test_reduced_sequences_validate_exhaustively(self):
         for index in range(8):
@@ -272,14 +249,7 @@ class TestReduction:
         red = reduce_sd_to_sisd(inst)
         assert red.seq0.k == 4 + 2
         assert len(red.seq0) == 2 * 4 + 1
-        lhs = tv_distance(
-            enumerate_distribution(inst.c0), enumerate_distribution(inst.c1)
-        )
-        rhs = tv_distance(
-            sequence_output_distribution(red.seq0),
-            sequence_output_distribution(red.seq1),
-        )
-        assert lhs == rhs
+        assert sd_distance(inst) == sisd_distance(red)
 
 
 def quartile_circuit(p: Fraction) -> BoolCircuit:
@@ -299,31 +269,25 @@ class TestPolarize:
         c1 = quartile_circuit(Fraction(3, 4))
         mixed0 = xor_combine(c0, c1, 2, 0)
         mixed1 = xor_combine(c0, c1, 2, 1)
-        delta = tv_distance(
-            enumerate_distribution(mixed0), enumerate_distribution(mixed1)
-        )
+        delta = tv_distance(enumerate_distribution(mixed0), enumerate_distribution(mixed1))
         assert delta == Fraction(9, 16)
 
     def test_direct_product_structure(self):
         c = quartile_circuit(Fraction(1, 4))
         doubled = direct_product(c, 2)
         dist = enumerate_distribution(doubled)
-        assert dist.prob(0b11) == Fraction(1, 16)
-        assert dist.prob(0b00) == Fraction(9, 16)
+        assert dist.probs[0b11] == Fraction(1, 16)
+        assert dist.probs[0b00] == Fraction(9, 16)
 
     def test_identical_circuits_stay_identical(self):
         c = random_circuit(2, 1, 5, seed=21)
         out = polarize(SdInstance(c, c, "1/3", "2/3"), k=2, xor_reps=2, product_reps=3)
-        assert tv_distance(
-            enumerate_distribution(out.c0), enumerate_distribution(out.c1)
-        ) == 0
+        assert sd_distance(out) == 0
 
     def test_disjoint_supports_stay_disjoint(self):
         inst = SdInstance(constant_circuit(2, "0"), constant_circuit(2, "1"), "1/3", "2/3")
         out = polarize(inst, k=2, xor_reps=2, product_reps=3)
-        assert tv_distance(
-            enumerate_distribution(out.c0), enumerate_distribution(out.c1)
-        ) == 1
+        assert sd_distance(out) == 1
         assert (out.a, out.b) == (Fraction(1, 4), Fraction(3, 4))
 
     def test_near_two_thirds_instance_lands_beyond_three_quarters(self):
@@ -334,9 +298,7 @@ class TestPolarize:
         raw = tv_distance(enumerate_distribution(c0), enumerate_distribution(c1))
         assert raw == Fraction(11, 16)
         out = polarize(SdInstance(c0, c1, "1/3", "2/3"), k=2, xor_reps=1, product_reps=3)
-        polarized = tv_distance(
-            enumerate_distribution(out.c0), enumerate_distribution(out.c1)
-        )
+        polarized = sd_distance(out)
         assert polarized == Fraction(3971, 4096)
         assert polarized >= Fraction(3, 4)
 
@@ -363,9 +325,7 @@ class TestPolarize:
             pytest.skip("outside the promise")
         inst = SdInstance(quartile_circuit(p0), quartile_circuit(p1), "1/3", "2/3")
         out = polarize(inst, k=2, xor_reps=2, product_reps=3)
-        result = tv_distance(
-            enumerate_distribution(out.c0), enumerate_distribution(out.c1)
-        )
+        result = sd_distance(out)
         if delta <= Fraction(1, 3):
             assert result <= out.a
         else:
@@ -379,9 +339,7 @@ class TestPolarize:
         raw = tv_distance(enumerate_distribution(and3), enumerate_distribution(or3))
         assert raw == Fraction(3, 4)
         out = polarize(SdInstance(and3, or3, "1/3", "2/3"), k=2, xor_reps=2, product_reps=3)
-        result = tv_distance(
-            enumerate_distribution(out.c0), enumerate_distribution(out.c1)
-        )
+        result = sd_distance(out)
         assert result == Fraction(6183, 8192)
         assert result > Fraction(3, 4)
 
@@ -424,8 +382,8 @@ def foldable_gates(circuit: BoolCircuit) -> list[Gate]:
 
 
 class TestKnownValueFolding:
-    """_Builder.add folds every gate whose value it already knows, and what
-    it builds computes what the unfolded gate computes."""
+    """CircuitBuilder.add folds every gate whose value it already knows, and
+    what it builds computes what the unfolded gate computes."""
 
     # wires of a two-input builder after its two constants: x, y, 0, 1
     OPERANDS = (0, 1, 2, 3)
@@ -436,7 +394,7 @@ class TestKnownValueFolding:
             unfolded = BoolCircuit(
                 2, 1, (Gate("CONST0", (), 2), Gate("CONST1", (), 3), Gate(kind, inputs, 4)), (4,)
             )
-            builder = _Builder(2)
+            builder = CircuitBuilder(2)
             assert [builder.add("CONST0"), builder.add("CONST1")] == [2, 3]
             folded = builder.build([builder.add(kind, *inputs)])
             for x in all_inputs(2):
@@ -456,7 +414,7 @@ class TestKnownValueFolding:
         )
         source = BoolCircuit(2, 1, gates, (7,))
         assert foldable_gates(source) == [gates[1], gates[3]]
-        builder = _Builder(2)
+        builder = CircuitBuilder(2)
         folded = builder.build(builder.inline(source, [0, 1]))
         assert foldable_gates(folded) == []
         # then XOR(w, w) is 0 and OR(x, 0) is x: no gate is left
@@ -465,7 +423,7 @@ class TestKnownValueFolding:
             assert eval_circuit(folded, x) == eval_circuit(source, x)
 
     def test_constants_are_shared_and_unread_ones_dropped(self):
-        builder = _Builder(1)
+        builder = CircuitBuilder(1)
         assert builder.add("CONST1") == builder.add("CONST1")
         unread = builder.add("CONST0")
         assert builder.add("AND", 0, unread) == unread
@@ -570,11 +528,7 @@ class TestSerialization:
 def test_reduction_preserves_distance_property(index):
     inst = random_sd_instance(index % 1000, seed=777, max_k_in=3, k_out_cap=2)
     red = reduce_sd_to_sisd(inst)
-    lhs = tv_distance(enumerate_distribution(inst.c0), enumerate_distribution(inst.c1))
-    rhs = tv_distance(
-        sequence_output_distribution(red.seq0), sequence_output_distribution(red.seq1)
-    )
-    assert lhs == rhs
+    assert sd_distance(inst) == sisd_distance(red)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +590,7 @@ class TestBlocksMatchOneBatch:
             step = involution(4, r, derive_seed(6, "step", index))
             flipped = with_rare_flip(step, derive_seed(6, "flip", index))
             pairs.append(InvPair(flipped if case == "shared" else step, flipped, 4, r))
-        pairs.append(xor_step(4, 1))
+        pairs.append(_xor_bit_step(4, 1))
         report = validate_sequence(InvertibleSequence(tuple(pairs), 4))
         expected = [
             one_batch_check(pair, index, np.arange(1 << (pair.k + pair.r)), True)

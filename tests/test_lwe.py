@@ -6,6 +6,7 @@ import operator
 import numpy as np
 import pytest
 from conftest import traced_peak_bytes
+from helpers import no_side_probability_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from oilab.lwe import (
     gap_experiment,
     lwe_to_gapcvp,
     no_side_log2_bound,
-    no_side_probability_bound,
     sample_discrete_gaussian,
     sample_lwe,
     sample_uniform,

@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from helpers import (
+    basis_state,
+    constant_circuit,
+    eval_circuit,
+    identity_circuit,
+    identity_unitary,
+    pauli_x,
+    pauli_z,
+    random_state,
+    unitary_to_json_dict,
+)
 
-from oilab.circuits import constant_circuit, eval_circuit, identity_circuit, random_circuit
+from oilab.circuits import random_circuit
 from oilab.config import MAX_ORACLE_UNITARIES
 from oilab.errors import (
     DegenerateInputError,
@@ -18,22 +29,13 @@ from oilab.qsim import (
     SimUnitary,
     StateVector,
     ci_oracle_query,
-    ci_vector,
-    identity_unitary,
     oi_oracle_query,
     oi_vector,
-    pauli_x,
-    pauli_z,
     permutation_unitary_from_circuit,
     phase_alignment,
     swap_test,
 )
 from oilab.seeding import derive_rng
-
-
-def random_state(n: int, rng) -> StateVector:
-    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
 
 
 def random_nonnegative_state(n: int, rng) -> StateVector:
@@ -43,6 +45,11 @@ def random_nonnegative_state(n: int, rng) -> StateVector:
 
 def random_permutation_unitary(n: int, rng) -> SimUnitary:
     return SimUnitary(n, table=rng.permutation(1 << n))
+
+
+def ci_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> np.ndarray:
+    """The unnormalized choice-interference vector: the block path's column sums."""
+    return qsim._alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries)))).sum(axis=0)
 
 
 def haar_unitary(n: int, rng) -> SimUnitary:
@@ -55,9 +62,9 @@ def haar_unitary(n: int, rng) -> SimUnitary:
 
 class TestStateVector:
     def test_basis_layout(self):
-        psi = StateVector.basis(2, "10")
+        psi = basis_state(2, "10")
         assert psi.amps[int("10", 2)] == 1.0
-        assert psi.norm() == 1.0
+        assert np.linalg.norm(psi.amps) == 1.0
 
     def test_length_checked(self):
         with pytest.raises(WidthError):
@@ -83,14 +90,14 @@ class TestSimUnitary:
 
     def test_permutation_apply_moves_basis(self):
         u = SimUnitary(1, table=np.array([1, 0]))  # bit flip
-        psi = StateVector.basis(1, "0")
-        assert np.allclose(u.apply(psi.amps), StateVector.basis(1, "1").amps)
+        psi = basis_state(1, "0")
+        assert np.allclose(u.apply(psi.amps), basis_state(1, "1").amps)
 
     def test_json_round_trip(self):
         u = random_permutation_unitary(2, derive_rng(0, "perm"))
-        assert np.array_equal(SimUnitary.from_json_dict(u.to_json_dict()).table, u.table)
+        assert np.array_equal(SimUnitary.from_json_dict(unitary_to_json_dict(u)).table, u.table)
         d = haar_unitary(1, derive_rng(0, "dense"))
-        assert np.allclose(SimUnitary.from_json_dict(d.to_json_dict()).matrix, d.matrix)
+        assert np.allclose(SimUnitary.from_json_dict(unitary_to_json_dict(d)).matrix, d.matrix)
 
 
 class TestPermutationFromCircuit:
@@ -147,13 +154,13 @@ class TestOiVector:
         u = haar_unitary(1, rng)
         result = oi_vector((u,), psi)
         assert np.allclose(result.vector, u.apply(psi.amps))
-        assert result.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(result.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_identities(self):
         psi = random_state(1, derive_rng(2, "oi-id"))
         result = oi_vector((identity_unitary(1),) * 3, psi)
         assert np.allclose(result.vector, 6 * psi.amps)
-        assert result.norm == pytest.approx(6.0, abs=1e-12)
+        assert np.linalg.norm(result.vector) == pytest.approx(6.0, abs=1e-12)
 
     def test_x_and_z_cancel_exactly(self):
         for i in range(5):
@@ -176,10 +183,10 @@ class TestOiVector:
             psi = random_state(2, rng)
             us = tuple(haar_unitary(2, rng) for _ in range(m))
             result = oi_vector(us, psi)
-            assert 0.0 <= result.norm <= math.factorial(m) + 1e-9
+            assert 0.0 <= np.linalg.norm(result.vector) <= math.factorial(m) + 1e-9
 
     def test_factorial_cap(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         with pytest.raises(ResourceError):
             oi_vector((identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1), psi)
 
@@ -191,7 +198,7 @@ class TestPhaseAlignment:
         assert phase_alignment(result.alphas) == pytest.approx(1.0, abs=1e-12)
 
     def test_x_z_cancellation_gives_zero(self):
-        result = oi_vector((pauli_x(), pauli_z()), StateVector.basis(1, "0"))
+        result = oi_vector((pauli_x(), pauli_z()), basis_state(1, "0"))
         # both orderings land on |1>, with amplitudes +1 and -1
         amps_at_one = sorted(result.alphas[:, 1].real)
         assert amps_at_one == [-1.0, 1.0]
@@ -216,7 +223,7 @@ class TestOiOracle:
         assert outcome.interference_norm == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_vector_always_fails_without_exception(self):
-        query = ((pauli_x(), pauli_z()), StateVector.basis(1, "0"), 50)
+        query = ((pauli_x(), pauli_z()), basis_state(1, "0"), 50)
         for i in range(5):
             outcome = oi_oracle_query(*query, derive_rng(10, i))
             assert not outcome.success
@@ -224,12 +231,12 @@ class TestOiOracle:
             assert outcome.state is None
 
     def test_single_unitary_lambda_one(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         u = pauli_x()
         outcome = oi_oracle_query((u,), psi, 1, derive_rng(11, "m1"))
         assert outcome.success_probability == pytest.approx(0.5, abs=1e-12)
         if outcome.success:
-            assert np.allclose(outcome.state.amps, StateVector.basis(1, "1").amps)
+            assert np.allclose(outcome.state.amps, basis_state(1, "1").amps)
 
     def test_success_state_is_normalized_oi(self):
         rng = derive_rng(12, "succ")
@@ -241,14 +248,14 @@ class TestOiOracle:
             if outcome.success:
                 reference = oi_vector(us, psi)
                 assert np.allclose(
-                    outcome.state.amps, reference.vector / reference.norm
+                    outcome.state.amps, reference.vector / np.linalg.norm(reference.vector)
                 )
                 break
         else:
             pytest.fail("no success in 20 attempts at lambda=1000")
 
     def test_empirical_frequency_three_sigma(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         query = ((identity_unitary(1), pauli_x()), psi, 7)
         p = oi_oracle_query(*query, derive_rng(0, "probe")).success_probability
         trials = 2000
@@ -273,7 +280,7 @@ class TestCiVector:
         assert np.allclose(ci_vector((identity_unitary(1),) * 2, psi), 2 * psi.amps)
 
     def test_x_z_on_zero(self):
-        total = ci_vector((pauli_x(), pauli_z()), StateVector.basis(1, "0"))
+        total = ci_vector((pauli_x(), pauli_z()), basis_state(1, "0"))
         assert np.allclose(total, np.array([1.0, 1.0]))
         assert np.linalg.norm(total) == pytest.approx(math.sqrt(2), abs=1e-12)
 
@@ -284,7 +291,7 @@ class TestCiVector:
             m = int(rng.integers(2, 6))
             psi = random_nonnegative_state(n, rng)
             us = tuple(random_permutation_unitary(n, rng) for _ in range(m))
-            norm = float(np.linalg.norm(ci_vector(us, psi)))
+            norm = ci_oracle_query(us, psi, 1, derive_rng(17, "draw", trial)).interference_norm
             assert norm >= math.sqrt(m) * (1 - 1e-12)
 
 
@@ -298,7 +305,7 @@ class TestCiOracle:
 
     def test_x_z_probability_value(self):
         outcome = ci_oracle_query(
-            (pauli_x(), pauli_z()), StateVector.basis(1, "0"), 10, derive_rng(19, "d")
+            (pauli_x(), pauli_z()), basis_state(1, "0"), 10, derive_rng(19, "d")
         )
         assert outcome.phase_alignment == pytest.approx(1.0, abs=1e-12)
         assert outcome.interference_norm == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -307,17 +314,17 @@ class TestCiOracle:
         assert outcome.success_probability == pytest.approx(0.87610, abs=5e-6)
 
     def test_single_choice(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         for lam in (1, 10, 100):
             outcome = ci_oracle_query((pauli_x(),), psi, lam, derive_rng(20, lam))
             assert outcome.success_probability == pytest.approx(
                 1 / (1 + 1 / lam), abs=1e-12
             )
             if outcome.success:
-                assert np.allclose(outcome.state.amps, StateVector.basis(1, "1").amps)
+                assert np.allclose(outcome.state.amps, basis_state(1, "1").amps)
 
     def test_empirical_frequency_three_sigma(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         us = (pauli_x(), pauli_z())
         p = ci_oracle_query(us, psi, 10, derive_rng(0, "probe")).success_probability
         trials = 2000
@@ -332,8 +339,8 @@ class TestCiOracle:
 class TestCiFastPath:
     """A choice-interference query over permutation tables on a real
     non-negative state sums the permuted states without the per-choice
-    block.  It agrees with the block path, whose alignment is 1 up to
-    rounding; any other query still takes the block path."""
+    block.  It agrees with the block path, whose alignment on such a block
+    is exactly 1 too; any other query still takes the block path."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -363,7 +370,7 @@ class TestCiFastPath:
                 permutation_unitary_from_circuit(_xor_bit_step(k, bit), z) for z in (0, 1)
             )
             yield unitaries, random_nonnegative_state(k, rng)
-            yield unitaries, StateVector.basis(k, format(bit, f"0{k}b"))
+            yield unitaries, basis_state(k, format(bit, f"0{k}b"))
         for trial in range(60):
             n = int(rng.integers(1, 9))
             unitaries = tuple(random_permutation_unitary(n, rng) for _ in range(2 << trial % 3))
@@ -384,16 +391,26 @@ class TestCiFastPath:
                     alphas.sum(axis=0), phase_alignment(alphas), len(alphas), lam, psi.n, rngs[1]
                 )
                 calls["outcomes"].clear()
-                # the block's alignment sums |alpha| in another order than
-                # |sum alpha|, so it may fall short of 1 by rounding
-                assert want.phase_alignment == pytest.approx(1.0, rel=1e-15)
+                assert want.phase_alignment == 1.0
                 assert got.interference_norm == want.interference_norm
                 assert got.norm_factor == want.norm_factor == got.success_probability
-                assert got.success_probability == pytest.approx(want.success_probability, rel=1e-15)
+                assert got.success_probability == want.success_probability
                 assert got.success == want.success
                 assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
                 if got.success:
                     assert got.state.amps.tobytes() == want.state.amps.tobytes()
+
+    def test_order_interference_on_counting_states_aligns_exactly(self):
+        # |alpha| and |sum alpha| sum in other orders, so a ratio could read below 1
+        rng = derive_rng(53, "oi-counting")
+        for trial in range(200):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+            counts = rng.integers(0, 9, size=1 << n) + (np.arange(1 << n) == 0)
+            psi = StateVector(n, counts / np.linalg.norm(counts))
+            unitaries = tuple(random_permutation_unitary(n, rng) for _ in range(m))
+            for state in (psi, as_complex(psi)):
+                outcome = oi_oracle_query(unitaries, state, 100, derive_rng(53, trial))
+                assert outcome.phase_alignment == 1.0
 
     def test_other_queries_take_the_block_path(self, calls):
         # a mixed-sign real state under I and X: (0.6, -0.8) + (-0.8, 0.6)
@@ -421,14 +438,14 @@ class TestSwapTest:
         assert result.estimate == 1.0
 
     def test_orthogonal_states_center_on_zero(self):
-        phi = StateVector.basis(1, "0")
-        psi = StateVector.basis(1, "1")
+        phi = basis_state(1, "0")
+        psi = basis_state(1, "1")
         result = swap_test(phi, psi, 20000, derive_rng(23, "orth"))
         assert result.exact_overlap == 0.0
         assert abs(result.estimate) < 0.05
 
     def test_known_overlap_accept_probability(self):
-        phi = StateVector.basis(1, "0")
+        phi = basis_state(1, "0")
         psi = StateVector(1, np.array([0.6, 0.8]))
         result = swap_test(phi, psi, 50000, derive_rng(24, "known"))
         assert result.exact_overlap == pytest.approx(0.36, abs=1e-12)
@@ -438,10 +455,10 @@ class TestSwapTest:
     def test_unnormalized_rejected(self):
         bad = StateVector(1, np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError):
-            swap_test(bad, StateVector.basis(1, "0"), 10, derive_rng(25, "bad"))
+            swap_test(bad, basis_state(1, "0"), 10, derive_rng(25, "bad"))
 
     def test_shot_validation(self):
-        psi = StateVector.basis(1, "0")
+        psi = basis_state(1, "0")
         with pytest.raises(ValueError):
             swap_test(psi, psi, 0, derive_rng(26, "z"))
 
@@ -476,10 +493,10 @@ class TestRealAmplitudes:
         assert StateVector(1, [1, 0]).amps.dtype == np.float64
         assert StateVector(1, np.array([0.6, 0.8], dtype=np.float32)).amps.dtype == np.float64
         assert StateVector(1, np.array([0.6, 0.8j])).amps.dtype == np.complex128
-        assert StateVector.basis(2, "01").amps.dtype == np.float64
+        assert basis_state(2, "01").amps.dtype == np.float64
         assert StateVector.zero(2).amps.dtype == np.float64
         assert StateVector.from_json_list([[1.0, 0.0], [0.0, 0.0]]).amps.dtype == np.complex128
-        real = StateVector.basis(1, "0")
+        real = basis_state(1, "0")
         assert oi_vector((identity_unitary(1),), real).vector.dtype == np.float64
         assert ci_vector((identity_unitary(1), pauli_z()), real).dtype == np.complex128
 

@@ -1,23 +1,29 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import (
+    constant_circuit,
+    cosine_similarity,
+    cosine_threshold_counterexamples,
+    exact_distribution,
+    identity_circuit,
+    identity_pair,
+    sd_distance,
+    uniform_distribution,
+)
 
 from oilab import solver
-from oilab.circuits import (
-    BoolCircuit,
-    Gate,
-    SdInstance,
-    constant_circuit,
-    enumerate_distribution,
-    identity_circuit,
-    random_circuit,
-)
+from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
 from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.distributions import Distribution, cosine_similarity, tv_distance, uniform_distribution
+from oilab.distributions import Distribution, tv_distance
 from oilab.errors import (
     GapViolationError,
     InvalidPairError,
@@ -36,21 +42,13 @@ from oilab.invseq import (
 from oilab.qsim import StateVector
 from oilab.seeding import derive_rng, derive_seed
 from oilab.solver import (
-    Decision,
     SolverConfig,
     StageRecord,
-    ThresholdCounterexample,
     build_output_state,
-    cosine_threshold_counterexamples,
     decide_sd,
     decide_sisd,
     derive_threshold,
 )
-
-
-def identity_pair(width: int) -> InvPair:
-    circuit = identity_circuit(width)
-    return InvPair(circuit, circuit, width, 0)
 
 
 def and4_circuit() -> BoolCircuit:
@@ -189,9 +187,7 @@ class TestDecideSisd:
     def test_yes_side_frequency(self):
         # distance 1/16 <= 0.1, known by brute force
         inst_raw = SdInstance(and4_circuit(), constant_circuit(4, "0"), "0.1", "0.9")
-        delta = tv_distance(
-            enumerate_distribution(inst_raw.c0), enumerate_distribution(inst_raw.c1)
-        )
+        delta = sd_distance(inst_raw)
         assert delta == Fraction(1, 16)
         inst = reduce_sd_to_sisd(inst_raw)
         yes = sum(
@@ -344,6 +340,25 @@ class TestStepTableMemo:
         assert len(table_builds) == 2 * 4 + 1
 
 
+def test_corpus_decisions_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS reads its thread count at import: one fresh process per count
+    script = (
+        "import hashlib, json; from oilab import corpus, solver\n"
+        "items = corpus.polarize_corpus(corpus.build_sd_corpus(20, 2026))\n"
+        "cfg = solver.SolverConfig(seed=99)\n"
+        "reports = [solver.decide_sd(item.instance, cfg).to_json_dict() for item in items]\n"
+        "print(hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
+
+
 class TestSolverConfig:
     def test_counts_validated(self):
         with pytest.raises(ValueError):
@@ -365,12 +380,7 @@ class TestThresholdScan:
                 weights = rng.integers(0, 16, n)
                 if weights.sum() == 0:
                     weights[0] = 1
-                total = int(weights.sum())
-                pair.append(
-                    Distribution(
-                        width, {i: Fraction(int(w), total) for i, w in enumerate(weights) if w}
-                    )
-                )
+                pair.append(exact_distribution(width, weights))
             pairs.append(tuple(pair))
         return pairs
 
