@@ -71,7 +71,7 @@ class Gate:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolCircuit:
     """Deterministic total map {0,1}^k_in -> {0,1}^k_out."""
 
@@ -367,7 +367,7 @@ class CircuitBuilder:
         return BoolCircuit(k_in, len(outputs), tuple(gates), tuple(renumbered[w] for w in outputs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SdInstance:
     """A statistical-difference instance: two circuits with a promise gap.
 

@@ -30,7 +30,7 @@ POLARIZE_K = 2
 POLARIZE_REPS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledInstance:
     instance: SdInstance
     delta: Fraction
@@ -68,10 +68,12 @@ def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
 
 
 def polarize_corpus(corpus: list[LabeledInstance]) -> list[LabeledInstance]:
-    """Amplify every instance; labels carry over (they describe the raw side)."""
+    """Amplify every instance; labels carry over (they describe the raw side).
+    Equal gates of the whole result are one object."""
+    shared: dict = {}
     return [
         LabeledInstance(
-            polarize(item.instance, POLARIZE_K, POLARIZE_REPS, POLARIZE_REPS),
+            polarize(item.instance, POLARIZE_K, POLARIZE_REPS, POLARIZE_REPS, shared),
             item.delta,
             item.label,
         )

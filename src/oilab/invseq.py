@@ -13,7 +13,10 @@ XORs fresh random bits into a scratch register (building a uniform input),
 the deterministic middle step XORs the compiled circuit's value into the
 output register, and the final block re-perturbs the scratch register so
 its content becomes an independent uniform string.  The construction
-preserves total-variation distance exactly.
+preserves total-variation distance exactly.  A perturb step's permutation
+for randomness z is the identity with one bit flipped when z is 1;
+``perturbed_bit`` recognizes such a step, so the solver can write its
+tables in closed form instead of evaluating the circuit.
 
 ``polarize`` is the gap amplifier used when the raw promise parameters
 fail the decision gap condition: an XOR-combination drives close
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, CircuitBuilder, SdInstance, blocks, eval_circuit_batch
+from .circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, blocks, eval_circuit_batch
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -297,6 +300,22 @@ def _xor_bit_step(state_width: int, bit: int) -> InvPair:
     return InvPair(circuit, circuit, state_width, 1)
 
 
+def perturbed_bit(pair: InvPair) -> int | None:
+    """The state bit ``pair`` XORs its random bit into when it equals
+    ``_xor_bit_step(pair.k, bit)``, else None; a structural check that
+    evaluates nothing."""
+    circuit = pair.forward
+    if pair.r != 1 or pair.backward != circuit or len(circuit.gates) != 1:
+        return None
+    k, (gate,) = pair.k, circuit.gates
+    bit = gate.inputs[0]
+    if gate.kind != "XOR" or gate.inputs[1:] != (k,) or bit >= k:
+        return None
+    outputs = list(range(k))
+    outputs[bit] = k + 1  # the one gate's wire
+    return bit if circuit.outputs == tuple(outputs) else None
+
+
 def _apply_circuit_step(circuit: BoolCircuit, prefix_width: int) -> InvPair:
     """Deterministic step (x, y) -> (x, y XOR circuit(x-prefix)); an involution."""
     state_width = prefix_width + circuit.k_out
@@ -384,7 +403,13 @@ def decision_gap(a: Fraction, b: Fraction) -> Fraction:
     return b * b - 2 * a + a * a
 
 
-def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdInstance:
+def polarize(
+    inst: SdInstance,
+    k: int,
+    xor_reps: int,
+    product_reps: int,
+    shared: dict[Gate, Gate] | None = None,
+) -> SdInstance:
     """Amplify the promise gap to (2^-k, 1 - 2^-k).
 
     Applies the XOR-combination first (so a close pair lands below
@@ -393,7 +418,9 @@ def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdIn
     with ``xor_reps * product_reps``, so the caller picks both counts for
     the qubit budget at hand.  The two circuits differ only where the
     selector parity reaches, so each gate of c1 that equals a gate of c0 is
-    that same (frozen) object.
+    that same (frozen) object.  ``shared`` maps each gate to the object that
+    stands for it; one dict passed to many calls shares equal gates across
+    all their circuits.
     """
     if inst.b * inst.b <= inst.a:
         raise PreconditionError(
@@ -405,8 +432,11 @@ def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdIn
     def compile_one(which: int) -> BoolCircuit:
         return direct_product(xor_combine(inst.c0, inst.c1, xor_reps, which), product_reps)
 
-    c0, c1 = compile_one(0), compile_one(1)
-    shared = {gate: gate for gate in c0.gates}
-    c1 = replace(c1, gates=tuple(shared.get(gate, gate) for gate in c1.gates))
+    if shared is None:
+        shared = {}
+    c0, c1 = (
+        replace(circuit, gates=tuple(shared.setdefault(gate, gate) for gate in circuit.gates))
+        for circuit in (compile_one(0), compile_one(1))
+    )
     a_out = Fraction(1, 2 ** k)
     return SdInstance(c0, c1, a_out, 1 - a_out)

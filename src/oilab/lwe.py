@@ -397,6 +397,8 @@ def gap_experiment(
     calibration); the asymptotic approximation factor for the containment
     regime is reported alongside for reference.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     d = params.distance_threshold
     rows: list[GapTrialRow] = []
     lwe_dists: list[float] = []

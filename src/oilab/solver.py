@@ -4,10 +4,13 @@ The output-distribution state of a sequence is built iteratively: starting
 from the all-zero basis state, each random step is one choice-interference
 oracle call over the step's per-randomness permutations (retried under a
 budget, since the oracle is probabilistic), and each deterministic step is
-a direct permutation application.  The resulting amplitudes are
-proportional to the sequence's output probabilities, so the swap test
-between the two states estimates the squared cosine similarity of the two
-output distributions, which the promise gap separates across a threshold.
+a direct permutation application.  Each distinct step's permutation
+tables are built once per decision (``StepTables``): a perturbation step's
+in closed form, any other step's by evaluating its circuit.  The
+resulting amplitudes are proportional to the sequence's output
+probabilities, so the swap test between the two states estimates the
+squared cosine similarity of the two output distributions, which the
+promise gap separates across a threshold.
 
 Thresholding: a YES instance (distance <= a) keeps the squared overlap at
 or above (1-a)^2 while a NO instance (distance > b) pushes it below
@@ -32,7 +35,7 @@ import numpy as np
 from .circuits import SdInstance
 from .config import QUBIT_CAP
 from .errors import GapViolationError, OracleFailureError, ResourceError
-from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, reduce_sd_to_sisd
+from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, perturbed_bit, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
 from .qsim import SimUnitary, StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
 from .seeding import derive_rng
@@ -92,12 +95,42 @@ class StageRecord:
     min_real_amplitude: float
 
 
+class StepTables(dict):
+    """One decision's memo: each distinct step maps to its permutation
+    unitaries, one per randomness, built on first lookup, so a
+    non-bijective step fails at its own stage.
+
+    A perturbation step (``invseq.perturbed_bit``) gets its two tables in
+    closed form, the identity and the identity with one bit flipped, and
+    all of them share one identity; every other step is evaluated through
+    ``permutation_unitary_from_circuit``.  Both pass SimUnitary's
+    bijection check.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._identities: dict[int, SimUnitary] = {}  # state width -> identity
+
+    def __missing__(self, pair: InvPair) -> tuple[SimUnitary, ...]:
+        bit = perturbed_bit(pair)
+        if bit is None:
+            unitaries = tuple(permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r))
+        else:
+            k = pair.k
+            identity = self._identities.get(k)
+            if identity is None:
+                identity = self._identities[k] = SimUnitary(k, table=np.arange(1 << k))
+            unitaries = (identity, SimUnitary(k, table=identity.table ^ (1 << (k - 1 - bit))))
+        self[pair] = unitaries
+        return unitaries
+
+
 def build_output_state(
     seq: InvertibleSequence,
     cfg: SolverConfig,
     rng: np.random.Generator,
     stage_log: list[StageRecord] | None = None,
-    tables: dict[InvPair, tuple[SimUnitary, ...]] | None = None,
+    tables: StepTables | None = None,
 ) -> StateVector:
     """Iteratively build the sequence's output-distribution state.
 
@@ -108,22 +141,16 @@ def build_output_state(
     states must keep non-negative real amplitudes (they are counting
     states), which is asserted per stage.
 
-    ``tables`` maps each step seen so far to its permutation unitaries, one
-    per randomness; a step equal to one already built reads its entry, and
-    a new one is built when its stage comes, so a non-bijective step fails
-    at its own stage.
+    ``tables`` is the decision's step memo; a step equal to one already
+    built reads its entry.
     """
     if seq.k > QUBIT_CAP:
         raise ResourceError(f"state width {seq.k} exceeds qubit cap {QUBIT_CAP}")
     if tables is None:
-        tables = {}
+        tables = StepTables()
     state = StateVector.zero(seq.k)
     for stage, pair in enumerate(seq.pairs):
-        unitaries = tables.get(pair)
-        if unitaries is None:
-            unitaries = tables[pair] = tuple(
-                permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r)
-            )
+        unitaries = tables[pair]
         if pair.r == 0:
             state = StateVector(seq.k, unitaries[0].apply(state.amps))
             attempts, probability = 0, 1.0
@@ -184,7 +211,7 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     spec = derive_threshold(inst.a, inst.b)
     log0: list[StageRecord] = []
     log1: list[StageRecord] = []
-    tables: dict[InvPair, tuple[SimUnitary, ...]] = {}
+    tables = StepTables()
     state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, tables)
     state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, tables)
     estimates = []

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -506,6 +507,19 @@ class TestLwe:
         )
         assert code == 0
         assert strict_json(output.out)["asymptotic_gamma"] is None
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_experiment_needs_a_trial(self, trials, capsys):
+        # 0 trials divided by zero; negative counts warned and printed NaN rates
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, output = run(
+                capsys,
+                ["lwe", "experiment", "--n", 2, "--q", 11, "--m", 4, "--alpha", 0.02,
+                 "--trials", trials],
+            )
+        assert code == 2 and output.out == ""
+        assert output.err == f"error: trials must be >= 1, got {trials}\n"
 
     @pytest.mark.parametrize(
         "flag, value",

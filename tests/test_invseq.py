@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import traced_peak_bytes
+from conftest import traced_kept_bytes, traced_peak_bytes
 from helpers import (
     constant_circuit,
     eval_circuit,
@@ -466,6 +466,16 @@ class TestLiveInlining:
             assert shared and len(shared) < len(out.c1.gates)
             assert all(gate is first[gate] for gate in shared)
 
+    def test_polarized_corpus_shares_equal_gates_across_instances(self):
+        polarized = polarize_corpus(build_sd_corpus(20, 2026))
+        first: dict = {}
+        repeats = 0
+        for item in polarized:
+            for gate in item.instance.c0.gates + item.instance.c1.gates:
+                repeats += gate in first
+                assert first.setdefault(gate, gate) is gate
+        assert repeats > len(first)
+
     def test_direct_product_concatenates_scalar_outputs(self):
         for c in self.SOURCES:
             doubled = direct_product(c, 2)
@@ -646,7 +656,19 @@ class TestBlocksMatchOneBatch:
 
 class TestMemoryBounds:
     """Peak traced allocation of the brute-force paths, each of which holds
-    one block (and validation one int64 table) whatever the domain."""
+    one block (and validation one int64 table) whatever the domain, and
+    the memory a kept polarized instance holds."""
+
+    def test_kept_polarized_instances(self):
+        # five corpora as the decide-corpus benchmark keeps them: 2.3 KB per
+        # instance before gates were shared across a corpus and the instance
+        # types had slots
+        def corpora():
+            seeds = [derive_seed(2026, "corpus", number) for number in range(5)]
+            return [polarize_corpus(build_sd_corpus(20, seed)) for seed in seeds]
+
+        corpora()  # module-level caches are filled before tracing
+        assert traced_kept_bytes(corpora) / 100 < 1_800
 
     def test_exhaustive_validation_of_a_width_20_pair(self):
         inst = SdInstance(random_circuit(16, 4, 40, seed=1), random_circuit(16, 4, 40, seed=2), 0, 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak_bytes
 from helpers import (
     constant_circuit,
     cosine_similarity,
@@ -22,6 +23,7 @@ from helpers import (
 
 from oilab import solver
 from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
+from oilab.config import QUBIT_CAP
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, tv_distance
 from oilab.errors import (
@@ -36,14 +38,16 @@ from oilab.invseq import (
     InvPair,
     SisdInstance,
     _xor_bit_step,
+    perturbed_bit,
     polarize,
     reduce_sd_to_sisd,
 )
-from oilab.qsim import StateVector
+from oilab.qsim import StateVector, permutation_unitary_from_circuit
 from oilab.seeding import derive_rng, derive_seed
 from oilab.solver import (
     SolverConfig,
     StageRecord,
+    StepTables,
     build_output_state,
     decide_sd,
     decide_sisd,
@@ -290,7 +294,8 @@ def table_builds(monkeypatch):
 
 class TestStepTableMemo:
     """Each distinct step's tables are built once per decision, in stage
-    order, and the decisions are those of unmemoized builds."""
+    order, perturbation steps in closed form, and the decisions are those
+    of unmemoized circuit-evaluated builds."""
 
     @pytest.fixture(scope="class")
     def corpus_pass(self):
@@ -306,12 +311,13 @@ class TestStepTableMemo:
         return widths, per_decision, reports
 
     def test_corpus_pass_builds_each_distinct_step_once(self, corpus_pass):
-        # p = 10 (width 14) or 6 (width 10) perturb steps of two tables each,
-        # shared by both sequences, plus each sequence's middle step: 2p + 2
-        # builds, against 8p + 2 without the memo
+        # the p = 10 (width 14) or 6 (width 10) perturb steps, shared by both
+        # sequences, take their tables in closed form; only each sequence's
+        # middle step is evaluated, against 8p + 2 builds without the memo
         widths, per_decision, _ = corpus_pass
-        assert per_decision == [{14: 22, 10: 14}[width] for width in widths]
-        assert sum(per_decision) == 408
+        assert set(widths) == {14, 10}
+        assert per_decision == [2] * len(widths)
+        assert sum(per_decision) == 40
 
     def test_corpus_decisions_match_the_recorded_digest(self, corpus_pass):
         reports = [
@@ -331,13 +337,84 @@ class TestStepTableMemo:
         seq1 = InvertibleSequence((flip,), 1)
         with pytest.raises(InvalidPairError, match="randomness 1"):
             decide_sisd(SisdInstance(seq0, seq1, 0, 1), SolverConfig(seed=4))
-        assert table_builds == [(flip, 0), (flip, 1), (broken, 0), (broken, 1)]
+        assert table_builds == [(broken, 0), (broken, 1)]
 
     def test_equal_steps_of_both_sequences_share_tables(self, table_builds):
         seq = reduce_sd_to_sisd(SdInstance(and4_circuit(), and4_circuit(), 0, 1)).seq0
         copy = InvertibleSequence.from_json_dict(seq.to_json_dict())
         decide_sisd(SisdInstance(seq, copy, 0, 1), SolverConfig(seed=6, trial_count=1))
-        assert len(table_builds) == 2 * 4 + 1
+        # the 4 perturb steps take closed-form tables; the equal middle steps
+        # are evaluated once
+        assert len(table_builds) == 1
+
+
+def xor_bit_like(k: int, bit: int, kind: str = "XOR", outputs=None) -> BoolCircuit:
+    """A one-gate circuit shaped like ``_xor_bit_step(k, bit).forward``."""
+    if outputs is None:
+        outputs = tuple(k + 1 if j == bit else j for j in range(k))
+    return BoolCircuit(k + 1, k, (Gate(kind, (bit, k), k + 1),), outputs)
+
+
+class TestClosedFormPerturbSteps:
+    """Perturbation steps take their tables in closed form; the tables are
+    exactly those of the circuit path, and any other step takes that path."""
+
+    def test_tables_equal_the_circuit_path_at_every_width_and_bit(self, table_builds):
+        for k in range(1, QUBIT_CAP + 1):
+            tables = StepTables()
+            for bit in range(k):
+                step = _xor_bit_step(k, bit)
+                assert perturbed_bit(step) == bit
+                closed = tables[step]
+                assert tables[step] is closed and len(closed) == 2
+                for z in (0, 1):
+                    circuit = permutation_unitary_from_circuit(step, z).table
+                    assert closed[z].table.dtype == circuit.dtype
+                    assert np.array_equal(closed[z].table, circuit)
+            # one identity for every perturbation step of the memo
+            assert len({id(tables[_xor_bit_step(k, bit)][0]) for bit in range(k)}) == 1
+        assert table_builds == []
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            # backward differs from forward: the same map, inputs swapped
+            InvPair(xor_bit_like(3, 1), BoolCircuit(4, 3, (Gate("XOR", (3, 1), 4),), (0, 4, 2)), 3, 1),
+            # the flipped bit is read out at another position
+            InvPair(xor_bit_like(3, 1, outputs=(0, 2, 4)), xor_bit_like(3, 1, outputs=(0, 2, 4)), 3, 1),
+            InvPair(xor_bit_like(3, 1, outputs=(2, 4, 0)), xor_bit_like(3, 1, outputs=(2, 4, 0)), 3, 1),
+        ],
+        ids=["backward-differs", "output-rewired", "outputs-swapped"],
+    )
+    def test_other_steps_take_the_circuit_path(self, pair, table_builds):
+        assert perturbed_bit(pair) is None
+        StepTables()[pair]
+        assert table_builds == [(pair, 0), (pair, 1)]
+
+    @pytest.mark.parametrize("kind, z", [("OR", 1), ("AND", 0)])
+    def test_another_gate_kind_is_evaluated_and_rejected(self, kind, z, table_builds):
+        # OR with z = 1 and AND with z = 0 are constant on the bit: a
+        # closed-form table would hide that the step is not a bijection
+        circuit = xor_bit_like(3, 1, kind)
+        pair = InvPair(circuit, circuit, 3, 1)
+        assert perturbed_bit(pair) is None
+        with pytest.raises(InvalidPairError, match=f"randomness {z}"):
+            StepTables()[pair]
+        assert table_builds == [(pair, built) for built in range(z + 1)]
+
+
+class TestDecisionMemory:
+    def test_a_width_14_decision_peak(self):
+        # one shared identity and closed-form perturbation tables: 3.6 MB
+        # traced when every perturbation step was evaluated
+        item = next(
+            item
+            for item in polarize_corpus(build_sd_corpus(20, 2026))
+            if reduce_sd_to_sisd(item.instance).seq0.k == 14
+        )
+        cfg = SolverConfig(seed=99)
+        decide_sd(item.instance, cfg)
+        assert traced_peak_bytes(lambda: decide_sd(item.instance, cfg)) < 2_750_000
 
 
 def test_corpus_decisions_do_not_depend_on_the_blas_thread_count():
