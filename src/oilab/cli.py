@@ -10,7 +10,22 @@ budget: at most 2^B enumerated inputs or CVP candidates, by default
 randomness (``decide sd|sisd|corpus``, ``oracle oi|ci``, ``validate``,
 ``lwe gen``, ``lwe experiment``) take ``--seed``.  An oracle call reads
 lambda from its query file; the decide flags default to ``SolverConfig``'s
-fields.
+fields, whose values ``config`` holds.
+
+A shell call pays for every module it imports, and compiling and running
+all of them was about a fifth of a cold call.  So this module imports
+only ``config``, ``errors``, ``jsonio`` and ``circuits`` (with what they
+import); ``invseq``, ``qsim``, ``solver``, ``corpus`` and ``lwe`` are
+imported by the first handler that needs one.  ``circuit stats`` loads
+none of them, ``validate`` and ``reduce`` load ``invseq``, ``oracle``
+loads ``qsim`` (and ``invseq``), ``decide`` loads ``solver`` (and what it
+imports), ``decide corpus`` also ``corpus``, and the ``lwe`` commands load
+``lwe``.  The deferred names are declared in one table, ``_DEFERRED``;
+the module ``__getattr__`` (PEP 562) imports a name on first lookup and
+keeps it in the module's globals, and a name whose module is loaded
+already when this module is imported is bound then.  Handlers look them
+up on the module at call time, so a probe or monkeypatch on
+``oilab.cli.decide_sd`` sees the call.
 
 Every report embeds the seed, a hash of the parsed configuration, and the
 package version; re-running a command with the same inputs and seed
@@ -22,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import math
 import sys
@@ -29,16 +45,8 @@ from fractions import Fraction
 
 from . import __version__
 from .circuits import BoolCircuit, SdInstance, enumerate_distribution
-from .config import CVP_BITS, ENUM_BITS
-from .corpus import build_sd_corpus, polarize_corpus
+from .config import CALIBRATED_FACTOR, CVP_BITS, ENUM_BITS, LAMBDA, RETRY_BUDGET, SWAP_SHOTS, TRIAL_COUNT
 from .errors import OilabError
-from .invseq import (
-    InvertibleSequence,
-    SisdInstance,
-    polarize,
-    reduce_sd_to_sisd,
-    validate_sequence,
-)
 from .jsonio import (
     atomic_write_text,
     canonical_dumps,
@@ -51,20 +59,46 @@ from .jsonio import (
     typed_fields,
     write_json,
 )
-from .lwe import (
-    CALIBRATED_FACTOR,
-    GapCvpInstance,
-    LweInstance,
-    LweParams,
-    gap_experiment,
-    lwe_to_gapcvp,
-    sample_lwe,
-    sample_uniform,
-    squared_distance_to_lattice,
-)
-from .qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query
 from .seeding import derive_rng
-from .solver import SolverConfig, decide_sd, decide_sisd
+
+# deferred name -> the module that defines it, imported on first use
+_DEFERRED = {
+    name: module
+    for module, names in (
+        ("corpus", ("build_sd_corpus", "polarize_corpus")),
+        ("invseq", ("InvertibleSequence", "SisdInstance", "polarize", "reduce_sd_to_sisd", "validate_sequence")),
+        ("lwe", (
+            "GapCvpInstance", "LweInstance", "LweParams", "gap_experiment", "lwe_to_gapcvp",
+            "sample_lwe", "sample_uniform", "squared_distance_to_lattice",
+        )),
+        ("qsim", ("SimUnitary", "StateVector", "ci_oracle_query", "oi_oracle_query")),
+        ("solver", ("SolverConfig", "decide_sd", "decide_sisd")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Import a deferred name's module and keep the name in this module's
+    globals, where later lookups, probes and monkeypatches find it."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+# a name whose module is loaded already costs nothing to bind, so it is bound
+# now, as an import statement would: a probe installed later on its home
+# module then leaves this module's name as it was, as at any other call site
+globals().update(
+    (name, getattr(sys.modules[f"{__package__}.{module}"], name))
+    for name, module in _DEFERRED.items()
+    if f"{__package__}.{module}" in sys.modules
+)
+
+# handlers reach deferred names through this module, at call time
+_cli = sys.modules[__name__]
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -126,7 +160,7 @@ def _cmd_circuit_stats(args) -> int:
 
 def _cmd_reduce(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
-    reduced = reduce_sd_to_sisd(inst)
+    reduced = _cli.reduce_sd_to_sisd(inst)
     write_json(args.out, reduced.to_json_dict())
     payload = {
         "length": len(reduced.seq0),
@@ -140,7 +174,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_polarize(args) -> int:
     inst = SdInstance.from_json_dict(load_json(args.instance))
-    out = polarize(inst, args.k, args.xor_reps, args.product_reps)
+    out = _cli.polarize(inst, args.k, args.xor_reps, args.product_reps)
     write_json(args.out, out.to_json_dict())
     payload = {
         "a": fraction_to_string(out.a),
@@ -154,13 +188,11 @@ def _cmd_polarize(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    # decide_sd/decide_sisd are looked up at call time, so a probe installed
-    # on this module's names sees the call
     if args.sub == "sd":
-        instance_type, decide = SdInstance, decide_sd
+        instance_type, decide = SdInstance, _cli.decide_sd
     else:
-        instance_type, decide = SisdInstance, decide_sisd
-    cfg = SolverConfig(
+        instance_type, decide = _cli.SisdInstance, _cli.decide_sisd
+    cfg = _cli.SolverConfig(
         lam=args.lam,
         retry_budget=args.retry_budget,
         swap_shots=args.shots,
@@ -173,10 +205,11 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_decide_corpus(args) -> int:
-    cfg = SolverConfig(seed=args.seed)
+    cfg = _cli.SolverConfig(seed=args.seed)
     rows = []
-    for index, item in enumerate(polarize_corpus(build_sd_corpus(args.instances, args.seed))):
-        decision = decide_sd(item.instance, cfg)
+    corpus = _cli.polarize_corpus(_cli.build_sd_corpus(args.instances, args.seed))
+    for index, item in enumerate(corpus):
+        decision = _cli.decide_sd(item.instance, cfg)
         rows.append({
             "index": index,
             "raw_delta": fraction_to_string(item.delta),
@@ -191,24 +224,22 @@ def _cmd_decide_corpus(args) -> int:
     return EXIT_YES
 
 
-def _load_oracle_query(path: str) -> tuple[tuple[SimUnitary, ...], StateVector, int]:
+def _load_oracle_query(path: str) -> tuple:
+    """The query file's (unitaries, psi, lambda)."""
     obj = load_json(path)
     with typed_fields("oracle query"):
         unitaries = tuple(
-            SimUnitary.from_json_dict(raw)
+            _cli.SimUnitary.from_json_dict(raw)
             for raw in require_field(obj, "unitaries", "oracle query")
         )
-        psi = StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
+        psi = _cli.StateVector.from_json_list(require_field(obj, "psi", "oracle query"))
         lam = require_int(require_field(obj, "lambda", "oracle query"), "lambda")
     return unitaries, psi, lam
 
 
-_ORACLES = {"oi": oi_oracle_query, "ci": ci_oracle_query}
-
-
 def _cmd_oracle(args) -> int:
     unitaries, psi, lam = _load_oracle_query(args.query)
-    query = _ORACLES[args.sub]
+    query = _cli.oi_oracle_query if args.sub == "oi" else _cli.ci_oracle_query
     outcome = query(unitaries, psi, lam, derive_rng(args.seed, "oracle", args.sub))
     payload = {
         "success": outcome.success,
@@ -220,9 +251,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lwe_gen(args) -> int:
-    params = LweParams(args.n, args.q, args.m, args.alpha)
+    params = _cli.LweParams(args.n, args.q, args.m, args.alpha)
     rng = derive_rng(args.seed, "lwe-gen", "uniform" if args.uniform else "lwe")
-    inst = sample_uniform(params, rng) if args.uniform else sample_lwe(params, rng)
+    inst = _cli.sample_uniform(params, rng) if args.uniform else _cli.sample_lwe(params, rng)
     write_json(args.out, inst.to_json_dict())
     payload = {"origin": inst.origin, "d": params.distance_threshold, "written": args.out}
     _report(args, "lwe gen", payload)
@@ -230,16 +261,16 @@ def _cmd_lwe_gen(args) -> int:
 
 
 def _cmd_lwe_to_gapcvp(args) -> int:
-    inst = LweInstance.from_json_dict(load_json(args.instance))
-    cvp = lwe_to_gapcvp(inst, args.gamma)
+    inst = _cli.LweInstance.from_json_dict(load_json(args.instance))
+    cvp = _cli.lwe_to_gapcvp(inst, args.gamma)
     write_json(args.out, cvp.to_json_dict())
     _report(args, "lwe to-gapcvp", {"d": cvp.d, "gamma": cvp.gamma, "written": args.out})
     return EXIT_YES
 
 
 def _cmd_lwe_dist(args) -> int:
-    cvp = GapCvpInstance.from_json_dict(load_json(args.instance))
-    dist_sq = squared_distance_to_lattice(cvp, _cap_bits(args, CVP_BITS))
+    cvp = _cli.GapCvpInstance.from_json_dict(load_json(args.instance))
+    dist_sq = _cli.squared_distance_to_lattice(cvp, _cap_bits(args, CVP_BITS))
     d_sq = Fraction(cvp.d) ** 2  # exact, so a d beyond the float range compares too
     payload = {
         "dist": math.sqrt(dist_sq),
@@ -253,9 +284,9 @@ def _cmd_lwe_dist(args) -> int:
 
 
 def _cmd_lwe_experiment(args) -> int:
-    params = LweParams(args.n, args.q, args.m, args.alpha)
+    params = _cli.LweParams(args.n, args.q, args.m, args.alpha)
     cap_bits = _cap_bits(args, CVP_BITS)
-    report = gap_experiment(params, args.gamma, args.trials, args.seed, args.factor, cap_bits)
+    report = _cli.gap_experiment(params, args.gamma, args.trials, args.seed, args.factor, cap_bits)
     prefix = args.out_prefix
     _report(args, "lwe experiment", report.to_json_dict(), prefix and prefix + ".json")
     if prefix:
@@ -271,12 +302,12 @@ def _cmd_validate(args) -> int:
     obj = load_json(args.instance)
     if isinstance(obj, dict) and "seq0" in obj:  # a full two-sequence instance
         sequences = [
-            InvertibleSequence.from_json_dict(require_field(obj, key, "sisd instance"))
+            _cli.InvertibleSequence.from_json_dict(require_field(obj, key, "sisd instance"))
             for key in ("seq0", "seq1")
         ]
     else:
-        sequences = [InvertibleSequence.from_json_dict(obj)]
-    reports = [validate_sequence(seq, seed=args.seed) for seq in sequences]
+        sequences = [_cli.InvertibleSequence.from_json_dict(obj)]
+    reports = [_cli.validate_sequence(seq, seed=args.seed) for seq in sequences]
     payload = {
         "ok": all(r.ok for r in reports),
         "sequences": [
@@ -324,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--out", default=None, help="write the JSON report here")
     solver = argparse.ArgumentParser(add_help=False)
-    solver.add_argument("--lambda", dest="lam", type=int, default=SolverConfig.lam)
-    solver.add_argument("--shots", type=int, default=SolverConfig.swap_shots)
-    solver.add_argument("--trials", type=int, default=SolverConfig.trial_count)
-    solver.add_argument("--retry-budget", type=int, default=SolverConfig.retry_budget)
+    solver.add_argument("--lambda", dest="lam", type=int, default=LAMBDA)
+    solver.add_argument("--shots", type=int, default=SWAP_SHOTS)
+    solver.add_argument("--trials", type=int, default=TRIAL_COUNT)
+    solver.add_argument("--retry-budget", type=int, default=RETRY_BUDGET)
 
     circuit = sub.add_parser("circuit").add_subparsers(dest="sub", required=True)
     stats = circuit.add_parser(
@@ -363,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.set_defaults(handler=_cmd_decide_corpus)
 
     oracle = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    for name in _ORACLES:
+    for name in ("oi", "ci"):
         op = oracle.add_parser(name, parents=[seeded, report])
         op.add_argument("--query", required=True)
         op.set_defaults(handler=_cmd_oracle)

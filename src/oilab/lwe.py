@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import CVP_BITS
+from .config import CALIBRATED_FACTOR, CVP_BITS
 from .errors import ResourceError, WidthError
 from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 from .seeding import derive_rng
@@ -326,9 +326,6 @@ def szk_regime_gamma(n: int, c_prime: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 # the gap experiment
 
-CALIBRATED_FACTOR = 3.0  # the NO side lies beyond this many times d
-
-
 @dataclass(frozen=True)
 class GapTrialRow:
     trial: int
@@ -399,6 +396,8 @@ def gap_experiment(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not calibrated_factor > 0:
+        raise ValueError(f"factor must be > 0, got {calibrated_factor}")
     d = params.distance_threshold
     rows: list[GapTrialRow] = []
     lwe_dists: list[float] = []

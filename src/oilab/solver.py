@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuits import SdInstance
-from .config import QUBIT_CAP
+from .config import LAMBDA, QUBIT_CAP, RETRY_BUDGET, SWAP_SHOTS, TRIAL_COUNT
 from .errors import GapViolationError, OracleFailureError, ResourceError
 from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, perturbed_bit, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
@@ -45,15 +45,17 @@ AMPLITUDE_REALITY_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    lam: int = 100              # oracle patience parameter
-    retry_budget: int = 50      # attempts per choice-interference call
-    swap_shots: int = 4096
-    trial_count: int = 25
+    lam: int = LAMBDA
+    retry_budget: int = RETRY_BUDGET
+    swap_shots: int = SWAP_SHOTS
+    trial_count: int = TRIAL_COUNT
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lam, self.retry_budget, self.swap_shots, self.trial_count) < 1:
-            raise ValueError("all solver counts must be >= 1")
+        for name in ("lam", "retry_budget", "swap_shots", "trial_count"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import contextlib
+import importlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +16,7 @@ from helpers import constant_circuit, identity_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oilab import cli, config
 from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
 from oilab.cli import build_parser, main
 from oilab.corpus import build_sd_corpus, polarize_corpus
@@ -98,6 +103,17 @@ class TestDecide:
         )
         assert code == 1
         assert json.loads(output.out)["verdict"] == "NO"
+
+    @pytest.mark.parametrize(
+        "flag, field", [("--lambda", "lam"), ("--shots", "swap_shots"), ("--trials", "trial_count"),
+                        ("--retry-budget", "retry_budget")],
+    )
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_each_count_names_its_field(self, flag, field, value, sd_files, capsys):
+        yes_path, _ = sd_files
+        code, output = run(capsys, ["decide", "sd", "--instance", yes_path, f"{flag}={value}"])
+        assert code == 2 and output.out == ""
+        assert output.err == f"error: {field} must be >= 1, got {value}\n"
 
     def test_gap_violation_without_polarize_flag(self, tmp_path, capsys):
         inst = SdInstance(identity_circuit(2), identity_circuit(2), "1/3", "2/3")
@@ -521,6 +537,17 @@ class TestLwe:
         assert code == 2 and output.out == ""
         assert output.err == f"error: trials must be >= 1, got {trials}\n"
 
+    @pytest.mark.parametrize("factor", ["-1", "0"])
+    def test_experiment_needs_a_positive_factor(self, factor, capsys):
+        # a factor <= 0 counted every uniform target as beyond it
+        code, output = run(
+            capsys,
+            ["lwe", "experiment", "--n", 2, "--q", 11, "--m", 4, "--alpha", 0.02, "--trials", 3,
+             "--factor", factor],
+        )
+        assert code == 2 and output.out == ""
+        assert output.err == f"error: factor must be > 0, got {float(factor)}\n"
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--gamma", "inf"), ("--factor", "nan"), ("--alpha", "-inf"), ("--gamma", "three")],
@@ -589,6 +616,123 @@ def test_out_flag_writes_report(sd_files, tmp_path, capsys):
     )
     assert code == 0
     assert report_path.read_text() == output.out
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # the parsed values are hashed into config_hash, so a default that drifts
+    # from the library's would move every report's hash silently
+    parser = build_parser()
+    for sub in ("sd", "sisd"):
+        args = parser.parse_args(["decide", sub, "--instance", "x.json"])
+        flags = SolverConfig(
+            lam=args.lam, retry_budget=args.retry_budget, swap_shots=args.shots,
+            trial_count=args.trials, seed=args.seed,
+        )
+        assert flags == SolverConfig()
+    args = parser.parse_args(["lwe", "experiment", "--n", "2", "--q", "11", "--m", "4", "--alpha", "0.02"])
+    assert args.factor == config.CALIBRATED_FACTOR
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+DEFERRED_MODULES = {"oilab.invseq", "oilab.qsim", "oilab.solver", "oilab.corpus", "oilab.lwe"}
+
+
+def fresh_run(*argv) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh interpreter, with this checkout's oilab."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    command = [sys.executable, *map(str, argv)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestDeferredImports:
+    """The CLI imports the modules only some commands run on first use."""
+
+    LOADED = (
+        "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('oilab.'))\n"
+        "from oilab import cli\n"
+        "at_import = loaded()\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps([code, at_import, loaded()]))\n"
+    )
+
+    @pytest.fixture
+    def inputs(self, sd_files, tmp_path):
+        yes_path, _ = sd_files
+        paths = {
+            "circuit": tmp_path / "circuit.json",
+            "sisd": tmp_path / "sisd.json",
+            "cvp": tmp_path / "cvp.json",
+        }
+        write_json(str(paths["circuit"]), random_circuit(3, 2, 6, seed=72).to_json_dict())
+        yes = SdInstance.from_json_dict(json.loads(yes_path.read_text()))
+        write_json(str(paths["sisd"]), reduce_sd_to_sisd(yes).to_json_dict())
+        write_json(str(paths["cvp"]), small_gapcvp())
+        return {**paths, "sd": yes_path}
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            ([], set()),
+            (["circuit", "stats", "--instance", "{circuit}"], set()),
+            (["validate", "--instance", "{sisd}"], {"oilab.invseq"}),
+            (["decide", "sd", "--instance", "{sd}", "--trials", "3", "--shots", "128"],
+             {"oilab.invseq", "oilab.qsim", "oilab.solver"}),
+            (["lwe", "dist", "--instance", "{cvp}"], {"oilab.lwe"}),
+        ],
+        ids=["import", "circuit-stats", "validate", "decide-sd", "lwe-dist"],
+    )
+    def test_a_command_loads_only_what_it_runs(self, argv, added, inputs):
+        argv = [arg.format(**inputs) for arg in argv]
+        done = fresh_run("-c", self.LOADED, *argv)
+        assert done.returncode == 0, done.stderr
+        code, at_import, after = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert not DEFERRED_MODULES & set(at_import)
+        assert set(after) - set(at_import) == added
+
+    def test_a_loaded_module_is_bound_at_import(self):
+        # as `from .solver import decide_sd` did: a probe installed on the home
+        # module after the import must not reach the CLI's name, or it would
+        # wrap the probe again and be left behind when the probes are removed
+        code = (
+            "from oilab import solver\n"
+            "real = solver.decide_sd\n"
+            "from oilab import cli\n"
+            "solver.decide_sd = None\n"
+            "print(cli.decide_sd is real)\n"
+        )
+        done = fresh_run("-c", code)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    def test_every_deferred_name_is_its_home_modules_object(self):
+        for name, module in cli._DEFERRED.items():
+            assert getattr(cli, name) is getattr(importlib.import_module(f"oilab.{module}"), name)
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            cli.nothing
+
+    def test_a_patched_name_sees_the_call(self, inputs, monkeypatch, capsys):
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("decide_sd", "validate_sequence"):
+            monkeypatch.setattr(cli, name, spy(name))
+        run(capsys, ["decide", "sd", "--instance", inputs["sd"], "--trials", 3, "--shots", 128])
+        run(capsys, ["validate", "--instance", inputs["sisd"]])
+        assert calls == ["decide_sd", "validate_sequence", "validate_sequence"]
+
+    def test_run_as_a_module_prints_the_same_report(self, inputs, capsys):
+        argv = ["validate", "--instance", inputs["sisd"], "--seed", 4]
+        code, output = run(capsys, argv)
+        done = fresh_run("-m", "oilab.cli", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, output.out, "")
 
 
 def test_readme_commands_parse():

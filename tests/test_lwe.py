@@ -336,6 +336,11 @@ class TestGapExperiment:
         assert blob["asymptotic_gamma"] == pytest.approx(szk_regime_gamma(2), abs=1e-12)
         assert len(blob["lwe_distances"]) == 30
 
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan])
+    def test_factor_must_be_positive(self, factor):
+        with pytest.raises(ValueError, match="factor must be > 0"):
+            gap_experiment(DESK, 3.0, trials=3, seed=16, calibrated_factor=factor)
+
     def test_csv_rows_shape(self):
         report = gap_experiment(DESK, 3.0, trials=3, seed=16)
         rows = report.csv_rows()

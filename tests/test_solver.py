@@ -438,9 +438,9 @@ def test_corpus_decisions_do_not_depend_on_the_blas_thread_count():
 
 class TestSolverConfig:
     def test_counts_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trial_count must be >= 1, got 0$"):
             SolverConfig(trial_count=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lam must be >= 1, got 0$"):
             SolverConfig(lam=0)
 
 
