@@ -13,10 +13,6 @@ class ResourceError(OilabError):
     """A brute-force cap was exceeded; the requested computation is infeasible."""
 
 
-class DegenerateInputError(OilabError):
-    """An input with zero mass / all-zero amplitudes where that is not allowed."""
-
-
 class InvalidPairError(OilabError):
     """A forward circuit is not a permutation for some hard-wired randomness."""
 

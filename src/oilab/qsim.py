@@ -9,6 +9,10 @@ Conventions
   over all m! application orders, of the composed unitaries applied to the
   input state.  Its norm lies in [0, m!] and can vanish outright (X and Z
   anticommute, so their two orders cancel on every state).
+* The choice-interference vector is the same sum over the m one-element
+  choices.  One kernel serves both oracles: it adds each ordering's
+  amplitudes into one vector as they are made, so a query holds O(2^n)
+  amplitudes, never a block of m! or m rows.
 * Oracle queries are probabilistic: the success probability is the product
   of the phase-alignment factor (how coherently the different orders
   contribute to each basis amplitude) and a norm factor penalizing small
@@ -23,11 +27,10 @@ Conventions
   from real input, and every permutation of it, stays real, while complex
   input (a state read from JSON) or a dense matrix (always complex)
   promotes the result by numpy's type promotion.
-* A choice-interference query over permutation tables on a real
-  non-negative state (every counting state of the decision pipeline) adds
-  the permuted states into one vector, without the per-choice block: no
-  amplitude can cancel, so the phase alignment is exactly 1.  Dense
-  matrices, complex states and mixed-sign states take the block path.
+* Over permutation tables on a real non-negative state (every counting
+  state of the decision pipeline) no amplitude can cancel, so the phase
+  alignment is exactly 1 without a per-ordering pass.  Dense matrices,
+  complex states and mixed-sign states pay that pass.
 * The inner products and norms a report reads are numpy's own pairwise
   sums, which add in one fixed order; a BLAS dot adds in an order that
   follows its thread count.
@@ -41,19 +44,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import eval_circuit_batch
 from .config import MAX_ORACLE_UNITARIES, QUBIT_CAP
-from .errors import (
-    DegenerateInputError,
-    InvalidPairError,
-    PreconditionError,
-    ResourceError,
-    WidthError,
-)
+from .errors import InvalidPairError, PreconditionError, ResourceError, WidthError
 from .invseq import InvPair
 from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 
@@ -186,76 +184,63 @@ def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
 
 
 # ---------------------------------------------------------------------------
-# order interference
+# order and choice interference
 
 def _check_query(
-    unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int | None = None
+    unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int, ordered: bool
 ) -> None:
-    """Validation shared by the two oracles and by oi_vector, which takes no
-    lambda; the order-interference oracle checks its query with lambda
-    before it reads oi_vector.  The unitary count is capped before any of
-    the m! orderings is enumerated."""
+    """Validation shared by the two oracles.  The unitary count is capped
+    before any ordering is enumerated: order interference has m! of them,
+    choice interference m one-element choices."""
     m = len(unitaries)
     if m < 1:
         raise ValueError("need at least one unitary")
     if m > MAX_ORACLE_UNITARIES:
-        raise ResourceError(
-            f"{m} unitaries means {math.factorial(m)} orderings; "
-            f"cap is {MAX_ORACLE_UNITARIES}"
-        )
+        count = f"{math.factorial(m)} orderings" if ordered else f"{m} choices"
+        raise ResourceError(f"{m} unitaries means {count}; cap is {MAX_ORACLE_UNITARIES}")
     if any(u.n != psi.n for u in unitaries):
         raise WidthError("all unitaries must act on the state's qubit count")
-    if lam is not None and not 1 <= lam <= sys.float_info.max:  # 1/lambda is a float
+    if not 1 <= lam <= sys.float_info.max:  # 1/lambda is a float
         raise ValueError("lambda must be a positive integer within the float range")
     if not psi.is_normalized():
         raise PreconditionError("query state must be normalized")
 
 
-@dataclass(frozen=True, eq=False)
-class OIVectorResult:
-    vector: np.ndarray                 # unnormalized sum over orderings
-    alphas: np.ndarray                 # (orderings, 2^n) per-ordering amplitudes
+def _interference(
+    unitaries: tuple[SimUnitary, ...], psi: StateVector, orderings: Iterable[tuple[int, ...]]
+) -> tuple[np.ndarray, float]:
+    """The unnormalized interference vector and its phase alignment.
 
-
-def _alphas(
-    unitaries: tuple[SimUnitary, ...],
-    psi: StateVector,
-    orderings: tuple[tuple[int, ...], ...],
-) -> np.ndarray:
-    """Per-ordering amplitudes, shape (orderings, 2^n): row j applies the
-    unitaries of orderings[j] in turn.  Order interference takes the m!
-    permutations, choice interference the m one-element orderings.  Rows
-    are real unless the state or a dense matrix is complex."""
-    dtype = np.result_type(psi.amps, *(u.matrix for u in unitaries if u.matrix is not None))
-    alphas = np.empty((len(orderings), 1 << psi.n), dtype=dtype)
-    for row, ordering in enumerate(orderings):
+    Ordering (i, j, ...) applies unitary i first; each ordering's amplitudes
+    are added into one vector as they are made, in place while the dtypes
+    agree (the row-by-row additions of a block's column sums), so only
+    O(2^n) amplitudes are held.  The alignment, sum |vector| / sum |rows|
+    capped at 1, says how coherently the orderings add; it is exactly 1
+    when no term is negative or imaginary, as on permutation tables over a
+    real non-negative state, which need no per-ordering pass.
+    """
+    aligned = (
+        all(u.table is not None for u in unitaries)
+        and not np.iscomplexobj(psi.amps)
+        and psi.amps.min() >= 0
+    )
+    vector, mass, cancels = None, 0.0, False
+    for ordering in orderings:
         amps = psi.amps
         for index in ordering:
             amps = unitaries[index].apply(amps)
-        alphas[row] = amps
-    return alphas
-
-
-def oi_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> OIVectorResult:
-    """Sum over all m! application orders; ordering (i, j, ...) applies
-    unitary i first."""
-    unitaries = tuple(unitaries)
-    _check_query(unitaries, psi)
-    orderings = tuple(itertools.permutations(range(len(unitaries))))
-    alphas = _alphas(unitaries, psi, orderings)
-    return OIVectorResult(alphas.sum(axis=0), alphas)
-
-
-def phase_alignment(alphas: np.ndarray) -> float:
-    """How coherently the per-ordering amplitudes add, in [0, 1]; exactly 1
-    when every amplitude is real and non-negative, since none can cancel."""
-    denominator = float(np.abs(alphas).sum())
-    if denominator == 0.0:
-        raise DegenerateInputError("all per-ordering amplitudes are zero")
-    if alphas.real.min() >= 0 and not (np.iscomplexobj(alphas) and alphas.imag.any()):
-        return 1.0
-    numerator = float(np.abs(alphas.sum(axis=0)).sum())
-    return min(numerator / denominator, 1.0)
+        if not aligned:
+            mass += float(np.abs(amps).sum())
+            cancels = cancels or amps.real.min() < 0 or np.iscomplexobj(amps) and amps.imag.any()
+        if vector is None:
+            vector = amps
+        elif vector.dtype == amps.dtype:
+            vector += amps
+        else:
+            vector = vector + amps
+    if aligned or not cancels:
+        return vector, 1.0
+    return vector, min(float(np.abs(vector).sum()) / mass, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,15 +297,11 @@ def oi_oracle_query(
     exception; diagnostics are populated either way.
     """
     unitaries = tuple(unitaries)
-    _check_query(unitaries, psi, lam)
-    result = oi_vector(unitaries, psi)
-    return _oracle_outcome(
-        result.vector, phase_alignment(result.alphas), len(result.alphas), lam, psi.n, rng
-    )
+    _check_query(unitaries, psi, lam, ordered=True)
+    m = len(unitaries)
+    vector, alignment = _interference(unitaries, psi, itertools.permutations(range(m)))
+    return _oracle_outcome(vector, alignment, math.factorial(m), lam, psi.n, rng)
 
-
-# ---------------------------------------------------------------------------
-# choice interference
 
 def ci_oracle_query(
     unitaries: tuple[SimUnitary, ...],
@@ -331,26 +312,10 @@ def ci_oracle_query(
     """Choice-interference oracle, simulated at the contract level: success
     probability alignment * (||CI||/m) / (||CI||/m + 1/lambda), success
     state CI/||CI||.
-
-    When every unitary is a permutation table and psi is real and
-    non-negative, CI is summed in place, choice by choice in order (the
-    additions the block's column sums make), and the alignment is exactly
-    1.  Otherwise the per-choice block is built and its alignment taken.
     """
     unitaries = tuple(unitaries)
-    _check_query(unitaries, psi, lam)
-    if (
-        all(u.table is not None for u in unitaries)
-        and not np.iscomplexobj(psi.amps)
-        and psi.amps.min() >= 0
-    ):
-        vector = unitaries[0].apply(psi.amps)
-        for unitary in unitaries[1:]:
-            vector += unitary.apply(psi.amps)
-        alignment = 1.0
-    else:
-        alphas = _alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
-        vector, alignment = alphas.sum(axis=0), phase_alignment(alphas)
+    _check_query(unitaries, psi, lam, ordered=False)
+    vector, alignment = _interference(unitaries, psi, ((i,) for i in range(len(unitaries))))
     return _oracle_outcome(vector, alignment, len(unitaries), lam, psi.n, rng)
 
 

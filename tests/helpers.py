@@ -1,6 +1,8 @@
 """What only the tests use: hand-built inputs, independent references such
-as the scalar ``eval_circuit``, the float metrics and the cosine-rule scan."""
+as the scalar ``eval_circuit`` and the per-ordering interference block, the
+float metrics and the cosine-rule scan."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,11 +11,11 @@ import numpy as np
 
 from oilab.circuits import BoolCircuit, Gate, SdInstance, enumerate_distribution, random_circuit
 from oilab.distributions import Distribution, tv_distance
-from oilab.errors import DegenerateInputError, WidthError
+from oilab.errors import WidthError
 from oilab.invseq import InvPair, SisdInstance, sequence_output_distribution
 from oilab.jsonio import as_exact_probability
 from oilab.lwe import LweParams, no_side_log2_bound
-from oilab.qsim import SimUnitary, StateVector
+from oilab.qsim import SimUnitary, StateVector, _interference
 from oilab.seeding import derive_seed
 
 _SCALAR_GATES = {
@@ -118,7 +120,7 @@ def cosine_similarity(d0: Distribution, d1: Distribution) -> float:
     if d0.width != d1.width:
         raise WidthError(f"domain widths differ: {d0.width} vs {d1.width}")
     if not d0.probs or not d1.probs:
-        raise DegenerateInputError("cosine similarity needs nonzero mass on both sides")
+        raise ValueError("cosine similarity needs nonzero mass on both sides")
     dot = sum(float(v) * float(d1.probs.get(k, 0)) for k, v in d0.probs.items())
     n0 = math.sqrt(sum(float(v) ** 2 for v in d0.probs.values()))
     n1 = math.sqrt(sum(float(v) ** 2 for v in d1.probs.values()))
@@ -144,6 +146,41 @@ def pauli_x() -> SimUnitary:
 
 def pauli_z() -> SimUnitary:
     return SimUnitary(1, matrix=np.array([[1, 0], [0, -1]], dtype=np.complex128))
+
+
+def orderings(m: int) -> list[tuple[int, ...]]:
+    """The m! application orders of order interference."""
+    return list(itertools.permutations(range(m)))
+
+
+def choices(m: int) -> list[tuple[int, ...]]:
+    """The m one-element choices of choice interference."""
+    return [(i,) for i in range(m)]
+
+
+def oi_vector(unitaries, psi: StateVector) -> np.ndarray:
+    """The unnormalized order-interference vector, from the library kernel."""
+    return _interference(tuple(unitaries), psi, orderings(len(unitaries)))[0]
+
+
+def ci_vector(unitaries, psi: StateVector) -> np.ndarray:
+    """The unnormalized choice-interference vector, from the library kernel."""
+    return _interference(tuple(unitaries), psi, choices(len(unitaries)))[0]
+
+
+def block_reference(unitaries, psi: StateVector, sequences) -> tuple[np.ndarray, float]:
+    """The naive per-ordering block: row j composes sequences[j] on psi
+    (first index first).  Returns the block's column sum and its phase
+    alignment, sum |column sum| / sum |rows| capped at 1, with no shortcut."""
+    rows = []
+    for sequence in sequences:
+        amps = psi.amps
+        for index in sequence:
+            amps = unitaries[index].apply(amps)
+        rows.append(amps)
+    block = np.stack(rows)
+    vector = block.sum(axis=0)
+    return vector, min(float(np.abs(vector).sum()) / float(np.abs(block).sum()), 1.0)
 
 
 def unitary_to_json_dict(u: SimUnitary) -> dict:

@@ -16,6 +16,7 @@ from helpers import (
     exact_distribution,
     fidelity,
     no_side_probability_bound,
+    oi_vector,
     pauli_x,
     pauli_z,
     random_sd_instance,
@@ -29,7 +30,7 @@ from oilab.distributions import tv_distance
 from oilab.errors import GapViolationError
 from oilab.invseq import reduce_sd_to_sisd, sequence_output_distribution, validate_sequence
 from oilab.lwe import LweParams, centered_mod, gap_experiment
-from oilab.qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query, oi_vector, swap_test
+from oilab.qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query, swap_test
 from oilab.seeding import derive_rng
 from oilab.solver import SolverConfig, StageRecord, build_output_state, decide_sd, derive_threshold
 
@@ -97,8 +98,7 @@ def test_criterion_03_oi_correctness():
         # anticommuting pair cancels exactly on every state
         for index in range(20):
             psi = random_state(1, derive_rng(31, "xz", index))
-            result = oi_vector((pauli_x(), pauli_z()), psi)
-            assert np.all(result.vector == 0)
+            assert np.all(oi_vector((pauli_x(), pauli_z()), psi) == 0)
 
         # commuting families: every ordering equals the plain product
         for index in range(50):
@@ -116,12 +116,12 @@ def test_criterion_03_oi_correctness():
                     powers.append(SimUnitary(n, table=table.copy()))
                 us = tuple(powers)
             psi = random_state(n, rng)
-            result = oi_vector(us, psi)
+            vector = oi_vector(us, psi)
             product = psi.amps
             for u in us:
                 product = u.apply(product)
             expected = math.factorial(m) * float(np.linalg.norm(product))
-            assert abs(np.linalg.norm(result.vector) - expected) < 1e-9
+            assert abs(np.linalg.norm(vector) - expected) < 1e-9
 
         # m = 2 against the direct two-ordering formula
         rng = derive_rng(33, "m2")
@@ -132,9 +132,8 @@ def test_criterion_03_oi_correctness():
             q0 = np.linalg.qr(z0)[0]
             q1 = np.linalg.qr(z1)[0]
             u0, u1 = SimUnitary(2, matrix=q0), SimUnitary(2, matrix=q1)
-            result = oi_vector((u0, u1), psi)
             direct = (q0 @ q1 + q1 @ q0) @ psi.amps
-            assert np.abs(result.vector - direct).max() < 1e-10
+            assert np.abs(oi_vector((u0, u1), psi) - direct).max() < 1e-10
 
 
 def test_criterion_04_oracle_probability_law():

@@ -1,13 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
     basis_state,
+    block_reference,
+    choices,
+    ci_vector,
     constant_circuit,
     eval_circuit,
     identity_circuit,
     identity_unitary,
+    oi_vector,
+    orderings,
     pauli_x,
     pauli_z,
     random_state,
@@ -16,13 +22,7 @@ from helpers import (
 
 from oilab.circuits import random_circuit
 from oilab.config import MAX_ORACLE_UNITARIES
-from oilab.errors import (
-    DegenerateInputError,
-    InvalidPairError,
-    PreconditionError,
-    ResourceError,
-    WidthError,
-)
+from oilab.errors import InvalidPairError, PreconditionError, ResourceError, WidthError
 from oilab import qsim
 from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step
 from oilab.qsim import (
@@ -30,9 +30,7 @@ from oilab.qsim import (
     StateVector,
     ci_oracle_query,
     oi_oracle_query,
-    oi_vector,
     permutation_unitary_from_circuit,
-    phase_alignment,
     swap_test,
 )
 from oilab.seeding import derive_rng
@@ -47,9 +45,9 @@ def random_permutation_unitary(n: int, rng) -> SimUnitary:
     return SimUnitary(n, table=rng.permutation(1 << n))
 
 
-def ci_vector(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> np.ndarray:
-    """The unnormalized choice-interference vector: the block path's column sums."""
-    return qsim._alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries)))).sum(axis=0)
+def oi_alignment(unitaries: tuple[SimUnitary, ...], psi: StateVector) -> float:
+    """The order-interference phase alignment, from the library kernel."""
+    return qsim._interference(unitaries, psi, orderings(len(unitaries)))[1]
 
 
 def haar_unitary(n: int, rng) -> SimUnitary:
@@ -152,66 +150,62 @@ class TestOiVector:
         rng = derive_rng(1, "oi-m1")
         psi = random_state(1, rng)
         u = haar_unitary(1, rng)
-        result = oi_vector((u,), psi)
-        assert np.allclose(result.vector, u.apply(psi.amps))
-        assert np.linalg.norm(result.vector) == pytest.approx(1.0, abs=1e-12)
+        vector = oi_vector((u,), psi)
+        assert np.allclose(vector, u.apply(psi.amps))
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_identities(self):
         psi = random_state(1, derive_rng(2, "oi-id"))
-        result = oi_vector((identity_unitary(1),) * 3, psi)
-        assert np.allclose(result.vector, 6 * psi.amps)
-        assert np.linalg.norm(result.vector) == pytest.approx(6.0, abs=1e-12)
+        vector = oi_vector((identity_unitary(1),) * 3, psi)
+        assert np.allclose(vector, 6 * psi.amps)
+        assert np.linalg.norm(vector) == pytest.approx(6.0, abs=1e-12)
 
     def test_x_and_z_cancel_exactly(self):
         for i in range(5):
             psi = random_state(1, derive_rng(3, "oi-xz", i))
-            result = oi_vector((pauli_x(), pauli_z()), psi)
-            assert np.all(result.vector == 0)
+            assert np.all(oi_vector((pauli_x(), pauli_z()), psi) == 0)
 
     def test_matches_direct_two_unitary_formula(self):
         rng = derive_rng(4, "oi-direct")
         for _ in range(10):
             psi = random_state(2, rng)
             u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
-            result = oi_vector((u1, u2), psi)
             direct = (u1.matrix @ u2.matrix + u2.matrix @ u1.matrix) @ psi.amps
-            assert np.abs(result.vector - direct).max() < 1e-10
+            assert np.abs(oi_vector((u1, u2), psi) - direct).max() < 1e-10
 
     def test_norm_within_factorial_bound(self):
         rng = derive_rng(5, "oi-bound")
         for m in (2, 3, 4):
             psi = random_state(2, rng)
             us = tuple(haar_unitary(2, rng) for _ in range(m))
-            result = oi_vector(us, psi)
-            assert 0.0 <= np.linalg.norm(result.vector) <= math.factorial(m) + 1e-9
+            assert 0.0 <= np.linalg.norm(oi_vector(us, psi)) <= math.factorial(m) + 1e-9
 
     def test_factorial_cap(self):
         psi = basis_state(1, "0")
-        with pytest.raises(ResourceError):
-            oi_vector((identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1), psi)
+        unitaries = (identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1)
+        with pytest.raises(ResourceError, match=r"^9 unitaries means 362880 orderings; cap is 8$"):
+            oi_oracle_query(unitaries, psi, 10, derive_rng(5, "cap"))
 
 
 class TestPhaseAlignment:
     def test_identical_orderings(self):
         psi = random_state(2, derive_rng(6, "pa"))
-        result = oi_vector((identity_unitary(2),) * 3, psi)
-        assert phase_alignment(result.alphas) == pytest.approx(1.0, abs=1e-12)
+        assert oi_alignment((identity_unitary(2),) * 3, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_x_z_cancellation_gives_zero(self):
-        result = oi_vector((pauli_x(), pauli_z()), basis_state(1, "0"))
+        psi = basis_state(1, "0")
         # both orderings land on |1>, with amplitudes +1 and -1
-        amps_at_one = sorted(result.alphas[:, 1].real)
+        amps_at_one = sorted(
+            (second.apply(first.apply(psi.amps))[1].real
+             for first, second in ((pauli_x(), pauli_z()), (pauli_z(), pauli_x())))
+        )
         assert amps_at_one == [-1.0, 1.0]
-        assert phase_alignment(result.alphas) == 0.0
+        assert oi_alignment((pauli_x(), pauli_z()), psi) == 0.0
 
     def test_single_ordering(self):
         psi = random_state(1, derive_rng(7, "pa1"))
-        result = oi_vector((haar_unitary(1, derive_rng(8, "u")),), psi)
-        assert phase_alignment(result.alphas) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            phase_alignment(np.zeros((2, 4), dtype=complex))
+        alignment = oi_alignment((haar_unitary(1, derive_rng(8, "u")),), psi)
+        assert alignment == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOiOracle:
@@ -247,9 +241,7 @@ class TestOiOracle:
             outcome = oi_oracle_query(*query, derive_rng(12, "draw", i))
             if outcome.success:
                 reference = oi_vector(us, psi)
-                assert np.allclose(
-                    outcome.state.amps, reference.vector / np.linalg.norm(reference.vector)
-                )
+                assert np.allclose(outcome.state.amps, reference / np.linalg.norm(reference))
                 break
         else:
             pytest.fail("no success in 20 attempts at lambda=1000")
@@ -272,6 +264,20 @@ class TestOiOracle:
         a = oi_oracle_query(*query, derive_rng(15, "x"))
         b = oi_oracle_query(*query, derive_rng(15, "x"))
         assert a.success == b.success
+
+    def test_permutation_query_holds_one_vector(self):
+        # a block of the 720 orderings' amplitudes would take 5.9 MB; the
+        # kernel holds the sum, a few 8 KB vectors and the orderings iterator
+        rng = derive_rng(15, "memory")
+        psi = random_nonnegative_state(10, rng)
+        unitaries = tuple(random_permutation_unitary(10, rng) for _ in range(6))
+        tracemalloc.start()
+        try:
+            oi_oracle_query(unitaries, psi, 100, derive_rng(15, "draw"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCiVector:
@@ -335,30 +341,19 @@ class TestCiOracle:
         sigma = math.sqrt(p * (1 - p) * trials)
         assert abs(hits - p * trials) <= 3 * sigma
 
+    def test_choice_cap(self):
+        psi = basis_state(1, "0")
+        unitaries = (identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1)
+        with pytest.raises(ResourceError, match=r"^9 unitaries means 9 choices; cap is 8$"):
+            ci_oracle_query(unitaries, psi, 10, derive_rng(21, "cap"))
+
 
 class TestCiFastPath:
-    """A choice-interference query over permutation tables on a real
-    non-negative state sums the permuted states without the per-choice
-    block.  It agrees with the block path, whose alignment on such a block
-    is exactly 1 too; any other query still takes the block path."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Records each block build and each outcome's (vector, alignment)."""
-        calls = {"alphas": 0, "outcomes": []}
-        alphas, outcome = qsim._alphas, qsim._oracle_outcome
-
-        def counting_alphas(*args):
-            calls["alphas"] += 1
-            return alphas(*args)
-
-        def recording_outcome(vector, alignment, *rest):
-            calls["outcomes"].append((vector.copy(), alignment))
-            return outcome(vector, alignment, *rest)
-
-        monkeypatch.setattr(qsim, "_alphas", counting_alphas)
-        monkeypatch.setattr(qsim, "_oracle_outcome", recording_outcome)
-        return calls
+    """The interference kernel against the naive per-ordering block of
+    ``helpers.block_reference``.  Over permutation tables on a real
+    non-negative state it adds the block's rows in the block's order and
+    takes the alignment as exactly 1 without a per-row pass; on queries
+    whose terms can cancel it measures the block's alignment."""
 
     @staticmethod
     def choice_groups():
@@ -376,29 +371,33 @@ class TestCiFastPath:
             unitaries = tuple(random_permutation_unitary(n, rng) for _ in range(2 << trial % 3))
             yield unitaries, random_nonnegative_state(n, rng)
 
-    def test_fast_path_matches_the_block_path(self, calls):
+    @staticmethod
+    def oracles(m: int):
+        """Each oracle with its sequences and row count; order interference
+        only up to 4! orderings, to keep the reference block small."""
+        yield ci_oracle_query, choices(m), m
+        if m <= 4:
+            yield oi_oracle_query, orderings(m), math.factorial(m)
+
+    def test_fast_path_matches_the_block_path(self):
         for index, (unitaries, psi) in enumerate(self.choice_groups()):
-            for lam in (1, 10 ** 6):
-                rngs = derive_rng(51, index, lam), derive_rng(51, index, lam)
-                got = ci_oracle_query(unitaries, psi, lam, rngs[0])
-                assert calls["alphas"] == 0
-                vector, alignment = calls["outcomes"].pop()
-                assert alignment == got.phase_alignment == 1.0
-                alphas = qsim._alphas(unitaries, psi, tuple((i,) for i in range(len(unitaries))))
-                calls["alphas"] = 0
-                assert vector.tobytes() == alphas.sum(axis=0).tobytes()
-                want = qsim._oracle_outcome(
-                    alphas.sum(axis=0), phase_alignment(alphas), len(alphas), lam, psi.n, rngs[1]
-                )
-                calls["outcomes"].clear()
-                assert want.phase_alignment == 1.0
-                assert got.interference_norm == want.interference_norm
-                assert got.norm_factor == want.norm_factor == got.success_probability
-                assert got.success_probability == want.success_probability
-                assert got.success == want.success
-                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-                if got.success:
-                    assert got.state.amps.tobytes() == want.state.amps.tobytes()
+            for query, sequences, rows in self.oracles(len(unitaries)):
+                vector, alignment = block_reference(unitaries, psi, sequences)
+                got = qsim._interference(unitaries, psi, sequences)
+                assert got[0].tobytes() == vector.tobytes()
+                assert got[1] == 1.0
+                assert alignment == pytest.approx(1.0, abs=1e-12)
+                for lam in (1, 10 ** 6):
+                    rngs = derive_rng(51, index, lam), derive_rng(51, index, lam)
+                    got = query(unitaries, psi, lam, rngs[0])
+                    want = qsim._oracle_outcome(vector, 1.0, rows, lam, psi.n, rngs[1])
+                    assert got.phase_alignment == 1.0
+                    assert got.interference_norm == want.interference_norm
+                    assert got.norm_factor == want.norm_factor == got.success_probability
+                    assert got.success == want.success
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                    if got.success:
+                        assert got.state.amps.tobytes() == want.state.amps.tobytes()
 
     def test_order_interference_on_counting_states_aligns_exactly(self):
         # |alpha| and |sum alpha| sum in other orders, so a ratio could read below 1
@@ -412,21 +411,26 @@ class TestCiFastPath:
                 outcome = oi_oracle_query(unitaries, state, 100, derive_rng(53, trial))
                 assert outcome.phase_alignment == 1.0
 
-    def test_other_queries_take_the_block_path(self, calls):
+    def test_other_queries_match_the_block_path(self):
         # a mixed-sign real state under I and X: (0.6, -0.8) + (-0.8, 0.6)
         mixed = StateVector(1, [0.6, -0.8])
         tables = (identity_unitary(1), SimUnitary(1, table=[1, 0]))
         # dense X and Z on |+>: X|+> + Z|+> = (sqrt 2, 0)
         plus = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
-        for unitaries, psi, alignment in (
+        for unitaries, psi, ci_alignment in (
             (tables, mixed, 1 / 7),
             ((pauli_x(), pauli_z()), plus, 0.5),
             (tables, as_complex(random_nonnegative_state(1, derive_rng(52, "c"))), 1.0),
         ):
-            outcome = ci_oracle_query(unitaries, psi, 10, derive_rng(52, "draw"))
-            assert calls["alphas"] == 1
-            calls["alphas"] = 0
-            assert outcome.phase_alignment == pytest.approx(alignment, abs=1e-12)
+            for query, sequences, _ in self.oracles(len(unitaries)):
+                vector, alignment = block_reference(unitaries, psi, sequences)
+                got = qsim._interference(unitaries, psi, sequences)
+                assert got[0].tobytes() == vector.tobytes()
+                assert got[1] == pytest.approx(alignment, abs=1e-15)
+                outcome = query(unitaries, psi, 10, derive_rng(52, "draw"))
+                assert outcome.phase_alignment == got[1]
+            ci = ci_oracle_query(unitaries, psi, 10, derive_rng(52, "draw"))
+            assert ci.phase_alignment == pytest.approx(ci_alignment, abs=1e-12)
 
 
 class TestSwapTest:
@@ -497,7 +501,7 @@ class TestRealAmplitudes:
         assert StateVector.zero(2).amps.dtype == np.float64
         assert StateVector.from_json_list([[1.0, 0.0], [0.0, 0.0]]).amps.dtype == np.complex128
         real = basis_state(1, "0")
-        assert oi_vector((identity_unitary(1),), real).vector.dtype == np.float64
+        assert oi_vector((identity_unitary(1),), real).dtype == np.float64
         assert ci_vector((identity_unitary(1), pauli_z()), real).dtype == np.complex128
 
     @pytest.mark.parametrize("query", [ci_oracle_query, oi_oracle_query], ids=["ci", "oi"])
