@@ -359,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument("--shots", type=int, default=SWAP_SHOTS)
     solver.add_argument("--trials", type=int, default=TRIAL_COUNT)
     solver.add_argument("--retry-budget", type=int, default=RETRY_BUDGET)
+    lwe_params = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--q", "--m"):
+        lwe_params.add_argument(flag, type=int, required=True)
+    lwe_params.add_argument("--alpha", type=_finite_float, required=True)
 
     circuit = sub.add_parser("circuit").add_subparsers(dest="sub", required=True)
     stats = circuit.add_parser(
@@ -406,11 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.set_defaults(handler=_cmd_validate)
 
     lwe = sub.add_parser("lwe").add_subparsers(dest="sub", required=True)
-    gen = lwe.add_parser("gen", parents=[seeded])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--q", type=int, required=True)
-    gen.add_argument("--m", type=int, required=True)
-    gen.add_argument("--alpha", type=_finite_float, required=True)
+    gen = lwe.add_parser("gen", parents=[seeded, lwe_params])
     gen.add_argument("--uniform", action="store_true")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_lwe_gen)
@@ -426,11 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cap_bits(dist, CVP_BITS)
     dist.set_defaults(handler=_cmd_lwe_dist)
 
-    exp = lwe.add_parser("experiment", parents=[seeded])
-    exp.add_argument("--n", type=int, required=True)
-    exp.add_argument("--q", type=int, required=True)
-    exp.add_argument("--m", type=int, required=True)
-    exp.add_argument("--alpha", type=_finite_float, required=True)
+    exp = lwe.add_parser("experiment", parents=[seeded, lwe_params])
     exp.add_argument("--gamma", type=_finite_float, default=1.0)
     exp.add_argument(
         "--factor", type=_finite_float, default=CALIBRATED_FACTOR, help="calibrated NO-side factor"

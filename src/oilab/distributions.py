@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import WidthError
-from .jsonio import fraction_to_string
 
 
 def _validate_key(key: int, width: int) -> None:
@@ -52,13 +51,6 @@ class Distribution:
         if numerator != common:
             raise ValueError(f"probabilities sum to {Fraction(numerator, common)}, not 1")
 
-    def to_json_dict(self) -> dict:
-        digits = max(1, (self.width + 3) // 4)
-        probs = {
-            format(key, f"0{digits}x"): fraction_to_string(Fraction(value))
-            for key, value in sorted(self.probs.items())
-        }
-        return {"width": self.width, "probs": probs}
 
 
 def tv_distance(d0: Distribution, d1: Distribution) -> Fraction:

@@ -18,6 +18,10 @@ tolerance here).
 
 Instances keep their generating secret (s, e) in a sealed field so tests
 can assert facts like dist <= ||e||; serialization never emits it.
+
+The gap experiment keeps one row per trial (trial, origin, distance,
+verdict); its report computes d, the rates, the distance lists and their
+medians from the rows and the parameters where they are read.
 """
 
 from __future__ import annotations
@@ -180,20 +184,14 @@ class GapCvpInstance:
 TRUNCATION_WIDTHS = 10
 
 
-def _gaussian_support(width: float) -> tuple[np.ndarray, np.ndarray]:
+def sample_discrete_gaussian(width: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` exact draws from the discrete Gaussian on Z of the given width."""
+    if width <= 0:
+        raise ValueError("width must be positive")
     cut = max(1, math.ceil(TRUNCATION_WIDTHS * width))
     support = np.arange(-cut, cut + 1)
     mass = np.exp(-(support.astype(float) ** 2) / width ** 2)
-    return support, mass / mass.sum()
-
-def sample_discrete_gaussian(width: float, rng: np.random.Generator, size: int | None = None):
-    """Exact draw(s) from the discrete Gaussian on Z of the given width."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    support, probs = _gaussian_support(width)
-    if size is None:
-        return int(rng.choice(support, p=probs))
-    return rng.choice(support, size=size, p=probs).astype(np.int64)
+    return rng.choice(support, size=size, p=mass / mass.sum()).astype(np.int64)
 
 
 def sample_lwe(params: LweParams, rng: np.random.Generator) -> LweInstance:
@@ -331,44 +329,58 @@ class GapTrialRow:
     trial: int
     origin: str
     dist: float
-    d: float
     verdict: str
 
 
 @dataclass(frozen=True)
 class GapExperimentReport:
+    """The measured rows; every summary is computed from them and the params."""
+
     params: LweParams
     gamma: float
     calibrated_factor: float
-    asymptotic_gamma: float | None  # None at n = 1, where it is undefined
-    d: float
-    trials: int
     seed: int
     rows: tuple[GapTrialRow, ...]
-    yes_rate: float
-    uniform_beyond_rate: float
-    lwe_distances: tuple[float, ...]
-    uniform_distances: tuple[float, ...]
+
+    def distances(self, origin: str) -> list[float]:
+        return [row.dist for row in self.rows if row.origin == origin]
+
+    @property
+    def yes_rate(self) -> float:
+        """Share of LWE targets within d."""
+        lwe, d = self.distances("lwe"), self.params.distance_threshold
+        return sum(x <= d for x in lwe) / len(lwe)
+
+    @property
+    def uniform_beyond_rate(self) -> float:
+        """Share of uniform targets beyond calibrated_factor * d."""
+        uniform = self.distances("uniform")
+        beyond = self.calibrated_factor * self.params.distance_threshold
+        return sum(x > beyond for x in uniform) / len(uniform)
 
     def to_json_dict(self) -> dict:
+        lwe, uniform = self.distances("lwe"), self.distances("uniform")
+        n = self.params.n
         return {
             "params": self.params.to_json_dict(),
             "gamma": self.gamma,
             "calibrated_factor": self.calibrated_factor,
-            "asymptotic_gamma": self.asymptotic_gamma,
-            "d": self.d,
-            "trials": self.trials,
+            # undefined at n = 1
+            "asymptotic_gamma": szk_regime_gamma(n) if n >= 2 else None,
+            "d": self.params.distance_threshold,
+            "trials": len(lwe),
             "seed": self.seed,
             "yes_rate": self.yes_rate,
             "uniform_beyond_rate": self.uniform_beyond_rate,
-            "lwe_distances": list(self.lwe_distances),
-            "uniform_distances": list(self.uniform_distances),
-            "lwe_median": float(np.median(self.lwe_distances)),
-            "uniform_median": float(np.median(self.uniform_distances)),
+            "lwe_distances": lwe,
+            "uniform_distances": uniform,
+            "lwe_median": float(np.median(lwe)),
+            "uniform_median": float(np.median(uniform)),
         }
 
     def csv_rows(self) -> list[tuple]:
-        return [(r.trial, r.origin, r.dist, r.d, r.verdict) for r in self.rows]
+        d = self.params.distance_threshold
+        return [(r.trial, r.origin, r.dist, d, r.verdict) for r in self.rows]
 
 
 def _verdict(dist: float, d: float, factor: float) -> str:
@@ -387,8 +399,8 @@ def gap_experiment(
     calibrated_factor: float = CALIBRATED_FACTOR,
     cap_bits: int = CVP_BITS,
 ) -> GapExperimentReport:
-    """Sample `trials` LWE and `trials` uniform instances, measure exact
-    distances, and report the separation.
+    """Sample `trials` LWE and then `trials` uniform instances, measure
+    exact distances, and report one row per trial.
 
     The NO side is judged against calibrated_factor * d (a desk-scale
     calibration); the asymptotic approximation factor for the containment
@@ -399,34 +411,10 @@ def gap_experiment(
     if not calibrated_factor > 0:
         raise ValueError(f"factor must be > 0, got {calibrated_factor}")
     d = params.distance_threshold
-    rows: list[GapTrialRow] = []
-    lwe_dists: list[float] = []
-    uniform_dists: list[float] = []
-    for trial in range(trials):
-        inst = sample_lwe(params, derive_rng(seed, "lwe", trial))
-        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), cap_bits)
-        lwe_dists.append(dist)
-        rows.append(GapTrialRow(trial, "lwe", dist, d, _verdict(dist, d, calibrated_factor)))
-    for trial in range(trials):
-        inst = sample_uniform(params, derive_rng(seed, "uniform", trial))
-        dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), cap_bits)
-        uniform_dists.append(dist)
-        rows.append(
-            GapTrialRow(trial, "uniform", dist, d, _verdict(dist, d, calibrated_factor))
-        )
-    yes_rate = sum(x <= d for x in lwe_dists) / trials
-    beyond = sum(x > calibrated_factor * d for x in uniform_dists) / trials
-    return GapExperimentReport(
-        params,
-        gamma,
-        calibrated_factor,
-        szk_regime_gamma(params.n) if params.n >= 2 else None,
-        d,
-        trials,
-        seed,
-        tuple(rows),
-        yes_rate,
-        beyond,
-        tuple(lwe_dists),
-        tuple(uniform_dists),
-    )
+    rows = []
+    for origin, sample in (("lwe", sample_lwe), ("uniform", sample_uniform)):
+        for trial in range(trials):
+            inst = sample(params, derive_rng(seed, origin, trial))
+            dist = dist_to_lattice(lwe_to_gapcvp(inst, gamma), cap_bits)
+            rows.append(GapTrialRow(trial, origin, dist, _verdict(dist, d, calibrated_factor)))
+    return GapExperimentReport(params, gamma, calibrated_factor, seed, tuple(rows))

@@ -196,7 +196,7 @@ def _check_query(
     if m < 1:
         raise ValueError("need at least one unitary")
     if m > MAX_ORACLE_UNITARIES:
-        count = f"{math.factorial(m)} orderings" if ordered else f"{m} choices"
+        count = f"{m}! orderings" if ordered else f"{m} choices"
         raise ResourceError(f"{m} unitaries means {count}; cap is {MAX_ORACLE_UNITARIES}")
     if any(u.n != psi.n for u in unitaries):
         raise WidthError("all unitaries must act on the state's qubit count")

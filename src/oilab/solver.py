@@ -165,15 +165,10 @@ def build_output_state(
                 raise OracleFailureError(stage, outcome.success_probability, attempts)
             state = outcome.state
             probability = outcome.success_probability
+        # float64 throughout: the zero state is real and every table a permutation
         min_real = float(state.amps.real.min())
-        imaginary = (
-            np.iscomplexobj(state.amps)
-            and np.abs(state.amps.imag).max() > AMPLITUDE_REALITY_TOLERANCE
-        )
-        if min_real < -AMPLITUDE_REALITY_TOLERANCE or imaginary:
-            raise AssertionError(
-                f"stage {stage} produced amplitudes outside the non-negative real cone"
-            )
+        if min_real < -AMPLITUDE_REALITY_TOLERANCE:
+            raise AssertionError(f"stage {stage} produced a negative amplitude")
         if stage_log is not None:
             stage_log.append(StageRecord(stage, pair.r, attempts, probability, min_real))
     return state

@@ -207,8 +207,8 @@ class ThresholdCounterexample:
     distance: float
     squared_cosine: float
     bound: float
-    d0: dict
-    d1: dict
+    d0: Distribution
+    d1: Distribution
 
 
 def cosine_threshold_counterexamples(pairs, a, b) -> list[ThresholdCounterexample]:
@@ -229,7 +229,5 @@ def cosine_threshold_counterexamples(pairs, a, b) -> list[ThresholdCounterexampl
             ("no", distance > b and squared > no_bound + COUNTEREXAMPLE_TOLERANCE, no_bound),
         ):
             if violated:
-                found.append(ThresholdCounterexample(
-                    side, float(distance), squared, bound, d0.to_json_dict(), d1.to_json_dict()
-                ))
+                found.append(ThresholdCounterexample(side, float(distance), squared, bound, d0, d1))
     return found

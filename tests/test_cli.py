@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -388,6 +389,9 @@ class TestOracle:
             assert output.err.startswith("error: ill-typed field in unitary object")
 
 
+LAB_OUTPUT_SHA256 = "609a9783faf1d47749a35de21db1a8c673ec00c3fab4701f369ce9df85e2d5f9"
+
+
 class TestLwe:
     def test_gen_to_gapcvp_dist_chain(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -523,6 +527,31 @@ class TestLwe:
         )
         assert code == 0
         assert strict_json(output.out)["asymptotic_gamma"] is None
+
+    def test_lab_output_bytes_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # one SHA-256 over every command's stdout and every file it writes;
+        # paths are relative because the instance path enters config_hash
+        monkeypatch.chdir(tmp_path)
+        params = ["--n", 2, "--q", 101, "--m", 8, "--alpha", 0.02]
+        steps = [
+            (["lwe", "gen", *params, "--seed", 3, "--out", "lwe.json"], ["lwe.json"]),
+            (["lwe", "gen", *params, "--seed", 3, "--uniform", "--out", "uni.json"], ["uni.json"]),
+            (["lwe", "to-gapcvp", "--instance", "lwe.json", "--gamma", 3, "--out", "cvp.json"],
+             ["cvp.json"]),
+            (["lwe", "dist", "--instance", "cvp.json"], []),
+            (["lwe", "experiment", *params, "--trials", 4, "--seed", 5, "--out-prefix", "exp2"],
+             ["exp2.json", "exp2.csv"]),
+            (["lwe", "experiment", "--n", 1, "--q", 11, "--m", 2, "--alpha", 0.02, "--trials", 3,
+              "--out-prefix", "exp1"], ["exp1.json", "exp1.csv"]),
+        ]
+        digest = hashlib.sha256()
+        for argv, written in steps:
+            code, output = run(capsys, argv)
+            assert code == 0, output.err
+            digest.update(output.out.encode())
+            for name in written:
+                digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == LAB_OUTPUT_SHA256
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_experiment_needs_a_trial(self, trials, capsys):

@@ -162,15 +162,3 @@ def test_fidelity_tv_bounds_seeded_sweep():
         f = fidelity(*pair)
         assert 1 - f <= delta + 1e-9
         assert delta <= math.sqrt(max(0.0, 1 - f * f)) + 1e-9
-
-
-def test_json_hex_keys_padded_to_width():
-    d = exact_distribution(5, [0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
-                              0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1])
-    assert list(d.to_json_dict()["probs"]) == ["01", "04", "0c", "1a", "1f"]
-
-
-def test_json_decimal_strings():
-    d = exact_distribution(1, [3, 1])
-    blob = d.to_json_dict()
-    assert blob["probs"] == {"0": "0.75", "1": "0.25"}

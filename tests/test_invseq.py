@@ -632,7 +632,7 @@ class TestBlocksMatchOneBatch:
         ]
         assert len(sequences) == 40
         for seq in sequences:
-            assert sequence_output_distribution(seq).to_json_dict() == one_batch_fold(seq).to_json_dict()
+            assert sequence_output_distribution(seq) == one_batch_fold(seq)
 
     @pytest.mark.parametrize("rows", [7, 2 ** 15])
     @pytest.mark.parametrize("seed", range(6))

@@ -84,7 +84,7 @@ class TestDiscreteGaussian:
 
     def test_width_validated(self):
         with pytest.raises(ValueError):
-            sample_discrete_gaussian(0.0, derive_rng(0, "g"))
+            sample_discrete_gaussian(0.0, derive_rng(0, "g"), size=1)
 
 
 class TestSampling:
@@ -320,7 +320,7 @@ class TestGapExperiment:
         params = LweParams(2, 101, 8, alpha=0.0001)
         report = gap_experiment(params, gamma=3.0, trials=10, seed=13)
         assert report.yes_rate == 1.0
-        assert all(d == 0.0 for d in report.lwe_distances)
+        assert report.distances("lwe") == [0.0] * 10
 
     def test_reports_reproduce_bytewise(self):
         one = gap_experiment(DESK, 3.0, trials=5, seed=14).to_json_dict()

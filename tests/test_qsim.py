@@ -183,8 +183,15 @@ class TestOiVector:
     def test_factorial_cap(self):
         psi = basis_state(1, "0")
         unitaries = (identity_unitary(1),) * (MAX_ORACLE_UNITARIES + 1)
-        with pytest.raises(ResourceError, match=r"^9 unitaries means 362880 orderings; cap is 8$"):
+        with pytest.raises(ResourceError, match=r"^9 unitaries means 9! orderings; cap is 8$"):
             oi_oracle_query(unitaries, psi, 10, derive_rng(5, "cap"))
+
+    def test_cap_message_does_not_print_the_factorial(self):
+        # 2000! has 5,736 digits, past Python's int-to-str limit, which
+        # would raise ValueError in place of ResourceError
+        unitaries = (SimUnitary(1, table=[0, 1]),) * 2000
+        with pytest.raises(ResourceError, match=r"^2000 unitaries means 2000! orderings"):
+            oi_oracle_query(unitaries, basis_state(1, "0"), 10, derive_rng(5, "cap"))
 
 
 class TestPhaseAlignment:

@@ -214,6 +214,16 @@ class TestDecideSisd:
         assert (decision.verdict == "YES") == (decision.estimate >= decision.tau)
         assert len(decision.trials) == 5
 
+    def test_estimate_equal_to_tau_is_yes(self):
+        # promise (0, 1) puts tau at 1/2, and these four shots estimate the
+        # squared overlap 1/2 exactly: a tie is decided YES
+        seq0 = InvertibleSequence((_xor_bit_step(1, 0),), 1)
+        seq1 = InvertibleSequence((identity_pair(1),), 1)
+        cfg = SolverConfig(seed=1, swap_shots=4, trial_count=1)
+        decision = decide_sisd(SisdInstance(seq0, seq1, 0, 1), cfg)
+        assert decision.estimate == decision.tau == 0.5
+        assert decision.verdict == "YES"
+
     def test_report_round_trips_through_json(self):
         c = random_circuit(2, 1, 3, seed=52)
         inst = reduce_sd_to_sisd(SdInstance(c, c, "0.1", "0.9"))
