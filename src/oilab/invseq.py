@@ -3,9 +3,11 @@
 A sequence step is a pair of circuits on ``k`` state bits plus ``r_i``
 random bits; once the random bits are hard-wired the two directions invert
 each other, so each direction acts as a permutation of {0,1}^k.  The
-output distribution of a sequence is obtained by folding the forward
-circuits from the all-zero state over all randomness tuples, keeping after
-each step only the distinct reachable states with their exact counts.
+output distribution of a sequence is the last of its staged counts
+(``stage_counts``): dense int64 vectors over the 2^k states, each the
+previous one carried through a step's forward circuit for every
+randomness, so each holds, unnormalized, the state the decision builds at
+that stage.
 
 ``reduce_sd_to_sisd`` compiles a statistical-difference instance into two
 such sequences using one random bit per step: the first block of steps
@@ -26,6 +28,7 @@ combined copies, exactly), and a direct product drives far ones apart.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -245,46 +248,41 @@ def _sample(seed: int, index: int, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # output distribution
 
-def _merge_counts(states: list[np.ndarray], counts: list[np.ndarray]):
-    """The distinct states, sorted, each with the sum of its counts (an
-    exact int64 scatter-add)."""
-    distinct, slot = np.unique(np.concatenate(states), return_inverse=True)
-    summed = np.zeros(len(distinct), dtype=np.int64)
-    np.add.at(summed, slot, np.concatenate(counts))
-    return distinct, summed
+def stage_counts(seq: InvertibleSequence) -> Iterator[np.ndarray]:
+    """The fold's exact counting states: c_0 = e_0, then after each step
+    c'[forward(x; z)] += c[x] over every (x, z), as int64 vectors over the
+    2^k states, so c_t is the decision's stage-t state unnormalized.
 
-
-def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
-    """Exact D(sequence): fold forward circuits from 0^k over all randomness
-    tuples.
-
-    After each step only the distinct reachable states are kept, each with
-    the exact number of randomness prefixes reaching it, so a step of r
-    random bits evaluates (reachable states) * 2^r rows, read in blocks; a
-    step need not be a bijection.  The total random bits are guarded by the
-    enumeration cap, which keeps every count well inside int64.
+    A step reads its whole 2^(k+r) domain a block at a time and need not
+    be a bijection.  Before anything is allocated, the total random bits
+    (which keep the counts inside int64) and the widest step's k + r are
+    checked against the enumeration cap.
     """
     total_bits = seq.total_random_bits
     if total_bits > ENUM_BITS:
         raise ResourceError(f"folding over {total_bits} random bits exceeds cap of {ENUM_BITS}")
-    states = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=np.int64)
+    width = seq.k + seq.max_randomness
+    if width > ENUM_BITS:
+        raise ResourceError(f"a step over {width} bits exceeds cap of {ENUM_BITS}")
+    counts = np.zeros(1 << seq.k, dtype=np.int64)
+    counts[0] = 1
+    yield counts
     for pair in seq.pairs:
-        r = pair.r
-        reached, weights, merged = [], [], 0
-        for rows in blocks(len(states) << r):
-            owner = rows >> r  # row = (state slot << r) | z
-            points = (states[owner] << r) | (rows & ((1 << r) - 1))
-            reached.append(eval_circuit_batch(pair.forward, points))
-            weights.append(counts[owner])
-            # merging once the rows added since the last merge outgrow it
-            # bounds what is held by a few times the distinct states
-            if sum(map(len, reached)) > 2 * merged + len(rows):
-                distinct, summed = _merge_counts(reached, weights)
-                reached, weights, merged = [distinct], [summed], len(distinct)
-        states, counts = _merge_counts(reached, weights)
-    denom = Fraction(1, 1 << total_bits)
-    return Distribution(seq.k, {v: c * denom for v, c in zip(states.tolist(), counts.tolist())})
+        after = np.zeros_like(counts)
+        for rows in blocks(1 << (pair.k + pair.r)):
+            np.add.at(after, eval_circuit_batch(pair.forward, rows), counts[rows >> pair.r])
+        counts = after
+        yield counts
+
+
+def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
+    """Exact D(sequence): the last of ``stage_counts`` over 2^(total
+    random bits)."""
+    for counts in stage_counts(seq):
+        pass
+    denom = Fraction(1, 1 << seq.total_random_bits)
+    states = np.flatnonzero(counts)
+    return Distribution(seq.k, {v: c * denom for v, c in zip(states.tolist(), counts[states].tolist())})
 
 
 # ---------------------------------------------------------------------------

@@ -302,23 +302,19 @@ def no_side_log2_bound(params: LweParams, gamma: float) -> float:
     )
 
 
-def alpha_bound(n: int, m: int, q: int, c_prime: float = 1.0) -> float:
-    """Largest alpha for which the counting bound stays below 2^-n, up to the
-    constant c_prime: c' * sqrt(log2 n) / (2^(n/m) * q^(n/m) * sqrt(n*m))."""
+def alpha_bound(n: int, m: int, q: int) -> float:
+    """Largest alpha for which the counting bound stays below 2^-n, with
+    the constant c' = 1: sqrt(log2 n) / (2^(n/m) * q^(n/m) * sqrt(n*m))."""
     if n < 2 or m < 2 or q < 2:
         raise ValueError("need n, m, q >= 2")
-    return (
-        c_prime
-        * math.sqrt(math.log2(n))
-        / (2 ** (n / m) * q ** (n / m) * math.sqrt(n) * math.sqrt(m))
-    )
+    return math.sqrt(math.log2(n)) / (2 ** (n / m) * q ** (n / m) * math.sqrt(n) * math.sqrt(m))
 
 
-def szk_regime_gamma(n: int, c_prime: float = 1.0) -> float:
+def szk_regime_gamma(n: int) -> float:
     """Approximation factor sqrt(n / (c log2 n)) paired with alpha_bound; the
-    constant is c = (4 c')^2 so the two formulas solve the same inequality."""
-    c = (4.0 * c_prime) ** 2
-    return math.sqrt(n / (c * math.log2(n)))
+    constant is c = (4 c')^2 = 16, so the two formulas solve the same
+    inequality."""
+    return math.sqrt(n / (16.0 * math.log2(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ PACKAGE = ROOT / "src" / "oilab"
 
 # public definitions kept without a caller, and why
 UNCALLED = {
-    "invseq.sequence_output_distribution": "the exact reference for the sequence fold (ROADMAP item 9)",
+    "invseq.sequence_output_distribution": "the exact fold, the last of stage_counts (ROADMAP item 9)",
     "lwe.alpha_bound": "the regime szk_regime_gamma is derived from (ROADMAP item 4)",
     "lwe.no_side_log2_bound": "the counting bound of that regime (ROADMAP item 4)",
 }

@@ -44,6 +44,7 @@ from oilab.invseq import (
     polarize,
     reduce_sd_to_sisd,
     sequence_output_distribution,
+    stage_counts,
     validate_sequence,
     xor_combine,
 )
@@ -182,9 +183,18 @@ class TestSequenceDistribution:
     def test_all_identity_is_point_mass(self):
         seq = InvertibleSequence(tuple(identity_pair(2) for _ in range(3)), 2)
         assert sequence_output_distribution(seq) == point_mass(2, 0)
+        assert sequence_output_distribution(InvertibleSequence((), 2)) == point_mass(2, 0)
 
     def test_cap(self):
         seq = InvertibleSequence(tuple(_xor_bit_step(2, 0) for _ in range(30)), 2)
+        with pytest.raises(ResourceError):
+            sequence_output_distribution(seq)
+
+    def test_step_domain_cap(self):
+        # one random bit in all, but a step over 24 + 1 bits
+        seq = InvertibleSequence((_xor_bit_step(24, 0),), 24)
+        with pytest.raises(ResourceError):
+            next(stage_counts(seq))
         with pytest.raises(ResourceError):
             sequence_output_distribution(seq)
 

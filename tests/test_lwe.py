@@ -282,9 +282,9 @@ class TestCountingBound:
         n = 128
         q = n * n
         m = n * int(math.log2(q))
-        alpha = alpha_bound(n, m, q, c_prime=1.0)
+        alpha = alpha_bound(n, m, q)
         params = LweParams(n, q, m, alpha)
-        gamma = szk_regime_gamma(n, c_prime=1.0)
+        gamma = szk_regime_gamma(n)
         assert gamma >= 1.0
         assert no_side_log2_bound(params, gamma) <= -n + 1e-6
 
@@ -300,7 +300,7 @@ class TestCountingBound:
     def test_alpha_bound_matches_numeric_inversion(self):
         # independently solve log2 p(alpha) = -n by bisection
         n, m, q = 4, 32, 257
-        gamma = szk_regime_gamma(n, c_prime=1.0)
+        gamma = szk_regime_gamma(n)
         lo, hi = 1e-12, 0.5
 
         def log_p(alpha: float) -> float:
@@ -312,7 +312,7 @@ class TestCountingBound:
                 hi = mid
             else:
                 lo = mid
-        assert alpha_bound(n, m, q, 1.0) == pytest.approx(lo, rel=1e-9)
+        assert alpha_bound(n, m, q) == pytest.approx(lo, rel=1e-9)
 
 
 class TestGapExperiment:

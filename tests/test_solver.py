@@ -22,7 +22,7 @@ from helpers import (
 )
 
 from oilab import solver
-from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
+from oilab.circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, random_circuit
 from oilab.config import QUBIT_CAP
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, tv_distance
@@ -41,6 +41,7 @@ from oilab.invseq import (
     perturbed_bit,
     polarize,
     reduce_sd_to_sisd,
+    stage_counts,
 )
 from oilab.qsim import StateVector, permutation_unitary_from_circuit
 from oilab.seeding import derive_rng, derive_seed
@@ -170,6 +171,74 @@ class TestBuildOutputState:
         mean = sum(attempts) / len(attempts)
         sigma_mean = math.sqrt((1 - p) / p ** 2) / math.sqrt(len(attempts))
         assert abs(mean - 1 / p) <= 3 * sigma_mean
+
+
+def norm(counts: np.ndarray) -> float:
+    """The 2-norm of a count vector, summed over Python ints."""
+    return math.sqrt(sum(c * c for c in counts.tolist()))
+
+
+class TestStageCounts:
+    """The oracle path against the exact staged counts of invseq's fold, at
+    every stage of the compiled corpus."""
+
+    def test_every_stage_matches_the_counts(self):
+        sequences = [
+            seq
+            for item in polarize_corpus(build_sd_corpus(4, 2026))
+            for red in [reduce_sd_to_sisd(item.instance)]
+            for seq in (red.seq0, red.seq1)
+        ]
+        assert {seq.k for seq in sequences} == {14, 10}
+        cfg = SolverConfig(seed=0)
+        for index, seq in enumerate(sequences):
+            counts = list(stage_counts(seq))
+            for t in range(1, len(counts)):
+                log: list[StageRecord] = []
+                prefix = InvertibleSequence(seq.pairs[:t], seq.k)
+                state = build_output_state(prefix, cfg, derive_rng(0, "stage", index, t), log)
+                assert np.abs(state.amps - counts[t] / norm(counts[t])).max() <= 1e-15
+                r = seq.pairs[t - 1].r
+                if r:
+                    s = norm(counts[t]) / ((1 << r) * norm(counts[t - 1]))
+                    assert abs(log[-1].success_probability - s / (s + 1 / cfg.lam)) <= 1e-15
+
+
+def masked_instance() -> SdInstance:
+    """A YES instance decided NO: c0 outputs input wires 2..6 of 7 (uniform
+    on 5 bits), c1 the same bits ANDed with NOT(x0 AND x1), which is
+    3/4 U + 1/4 delta_0.  Its TV is 31/128 under the promise (1/4, 3/4),
+    and its reduced state is 12 qubits wide."""
+    builder = CircuitBuilder(7)
+    keep = builder.add("NOT", builder.add("AND", 0, 1))
+    c1 = builder.build([builder.add("AND", j, keep) for j in range(2, 7)])
+    return SdInstance(BoolCircuit(7, 5, (), tuple(range(2, 7))), c1, Fraction(1, 4), Fraction(3, 4))
+
+
+class TestKnownWrongVerdict:
+    """The cosine rule fails on a valid instance (ROADMAP item 3): the
+    squared cosine 16/(15 + 2^k) of U and 3/4 U + 1/4 delta_0 over k = 5
+    output bits is below tau."""
+
+    def test_exact_facts(self):
+        inst = masked_instance()
+        assert sd_distance(inst) == Fraction(31, 128)  # by enumeration
+        assert Fraction(31, 128) <= inst.a
+        sisd = reduce_sd_to_sisd(inst)
+        assert sisd.seq0.k == 12
+        (*_, c0), (*_, c1) = stage_counts(sisd.seq0), stage_counts(sisd.seq1)
+        c0, c1 = c0.tolist(), c1.tolist()
+        dot = sum(a * b for a, b in zip(c0, c1))
+        cos2 = Fraction(dot * dot, sum(a * a for a in c0) * sum(b * b for b in c1))
+        assert cos2 == Fraction(16, 47)
+        assert cos2 < derive_threshold(inst.a, inst.b).tau == Fraction(1, 2)
+
+    @pytest.mark.xfail(
+        strict=True, reason="squared cosine 16/47 < tau = 1/2 on a YES instance (ROADMAP item 3)"
+    )
+    @pytest.mark.parametrize("seed", [0, 99, 2026])
+    def test_decided_yes(self, seed):
+        assert decide_sd(masked_instance(), SolverConfig(seed=seed)).verdict == "YES"
 
 
 class TestDecideSisd:
