@@ -1,10 +1,11 @@
 """Gate-level boolean circuit IR with exact evaluation and enumeration.
 
 A circuit is a DAG over wires: wires ``0..k_in-1`` carry the input bits and
-gate ``g`` writes wire ``k_in + g`` (output wires are allocated
-consecutively, so a gate can only read wires defined before it).  The
-circuit's outputs are an arbitrary list of wire indices, which makes
-pass-through bits free: an output may point straight at an input wire.
+gate ``g`` writes wire ``k_in + g``, so a gate is its kind and inputs and
+reads only wires before its own.  The outputs are a list of wire indices
+(its length is ``k_out``), so an output may point straight at an input
+wire.  The file form restates each gate's wire and ``k_out``;
+``from_json_dict`` refuses a file whose copies disagree.
 
 Bitstrings are python ``str`` of '0'/'1' with the leftmost character the
 most significant bit; index ``i`` of any enumeration corresponds to
@@ -20,9 +21,9 @@ fold in ``invseq``) read their domain through ``blocks``, one cache-sized
 block at a time, so their memory follows the block, not 2^width.
 
 Compiled circuits are assembled by ``CircuitBuilder``, which folds every
-gate whose value it already knows and keeps only the gates the outputs
-read; the same ``last_reads`` rule decides what is live in a built
-circuit and in a batch evaluation.
+gate whose value it already knows and keeps only the ``Gate``s the outputs
+read, renumbered; the same ``last_reads`` rule decides what is live in a
+built circuit and in a batch evaluation.
 
 Everything here is pure and the types are immutable after construction, so
 concurrent readers need no locking.
@@ -33,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,10 +58,9 @@ GATE_ARITY = {
 class Gate:
     kind: str
     inputs: tuple[int, ...]
-    out: int
 
     def __post_init__(self):
-        for wire in (*self.inputs, self.out):
+        for wire in self.inputs:
             require_int(wire, "wire index")
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
@@ -76,32 +75,26 @@ class BoolCircuit:
     """Deterministic total map {0,1}^k_in -> {0,1}^k_out."""
 
     k_in: int
-    k_out: int
     gates: tuple[Gate, ...]
     outputs: tuple[int, ...]
 
     def __post_init__(self):
-        for width in (self.k_in, self.k_out):
-            require_int(width, "circuit width")
+        require_int(self.k_in, "circuit width")
         for wire in self.outputs:
             require_int(wire, "output wire")
-        if self.k_in < 1 or self.k_out < 1:
+        if self.k_in < 1 or not self.outputs:
             raise WidthError("circuit widths must be >= 1")
         for position, gate in enumerate(self.gates):
-            expected = self.k_in + position
-            if gate.out != expected:
-                raise ValueError(
-                    f"gate {position} must write wire {expected}, not {gate.out}"
-                )
             for wire in gate.inputs:
-                if not 0 <= wire < expected:
+                if not 0 <= wire < self.k_in + position:
                     raise ValueError(f"gate {position} reads undefined wire {wire}")
-        if len(self.outputs) != self.k_out:
-            raise WidthError("outputs list must have k_out entries")
-        n_wires = self.k_in + len(self.gates)
         for wire in self.outputs:
-            if not 0 <= wire < n_wires:
+            if not 0 <= wire < self.n_wires:
                 raise ValueError(f"output wire {wire} undefined")
+
+    @property
+    def k_out(self) -> int:
+        return len(self.outputs)
 
     @property
     def n_wires(self) -> int:
@@ -112,7 +105,8 @@ class BoolCircuit:
             "k_in": self.k_in,
             "k_out": self.k_out,
             "gates": [
-                {"kind": g.kind, "in": list(g.inputs), "out": g.out} for g in self.gates
+                {"kind": g.kind, "in": list(g.inputs), "out": self.k_in + position}
+                for position, g in enumerate(self.gates)
             ],
             "outputs": list(self.outputs),
         }
@@ -122,18 +116,28 @@ class BoolCircuit:
         with typed_fields("circuit object"):
             k_in = require_field(obj, "k_in", "circuit object")
             k_out = require_field(obj, "k_out", "circuit object")
-            gates = []
+            gates, outs = [], []
             for i, raw in enumerate(require_field(obj, "gates", "circuit object")):
                 kind = require_field(raw, "kind", f"gate {i}")
                 inputs = tuple(require_field(raw, "in", f"gate {i}"))
-                out = require_field(raw, "out", f"gate {i}")
+                outs.append(require_field(raw, "out", f"gate {i}"))
                 try:
-                    gates.append(Gate(kind, inputs, out))
+                    gates.append(Gate(kind, inputs))
+                    require_int(outs[-1], "wire index")
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"gate {i}: {exc}") from exc
             outputs = tuple(require_field(obj, "outputs", "circuit object"))
             try:
-                return cls(k_in, k_out, tuple(gates), outputs)
+                for width in (k_in, k_out):
+                    require_int(width, "circuit width")
+                if min(k_in, k_out) < 1:
+                    raise WidthError("circuit widths must be >= 1")
+                for position, out in enumerate(outs):
+                    if out != k_in + position:
+                        raise ValueError(f"gate {position} must write wire {k_in + position}, not {out}")
+                if len(outputs) != k_out:
+                    raise WidthError("outputs list must have k_out entries")
+                return cls(k_in, tuple(gates), outputs)
             except (TypeError, ValueError, WidthError) as exc:
                 raise ParseError(f"circuit object: {exc}") from exc
 
@@ -153,7 +157,7 @@ _GATE_BATCH_OPS = {
 PACKED_BITS = 63  # widest bitstring a packed int64 holds
 
 
-def last_reads(k_in: int, gates: Sequence[Gate | _Pending], outputs: Sequence[int]) -> list[int]:
+def last_reads(k_in: int, gates: Sequence[Gate], outputs: Sequence[int]) -> list[int]:
     """Per wire of a gate list over ``k_in`` inputs, the position of the last
     live gate reading it: ``len(gates)`` for a gate wire that is an output,
     -1 when nothing live reads it (so a gate is dead exactly when its own
@@ -265,26 +269,19 @@ def random_circuit(k_in: int, k_out: int, gate_count: int, seed: int) -> BoolCir
         kind = _RANDOM_KINDS[rng.integers(len(_RANDOM_KINDS))]
         available = k_in + position
         inputs = tuple(int(rng.integers(available)) for _ in range(GATE_ARITY[kind]))
-        gates.append(Gate(kind, inputs, k_in + position))
+        gates.append(Gate(kind, inputs))
     if gate_count == 0:
         outputs = tuple(j % k_in for j in range(k_out))
     else:
         n_wires = k_in + gate_count
         outputs = tuple(int(rng.integers(n_wires)) for _ in range(k_out))
-    return BoolCircuit(k_in, k_out, tuple(gates), outputs)
+    return BoolCircuit(k_in, tuple(gates), outputs)
 
 
 # ---------------------------------------------------------------------------
 # circuit assembly
 
 _CONSTANTS = ("CONST0", "CONST1")
-
-
-class _Pending(NamedTuple):
-    """A builder's gate before renumbering; like a ``Gate``, it has ``inputs``."""
-
-    kind: str
-    inputs: tuple[int, ...]
 
 
 class CircuitBuilder:
@@ -302,20 +299,20 @@ class CircuitBuilder:
 
     def __init__(self, k_in: int):
         self.k_in = k_in
-        self.gates: list[_Pending] = []
+        self.gates: list[Gate] = []
         self.wires: dict[tuple[str, tuple[int, ...]], int] = {}  # (kind, sorted inputs) -> wire
 
     def _append(self, kind: str, inputs: tuple[int, ...]) -> int:
         key = (kind, tuple(sorted(inputs)))
         if key not in self.wires:
-            self.gates.append(_Pending(kind, inputs))
+            self.gates.append(Gate(kind, inputs))
             self.wires[key] = self.k_in + len(self.gates) - 1
         return self.wires[key]
 
     def _constant(self, bit: int) -> int:
         return self._append(_CONSTANTS[bit], ())
 
-    def _gate(self, wire: int) -> _Pending | None:
+    def _gate(self, wire: int) -> Gate | None:
         """The gate that writes the wire; None for a circuit input."""
         return self.gates[wire - self.k_in] if wire >= self.k_in else None
 
@@ -360,11 +357,11 @@ class CircuitBuilder:
         last = last_reads(k_in, self.gates, outputs)
         renumbered = list(range(k_in))
         gates: list[Gate] = []
-        for position, (kind, inputs) in enumerate(self.gates):
+        for position, gate in enumerate(self.gates):
             renumbered.append(k_in + len(gates))
             if last[k_in + position] >= 0:
-                gates.append(Gate(kind, tuple(renumbered[w] for w in inputs), renumbered[-1]))
-        return BoolCircuit(k_in, len(outputs), tuple(gates), tuple(renumbered[w] for w in outputs))
+                gates.append(Gate(gate.kind, tuple(renumbered[w] for w in gate.inputs)))
+        return BoolCircuit(k_in, tuple(gates), tuple(renumbered[w] for w in outputs))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,7 +11,7 @@ Probabilities are ``Fraction``s, and ``tv_distance`` returns a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -28,7 +28,7 @@ class Distribution:
     """Probability map over {0,1}^width, sparse (zero-mass keys dropped)."""
 
     width: int
-    probs: Mapping[int, Fraction] = field(default_factory=dict)
+    probs: Mapping[int, Fraction]
 
     def __post_init__(self):
         if self.width < 0:

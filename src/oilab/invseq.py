@@ -1,9 +1,10 @@
 """Sequentially invertible circuit sequences and the reductions onto them.
 
 A sequence step is a pair of circuits on ``k`` state bits plus ``r_i``
-random bits; once the random bits are hard-wired the two directions invert
-each other, so each direction acts as a permutation of {0,1}^k.  The
-output distribution of a sequence is the last of its staged counts
+random bits, both read from the forward circuit's widths (a file states
+them again, and must agree); once the random bits are hard-wired the two
+directions invert each other, so each acts as a permutation of {0,1}^k.
+The output distribution of a sequence is the last of its staged counts
 (``stage_counts``): dense int64 vectors over the 2^k states, each the
 previous one carried through a step's forward circuit for every
 randomness, so each holds, unnormalized, the state the decision builds at
@@ -17,7 +18,8 @@ output register, and the final block re-perturbs the scratch register so
 its content becomes an independent uniform string.  The construction
 preserves total-variation distance exactly.  A perturb step's permutation
 for randomness z is the identity with one bit flipped when z is 1;
-``perturbed_bit`` recognizes such a step, so the solver can write its
+``perturbed_bit`` recognizes such a step by equality with the one cached
+``_xor_bit_step`` of its width and bit, so the solver can write its
 tables in closed form instead of evaluating the circuit.
 
 ``polarize`` is the gap amplifier used when the raw promise parameters
@@ -28,6 +30,7 @@ combined copies, exactly), and a direct product drives far ones apart.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,24 +48,27 @@ from .seeding import derive_rng
 @dataclass(frozen=True)
 class InvPair:
     """One sequence step: forward/backward circuits over k state bits and
-    r hard-wired random bits, laid out as state || randomness."""
+    r hard-wired random bits, laid out as state || randomness; forward's
+    widths give k (its outputs) and r (its other inputs)."""
 
     forward: BoolCircuit
     backward: BoolCircuit
-    k: int
-    r: int
 
     def __post_init__(self):
-        require_int(self.k, "k")
-        require_int(self.r, "r")
-        if self.k < 1 or self.r < 0:
-            raise MalformedSequenceError("need k >= 1 and r >= 0")
-        for name, circ in (("forward", self.forward), ("backward", self.backward)):
-            if circ.k_in != self.k + self.r or circ.k_out != self.k:
-                raise MalformedSequenceError(
-                    f"{name} circuit maps {circ.k_in}->{circ.k_out} bits, "
-                    f"expected {self.k + self.r}->{self.k}"
-                )
+        widths = (self.forward.k_in, self.forward.k_out)
+        if self.r < 0 or (self.backward.k_in, self.backward.k_out) != widths:
+            raise MalformedSequenceError(
+                f"forward circuit maps {widths[0]}->{widths[1]} bits and backward "
+                f"{self.backward.k_in}->{self.backward.k_out}; a step needs equal widths and r >= 0"
+            )
+
+    @property
+    def k(self) -> int:
+        return self.forward.k_out
+
+    @property
+    def r(self) -> int:
+        return self.forward.k_in - self.forward.k_out
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,17 +108,19 @@ class InvertibleSequence:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "InvertibleSequence":
         with typed_fields("sequence object"):
-            k = require_field(obj, "k", "sequence object")
+            k = require_int(require_field(obj, "k", "sequence object"), "k")
             pairs = []
             for i, raw in enumerate(require_field(obj, "pairs", "sequence object")):
-                pairs.append(
-                    InvPair(
-                        BoolCircuit.from_json_dict(require_field(raw, "forward", f"pair {i}")),
-                        BoolCircuit.from_json_dict(require_field(raw, "backward", f"pair {i}")),
-                        k,
-                        require_field(raw, "r", f"pair {i}"),
-                    )
-                )
+                forward = BoolCircuit.from_json_dict(require_field(raw, "forward", f"pair {i}"))
+                backward = BoolCircuit.from_json_dict(require_field(raw, "backward", f"pair {i}"))
+                r = require_int(require_field(raw, "r", f"pair {i}"), "r")
+                if k < 1 or r < 0:
+                    raise MalformedSequenceError("need k >= 1 and r >= 0")
+                for name, circuit in (("forward", forward), ("backward", backward)):
+                    if (circuit.k_in, circuit.k_out) != (k + r, k):
+                        widths = f"{circuit.k_in}->{circuit.k_out} bits, expected {k + r}->{k}"
+                        raise MalformedSequenceError(f"{name} circuit maps {widths}")
+                pairs.append(InvPair(forward, backward))
             return cls(tuple(pairs), k)
 
 
@@ -288,6 +296,7 @@ def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
 # ---------------------------------------------------------------------------
 # the reduction
 
+@functools.cache
 def _xor_bit_step(state_width: int, bit: int) -> InvPair:
     """Step XORing the single random bit into state position ``bit``; its own inverse."""
     builder = CircuitBuilder(state_width + 1)
@@ -295,23 +304,15 @@ def _xor_bit_step(state_width: int, bit: int) -> InvPair:
     outputs = list(range(state_width))
     outputs[bit] = flipped
     circuit = builder.build(outputs)
-    return InvPair(circuit, circuit, state_width, 1)
+    return InvPair(circuit, circuit)
 
 
 def perturbed_bit(pair: InvPair) -> int | None:
-    """The state bit ``pair`` XORs its random bit into when it equals
-    ``_xor_bit_step(pair.k, bit)``, else None; a structural check that
-    evaluates nothing."""
-    circuit = pair.forward
-    if pair.r != 1 or pair.backward != circuit or len(circuit.gates) != 1:
-        return None
-    k, (gate,) = pair.k, circuit.gates
-    bit = gate.inputs[0]
-    if gate.kind != "XOR" or gate.inputs[1:] != (k,) or bit >= k:
-        return None
-    outputs = list(range(k))
-    outputs[bit] = k + 1  # the one gate's wire
-    return bit if circuit.outputs == tuple(outputs) else None
+    """The first input ``bit`` of the step's one gate when ``pair`` equals
+    ``_xor_bit_step(pair.k, bit)``, else None; it evaluates nothing."""
+    gates = pair.forward.gates
+    bit = gates[0].inputs[0] if len(gates) == 1 and gates[0].inputs else None
+    return bit if bit is not None and bit < pair.k and pair == _xor_bit_step(pair.k, bit) else None
 
 
 def _apply_circuit_step(circuit: BoolCircuit, prefix_width: int) -> InvPair:
@@ -321,7 +322,7 @@ def _apply_circuit_step(circuit: BoolCircuit, prefix_width: int) -> InvPair:
     value_wires = builder.inline(circuit, list(range(circuit.k_in)))
     out_wires = [builder.add("XOR", prefix_width + j, w) for j, w in enumerate(value_wires)]
     step = builder.build(list(range(prefix_width)) + out_wires)
-    return InvPair(step, step, state_width, 0)
+    return InvPair(step, step)
 
 
 def reduce_sd_to_sisd(inst: SdInstance) -> SisdInstance:

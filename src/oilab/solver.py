@@ -90,7 +90,8 @@ def derive_threshold(a, b) -> ThresholdSpec:
 
 @dataclass(frozen=True)
 class StageRecord:
-    stage: int
+    """One stage of a build; a record's stage is its index in the log."""
+
     r: int
     attempts: int
     success_probability: float
@@ -170,7 +171,7 @@ def build_output_state(
         if min_real < -AMPLITUDE_REALITY_TOLERANCE:
             raise AssertionError(f"stage {stage} produced a negative amplitude")
         if stage_log is not None:
-            stage_log.append(StageRecord(stage, pair.r, attempts, probability, min_real))
+            stage_log.append(StageRecord(pair.r, attempts, probability, min_real))
     return state
 
 
@@ -182,8 +183,8 @@ class Decision:
     gap: float
     trials: tuple[float, ...]
     exact_overlap: float
-    stage_log0: tuple[StageRecord, ...] = field(default=(), repr=False)
-    stage_log1: tuple[StageRecord, ...] = field(default=(), repr=False)
+    stage_log0: tuple[StageRecord, ...] = field(repr=False)
+    stage_log1: tuple[StageRecord, ...] = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {

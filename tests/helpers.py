@@ -3,6 +3,7 @@ as the scalar ``eval_circuit`` and the per-ordering interference block, the
 float metrics and the cosine-rule scan."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,18 +41,29 @@ def eval_circuit(circuit: BoolCircuit, x: str) -> str:
 
 
 def identity_circuit(width: int) -> BoolCircuit:
-    return BoolCircuit(width, width, (), tuple(range(width)))
+    return BoolCircuit(width, (), tuple(range(width)))
 
 
 def constant_circuit(k_in: int, bits: str) -> BoolCircuit:
     """Circuit ignoring its input and emitting the fixed string ``bits``."""
-    gates = tuple(Gate(f"CONST{ch}", (), k_in + i) for i, ch in enumerate(bits))
-    return BoolCircuit(k_in, len(bits), gates, tuple(range(k_in, k_in + len(bits))))
+    gates = tuple(Gate(f"CONST{ch}", ()) for ch in bits)
+    return BoolCircuit(k_in, gates, tuple(range(k_in, k_in + len(bits))))
 
 
 def identity_pair(width: int) -> InvPair:
     circuit = identity_circuit(width)
-    return InvPair(circuit, circuit, width, 0)
+    return InvPair(circuit, circuit)
+
+
+def edited(obj, path: tuple, value):
+    """A copy of the JSON object obj with the leaf at path set to value."""
+    obj = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = obj
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return obj
 
 
 def random_sd_instance(index: int, seed: int = 42, max_k_in: int = 4, k_out_cap: int = 3):

@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import traced_peak_bytes
-from helpers import constant_circuit, eval_circuit, identity_circuit, uniform_distribution
+from helpers import constant_circuit, edited, eval_circuit, identity_circuit, uniform_distribution
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,16 +22,16 @@ from oilab.errors import ParseError, ResourceError, WidthError
 
 
 def and_circuit():
-    return BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,))
+    return BoolCircuit(2, (Gate("AND", (0, 1)),), (2,))
 
 
 class TestEval:
     def test_identity_via_copy_gates(self):
-        c = BoolCircuit(2, 2, (Gate("COPY", (0,), 2), Gate("COPY", (1,), 3)), (2, 3))
+        c = BoolCircuit(2, (Gate("COPY", (0,)), Gate("COPY", (1,))), (2, 3))
         assert eval_circuit(c, "01") == "01"
 
     def test_single_not(self):
-        c = BoolCircuit(1, 1, (Gate("NOT", (0,), 1),), (1,))
+        c = BoolCircuit(1, (Gate("NOT", (0,)),), (1,))
         assert eval_circuit(c, "0") == "1"
         assert eval_circuit(c, "1") == "0"
 
@@ -45,56 +46,56 @@ class TestEval:
             eval_circuit(and_circuit(), "1x")
 
     def test_all_gate_kinds(self):
-        c = BoolCircuit(
-            2,
-            5,
-            (
-                Gate("XOR", (0, 1), 2),
-                Gate("OR", (0, 1), 3),
-                Gate("CONST0", (), 4),
-                Gate("CONST1", (), 5),
-                Gate("COPY", (2,), 6),
-            ),
-            (2, 3, 4, 5, 6),
+        gates = (  # writing wires 2 to 6
+            Gate("XOR", (0, 1)),
+            Gate("OR", (0, 1)),
+            Gate("CONST0", ()),
+            Gate("CONST1", ()),
+            Gate("COPY", (2,)),
         )
+        c = BoolCircuit(2, gates, (2, 3, 4, 5, 6))
         assert eval_circuit(c, "10") == "11011"
 
 
 class TestStructure:
     def test_gate_must_write_consecutive_wire(self):
-        with pytest.raises(ValueError):
-            BoolCircuit(2, 1, (Gate("AND", (0, 1), 5),), (0,))
+        # gate g writes wire k_in + g; a file that names another wire is refused
+        gate = {"kind": "AND", "in": [0, 1], "out": 5}
+        with pytest.raises(ParseError, match="gate 0 must write wire 2, not 5"):
+            BoolCircuit.from_json_dict({"k_in": 2, "k_out": 1, "gates": [gate], "outputs": [0]})
 
     def test_gate_cannot_read_future_wire(self):
         with pytest.raises(ValueError):
-            BoolCircuit(2, 1, (Gate("AND", (0, 3), 2),), (2,))
+            BoolCircuit(2, (Gate("AND", (0, 3)),), (2,))
 
     def test_output_wire_must_exist(self):
         with pytest.raises(ValueError):
-            BoolCircuit(2, 1, (), (5,))
+            BoolCircuit(2, (), (5,))
 
     def test_bad_arity(self):
         with pytest.raises(ValueError):
-            Gate("NOT", (0, 1), 2)
+            Gate("NOT", (0, 1))
         with pytest.raises(ValueError):
-            Gate("FANCY", (0,), 2)
+            Gate("FANCY", (0,))
 
     def test_widths_positive(self):
         with pytest.raises(WidthError):
-            BoolCircuit(0, 1, (), (0,))
+            BoolCircuit(0, (), (0,))
 
     def test_widths_and_wire_indices_are_ints(self):
         # bool is an int subclass, but True is no wire index
         for bad in (0.5, 1.0, True, "1"):
             with pytest.raises(TypeError, match="must be an int"):
-                Gate("NOT", (bad,), 2)
+                Gate("NOT", (bad,))
             with pytest.raises(TypeError, match="must be an int"):
-                Gate("NOT", (0,), bad)
+                BoolCircuit(2, (), (bad,))
             with pytest.raises(TypeError, match="must be an int"):
-                BoolCircuit(2, 1, (), (bad,))
-        for k_in, k_out in ((2.0, 1), (2, 1.0), (True, 1)):
-            with pytest.raises(TypeError, match="must be an int"):
-                BoolCircuit(k_in, k_out, (), (0,))
+                BoolCircuit(bad, (), (0,))
+        # a file also states each gate's wire and the output width
+        for path in (("gates", 0, "out"), ("k_out",)):
+            for bad in (2.0, True):
+                with pytest.raises(ParseError, match="must be an int"):
+                    BoolCircuit.from_json_dict(edited(NOT_AND_FILE, path, bad))
 
 
 class TestEnumerate:
@@ -205,29 +206,23 @@ def assert_truth_table_matches_scalar(circuit):
 # Hand-built circuits for the evaluator's pass-through runs and wire
 # lifetimes (gate g writes wire k_in + g).
 PASS_THROUGH_CASES = {
-    "ascending-runs": BoolCircuit(4, 6, (Gate("AND", (0, 3), 4),), (0, 1, 2, 4, 1, 2)),
-    "repeated-and-descending": BoolCircuit(4, 3, (), (3, 3, 2)),
-    "run-ends-at-last-input-then-gate-wire": BoolCircuit(
-        4, 4, (Gate("NOT", (1,), 4),), (1, 2, 3, 4)
-    ),
+    "ascending-runs": BoolCircuit(4, (Gate("AND", (0, 3)),), (0, 1, 2, 4, 1, 2)),
+    "repeated-and-descending": BoolCircuit(4, (), (3, 3, 2)),
+    "run-ends-at-last-input-then-gate-wire": BoolCircuit(4, (Gate("NOT", (1,)),), (1, 2, 3, 4)),
     "output-read-by-later-gate": BoolCircuit(
         3,
-        4,
-        (Gate("XOR", (0, 2), 3), Gate("AND", (3, 1), 4), Gate("NOT", (3,), 5)),
+        (Gate("XOR", (0, 2)), Gate("AND", (3, 1)), Gate("NOT", (3,))),
         (3, 4, 1, 5),
     ),
-    "input-output-read-by-gate": BoolCircuit(3, 3, (Gate("OR", (1, 2), 3),), (1, 3, 2)),
-    "xor-with-itself": BoolCircuit(2, 2, (Gate("XOR", (1, 1), 2),), (2, 0)),
-    "constants": BoolCircuit(
-        2, 4, (Gate("CONST0", (), 2), Gate("CONST1", (), 3)), (3, 0, 1, 2)
-    ),
+    "input-output-read-by-gate": BoolCircuit(3, (Gate("OR", (1, 2)),), (1, 3, 2)),
+    "xor-with-itself": BoolCircuit(2, (Gate("XOR", (1, 1)),), (2, 0)),
+    "constants": BoolCircuit(2, (Gate("CONST0", ()), Gate("CONST1", ())), (3, 0, 1, 2)),
     "dead-gates": BoolCircuit(
         3,
-        2,
-        (Gate("NOT", (0,), 3), Gate("AND", (1, 2), 4), Gate("OR", (3, 4), 5)),
+        (Gate("NOT", (0,)), Gate("AND", (1, 2)), Gate("OR", (3, 4))),
         (4, 0),
     ),
-    "no-gates": BoolCircuit(3, 5, (), (0, 1, 2, 0, 1)),
+    "no-gates": BoolCircuit(3, (), (0, 1, 2, 0, 1)),
 }
 
 
@@ -250,7 +245,7 @@ def pass_through_circuits(draw):
     seed = draw(st.integers(0, 2 ** 32))
     outputs = draw(st.lists(st.integers(0, k_in - 1), min_size=1, max_size=8))
     gates = random_circuit(k_in, 1, gate_count, seed).gates
-    return BoolCircuit(k_in, len(outputs), gates, tuple(outputs))
+    return BoolCircuit(k_in, gates, tuple(outputs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,22 +259,23 @@ def test_batch_pass_through_outputs_match_scalar(circuit):
 def test_last_reads_marks_exactly_the_dead_gates(circuit):
     # independent reference: walk back from the outputs through gate inputs
     live = set(circuit.outputs)
-    for gate in reversed(circuit.gates):
-        if gate.out in live:
+    for wire, gate in reversed(list(enumerate(circuit.gates, circuit.k_in))):
+        if wire in live:
             live.update(gate.inputs)
     last = last_reads(circuit.k_in, circuit.gates, circuit.outputs)
-    assert [last[g.out] < 0 for g in circuit.gates] == [g.out not in live for g in circuit.gates]
+    wires = range(circuit.k_in, circuit.n_wires)
+    assert [last[wire] < 0 for wire in wires] == [wire not in live for wire in wires]
 
 
 def test_batch_packs_63_output_bits():
     # output 0 is the input bit, the other 62 are constant 0
-    wide = BoolCircuit(1, 63, (Gate("CONST0", (), 1),), (0,) + (1,) * 62)
+    wide = BoolCircuit(1, (Gate("CONST0", ()),), (0,) + (1,) * 62)
     assert eval_circuit_batch(wide, np.arange(2)).tolist() == [0, 1 << 62]
 
 
 def test_batch_rejects_what_int64_cannot_hold():
     for k_out in (64, 65):
-        wide = BoolCircuit(1, k_out, (Gate("CONST0", (), 1),), (0,) + (1,) * (k_out - 1))
+        wide = BoolCircuit(1, (Gate("CONST0", ()),), (0,) + (1,) * (k_out - 1))
         with pytest.raises(WidthError, match="at most 63"):
             eval_circuit_batch(wide, np.arange(2))
         with pytest.raises(WidthError, match="at most 63"):
@@ -302,6 +298,37 @@ def test_batch_rejects_malformed_batches():
 def test_from_json_names_missing_field():
     with pytest.raises(ParseError, match="k_out"):
         BoolCircuit.from_json_dict({"k_in": 2})
+
+
+# NOT(x0) AND x1 as a file: each gate's "out" and the circuit's "k_out"
+# restate what the gate's position and the outputs list say
+NOT_AND_FILE = {
+    "k_in": 2,
+    "k_out": 1,
+    "gates": [{"kind": "NOT", "in": [0], "out": 2}, {"kind": "AND", "in": [2, 1], "out": 3}],
+    "outputs": [3],
+}
+
+
+class TestFileBoundary:
+    def test_written_copies_agree(self):
+        assert BoolCircuit.from_json_dict(NOT_AND_FILE).to_json_dict() == NOT_AND_FILE
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("gates", 1, "out"), 4, "circuit object: gate 1 must write wire 3, not 4"),
+            (("gates", 0, "out"), 3, "circuit object: gate 0 must write wire 2, not 3"),
+            (("gates", 0, "out"), "2", "gate 0: wire index must be an int, got '2'"),
+            (("k_out",), 2, "circuit object: outputs list must have k_out entries"),
+            (("k_out",), 0, "circuit object: circuit widths must be >= 1"),
+            (("k_out",), "1", "circuit object: circuit width must be an int, got '1'"),
+            (("k_out",), True, "circuit object: circuit width must be an int, got True"),
+        ],
+    )
+    def test_disagreeing_copies_are_refused(self, path, value, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            BoolCircuit.from_json_dict(edited(NOT_AND_FILE, path, value))
 
 
 def test_sd_instance_contracts():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from helpers import constant_circuit, identity_circuit
+from helpers import constant_circuit, edited, identity_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,17 +71,6 @@ def small_query() -> dict:
             {"kind": "permutation", "n": 1, "table": [1, 0]},
         ],
     }
-
-
-def edited(obj, path: tuple, value):
-    """A copy of obj with the leaf at path set to value."""
-    obj = json.loads(json.dumps(obj))
-    *parents, last = path
-    target = obj
-    for key in parents:
-        target = target[key]
-    target[last] = value
-    return obj
 
 
 class TestDecide:
@@ -211,7 +201,7 @@ class TestReduce:
     )
     def test_non_int_wire_or_width_is_a_parse_error(self, field, value, tmp_path, capsys):
         # a float crashed with a TypeError (exit 1 reads as NO); true read as wire 1
-        circuit = BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,)).to_json_dict()
+        circuit = BoolCircuit(2, (Gate("AND", (0, 1)),), (2,)).to_json_dict()
         if field == "in":
             circuit["gates"][0]["in"] = value
         else:
@@ -320,7 +310,7 @@ class TestCircuitStats:
     def test_outputs_wider_than_63_bits_are_an_error(self, k_out, tmp_path, capsys):
         # output 0 is the input bit, the others a constant 0: two outcomes at 1/2
         # each, which a 64-bit packed value cannot tell apart
-        wide = BoolCircuit(1, k_out, (Gate("CONST0", (), 1),), (0,) + (1,) * (k_out - 1))
+        wide = BoolCircuit(1, (Gate("CONST0", ()),), (0,) + (1,) * (k_out - 1))
         path = tmp_path / "wide.json"
         write_json(str(path), wide.to_json_dict())
         code, output = run(capsys, ["circuit", "stats", "--instance", path])
@@ -861,13 +851,77 @@ def test_malformed_instance_is_an_error_not_a_no(command, content, field, tmp_pa
         assert re.search(rf"\b{field}\b", output.err), output.err
 
 
+def _sisd_files() -> dict:
+    """name -> (a two-sequence instance file that breaks one check of
+    SisdInstance, the check's message)."""
+    narrow = reduce_sd_to_sisd(SdInstance(identity_circuit(1), identity_circuit(1), 0, 1)).to_json_dict()
+    wide = reduce_sd_to_sisd(SdInstance(identity_circuit(2), identity_circuit(2), 0, 1)).to_json_dict()
+    return {
+        "unequal-widths": ({**narrow, "seq1": wide["seq1"]}, "sequences must share the state width"),
+        "a-above-b": ({**narrow, "a": "0.9", "b": "0.1"}, "promise requires a <= b"),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        *[
+            pytest.param(("oracle", kind, "--query"), query, message, id=f"{kind}-{name}")
+            for kind in ("oi", "ci")
+            for name, query, message in (
+                ("matrix-shape", edited(small_query(), ("unitaries", 0, "matrix"), [[[1, 0]] * 3] * 3),
+                 "matrix must be 2x2"),
+                ("no-unitaries", {**small_query(), "unitaries": []}, "need at least one unitary"),
+                ("unitary-width", edited(small_query(), ("unitaries", 1), {"kind": "permutation", "n": 2,
+                                                                           "table": [0, 1, 2, 3]}),
+                 "all unitaries must act on the state's qubit count"),
+                ("psi-norm", {**small_query(), "psi": [[1.0, 0.0], [1.0, 0.0]]}, "query state must be normalized"),
+            )
+        ],
+        *[
+            pytest.param(("decide", "sisd", "--instance"), sisd, message, id=f"sisd-{name}")
+            for name, (sisd, message) in _sisd_files().items()
+        ],
+        pytest.param(LWE_DIST, {**small_gapcvp(), "d": 0.0}, "d must be positive, got 0.0", id="gapcvp-d"),
+        pytest.param(LWE_DIST, {**small_gapcvp(), "gamma": 0.5}, "gamma must be >= 1, got 0.5", id="gapcvp-gamma"),
+    ],
+)
+def test_file_that_breaks_an_input_check_names_it(command, content, message, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    write_json(str(path), content)
+    code, output = run(capsys, [*command, path])
+    assert (code, output.out, output.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, message", [("--k", "k must be >= 1"), ("--xor-reps", "reps must be >= 1")])
+def test_polarize_count_of_zero_names_it(flag, message, tmp_path, capsys):
+    inst = SdInstance(identity_circuit(2), constant_circuit(2, "00"), "1/3", "2/3")
+    path, out = tmp_path / "sd.json", tmp_path / "out.json"
+    write_json(str(path), inst.to_json_dict())
+    counts = {"--k": 2, "--xor-reps": 2, "--product-reps": 2, flag: 0}
+    code, output = run(capsys, ["polarize", "--instance", path, "--out", out, *itertools.chain(*counts.items())])
+    assert (code, output.out, output.err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_failed_write_leaves_no_temporary_file(sd_files, tmp_path, capsys):
+    # --out names a directory: the rename onto it fails after the temporary file is written
+    yes_path, _ = sd_files
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, output = run(capsys, ["reduce", "sd-to-sisd", "--instance", yes_path, "--out", target])
+    assert code == 2 and output.err.startswith("error:") and "Is a directory" in output.err
+    assert not list(tmp_path.glob(".oilab-*.tmp"))
+    assert not any(target.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # one valid file per kind the CLI reads, each mutated at one leaf
 
 def _valid_files() -> dict:
     """kind -> (argv before the file path, a valid file); the reals are
     written as floats, so every int leaf is a field that must be an int."""
-    and_circuit = BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,))
+    and_circuit = BoolCircuit(2, (Gate("AND", (0, 1)),), (2,))
     circuit = and_circuit.to_json_dict()
     sd = SdInstance(and_circuit, constant_circuit(2, "0"), "0.1", "0.9")
     sisd = reduce_sd_to_sisd(sd).to_json_dict()

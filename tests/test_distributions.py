@@ -64,6 +64,10 @@ class TestConstruction:
             Distribution(2, {-1: Fraction(1)})
         assert sorted(Distribution(2, {3: Fraction(1)}).probs) == [3]
 
+    def test_width_must_be_non_negative(self):
+        with pytest.raises(WidthError, match="^width must be non-negative$"):
+            Distribution(-1, {0: Fraction(1)})
+
     def test_zero_entries_dropped(self):
         d = Distribution(1, {0: Fraction(1), 1: Fraction(0)})
         assert sorted(d.probs) == [0]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from conftest import traced_kept_bytes, traced_peak_bytes
 from helpers import (
     constant_circuit,
+    edited,
     eval_circuit,
     identity_circuit,
     identity_pair,
@@ -31,7 +34,7 @@ from oilab.circuits import (
 )
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, tv_distance
-from oilab.errors import MalformedSequenceError, PreconditionError, ResourceError
+from oilab.errors import MalformedSequenceError, ParseError, PreconditionError, ResourceError
 from oilab.invseq import (
     SAMPLED_POINTS,
     InvPair,
@@ -48,6 +51,7 @@ from oilab.invseq import (
     validate_sequence,
     xor_combine,
 )
+from oilab.jsonio import canonical_dumps
 from oilab.seeding import derive_rng, derive_seed
 
 
@@ -108,7 +112,7 @@ class TestValidation:
 
     def test_constant_backward_fails_with_counterexample(self):
         forward = _xor_bit_step(2, 0).forward
-        broken = InvPair(forward, constant_circuit(3, "00"), 2, 1)
+        broken = InvPair(forward, constant_circuit(3, "00"))
         report = validate_sequence(InvertibleSequence((broken,), 2))
         assert not report.ok
         x, z = report.checks[0].counterexample
@@ -134,22 +138,20 @@ class TestValidation:
             step = involution(4, r, derive_seed(5, "step", index))
             flipped = with_rare_flip(step, derive_seed(5, "flip", index))
             if case == "shared":
-                pairs.append(InvPair(flipped, flipped, 4, r))
+                pairs.append(InvPair(flipped, flipped))
             else:
-                pairs.append(InvPair(step, flipped, 4, r))
+                pairs.append(InvPair(step, flipped))
         # an intact involution, and one whose backward is an equal function
         # but not an equal circuit
         xor = _xor_bit_step(4, 2).forward
-        padded = BoolCircuit(5, 4, xor.gates + (Gate("COPY", (0,), 6),), xor.outputs)
-        pairs += [_xor_bit_step(4, 0), InvPair(xor, padded, 4, 1)]
+        padded = BoolCircuit(5, xor.gates + (Gate("COPY", (0,)),), xor.outputs)
+        pairs += [_xor_bit_step(4, 0), InvPair(xor, padded)]
         assert_matches_scalar(pairs, seed=0)
 
     def test_shared_direction_that_is_not_an_involution_fails(self):
         # x -> x + 1 mod 4 (wire 0 is the high bit) as both directions
-        rotate = BoolCircuit(
-            2, 2, (Gate("XOR", (0, 1), 2), Gate("NOT", (1,), 3)), (2, 3)
-        )
-        pair = InvPair(rotate, rotate, 2, 0)
+        rotate = BoolCircuit(2, (Gate("XOR", (0, 1)), Gate("NOT", (1,))), (2, 3))
+        pair = InvPair(rotate, rotate)
         check = validate_sequence(InvertibleSequence((pair,), 2)).checks[0]
         assert (check.exhaustive, check.points_checked, check.ok) == (True, 4, False)
         assert check.counterexample == ("00", "")
@@ -160,16 +162,23 @@ class TestValidation:
         step = involution(20, 1, seed=8)
         flipped = with_rare_flip(step, seed=9)
         pairs = [
-            InvPair(step, flipped, 20, 1),
-            InvPair(flipped, flipped, 20, 1),
-            InvPair(step, step, 20, 1),
-            InvPair(step, random_circuit(21, 20, 30, seed=10), 20, 1),
+            InvPair(step, flipped),
+            InvPair(flipped, flipped),
+            InvPair(step, step),
+            InvPair(step, random_circuit(21, 20, 30, seed=10)),
         ]
         assert_matches_scalar(pairs, seed=13)
 
     def test_width_contracts(self):
-        with pytest.raises(MalformedSequenceError):
-            InvPair(identity_circuit(3), identity_circuit(3), 2, 1)
+        # a pair reads k and r from forward; a file states them again
+        assert (InvPair(identity_circuit(3), identity_circuit(3)).k, _xor_bit_step(2, 0).r) == (3, 1)
+        with pytest.raises(MalformedSequenceError, match="forward circuit maps 3->3 bits, expected 2->2"):
+            InvertibleSequence.from_json_dict({"k": 2, "pairs": [identity_pair(3).to_json_dict()] * 2})
+        for backward in (identity_circuit(2), constant_circuit(3, "0")):
+            with pytest.raises(MalformedSequenceError, match="a step needs equal widths"):
+                InvPair(_xor_bit_step(2, 0).forward, backward)
+        with pytest.raises(MalformedSequenceError, match="r >= 0"):
+            InvPair(constant_circuit(1, "00"), constant_circuit(1, "00"))
         with pytest.raises(MalformedSequenceError):
             InvertibleSequence((identity_pair(2), identity_pair(3)), 2)
 
@@ -266,9 +275,9 @@ def quartile_circuit(p: Fraction) -> BoolCircuit:
     """2-in/1-out circuit whose output hits 1 with probability p."""
     return {
         Fraction(0): constant_circuit(2, "0"),
-        Fraction(1, 4): BoolCircuit(2, 1, (Gate("AND", (0, 1), 2),), (2,)),
-        Fraction(1, 2): BoolCircuit(2, 1, (), (0,)),
-        Fraction(3, 4): BoolCircuit(2, 1, (Gate("OR", (0, 1), 2),), (2,)),
+        Fraction(1, 4): BoolCircuit(2, (Gate("AND", (0, 1)),), (2,)),
+        Fraction(1, 2): BoolCircuit(2, (), (0,)),
+        Fraction(3, 4): BoolCircuit(2, (Gate("OR", (0, 1)),), (2,)),
         Fraction(1): constant_circuit(2, "1"),
     }[p]
 
@@ -344,8 +353,8 @@ class TestPolarize:
     def test_balanced_boundary_shape_at_defaults(self):
         # distance exactly 3/4 between AND-of-3 and OR-of-3; the slowest
         # growing shape under the direct product still clears the label
-        and3 = BoolCircuit(3, 1, (Gate("AND", (0, 1), 3), Gate("AND", (3, 2), 4)), (4,))
-        or3 = BoolCircuit(3, 1, (Gate("OR", (0, 1), 3), Gate("OR", (3, 2), 4)), (4,))
+        and3 = BoolCircuit(3, (Gate("AND", (0, 1)), Gate("AND", (3, 2))), (4,))
+        or3 = BoolCircuit(3, (Gate("OR", (0, 1)), Gate("OR", (3, 2))), (4,))
         raw = tv_distance(enumerate_distribution(and3), enumerate_distribution(or3))
         assert raw == Fraction(3, 4)
         out = polarize(SdInstance(and3, or3, "1/3", "2/3"), k=2, xor_reps=2, product_reps=3)
@@ -357,10 +366,11 @@ class TestPolarize:
 def dead_gates(circuit: BoolCircuit) -> list[Gate]:
     """Gates whose wire no output reads, directly or through other gates."""
     live = set(circuit.outputs)
-    for gate in reversed(circuit.gates):
-        if gate.out in live:
+    wired = list(enumerate(circuit.gates, circuit.k_in))  # gate g writes wire k_in + g
+    for wire, gate in reversed(wired):
+        if wire in live:
             live.update(gate.inputs)
-    return [gate for gate in circuit.gates if gate.out not in live]
+    return [gate for wire, gate in wired if wire not in live]
 
 
 def all_inputs(width: int) -> list[str]:
@@ -372,8 +382,9 @@ def foldable_gates(circuit: BoolCircuit) -> list[Gate]:
     reading one wire twice, a gate reading a constant, a NOT of a NOT, or a
     gate of an earlier gate's kind on its inputs in either order (a second
     CONST gate of one value among them)."""
-    constants = {gate.out for gate in circuit.gates if gate.kind in ("CONST0", "CONST1")}
-    negations = {gate.out for gate in circuit.gates if gate.kind == "NOT"}
+    wired = list(enumerate(circuit.gates, circuit.k_in))
+    constants = {wire for wire, gate in wired if gate.kind in ("CONST0", "CONST1")}
+    negations = {wire for wire, gate in wired if gate.kind == "NOT"}
     found, seen = [], set()
     for gate in circuit.gates:
         key = (gate.kind, tuple(sorted(gate.inputs)))
@@ -401,9 +412,7 @@ class TestKnownValueFolding:
     @pytest.mark.parametrize("kind", sorted(GATE_ARITY))
     def test_every_rule_keeps_the_unfolded_truth_table(self, kind):
         for inputs in itertools.product(self.OPERANDS, repeat=GATE_ARITY[kind]):
-            unfolded = BoolCircuit(
-                2, 1, (Gate("CONST0", (), 2), Gate("CONST1", (), 3), Gate(kind, inputs, 4)), (4,)
-            )
+            unfolded = BoolCircuit(2, (Gate("CONST0", ()), Gate("CONST1", ()), Gate(kind, inputs)), (4,))
             builder = CircuitBuilder(2)
             assert [builder.add("CONST0"), builder.add("CONST1")] == [2, 3]
             folded = builder.build([builder.add(kind, *inputs)])
@@ -413,16 +422,17 @@ class TestKnownValueFolding:
             assert len(folded.gates) <= 1
 
     def test_double_negations_and_repeated_gates_are_found_and_folded(self):
-        # x AND y twice (inputs swapped), and NOT NOT (x AND y)
+        # x AND y twice (inputs swapped), and NOT NOT (x AND y); the gates
+        # write wires 2 to 7
         gates = (
-            Gate("AND", (0, 1), 2),
-            Gate("AND", (1, 0), 3),
-            Gate("NOT", (2,), 4),
-            Gate("NOT", (4,), 5),
-            Gate("XOR", (3, 5), 6),
-            Gate("OR", (0, 6), 7),
+            Gate("AND", (0, 1)),
+            Gate("AND", (1, 0)),
+            Gate("NOT", (2,)),
+            Gate("NOT", (4,)),
+            Gate("XOR", (3, 5)),
+            Gate("OR", (0, 6)),
         )
-        source = BoolCircuit(2, 1, gates, (7,))
+        source = BoolCircuit(2, gates, (7,))
         assert foldable_gates(source) == [gates[1], gates[3]]
         builder = CircuitBuilder(2)
         folded = builder.build(builder.inline(source, [0, 1]))
@@ -530,7 +540,52 @@ class TestLiveInlining:
         assert distances == [Fraction(d) for d in expected]
 
 
+# SHA-256 over the canonical JSON of both circuits of every instance of
+# polarize_corpus(build_sd_corpus(20, 2026)), each followed by its reduction
+COMPILED_CORPUS_JSON_SHA256 = "74b6dbd987d3536baf3d7e55dde391bf02e4a4d1beb4cedd5f5779139a65216d"
+
+
+def two_step_file() -> dict:
+    """Two XOR-bit steps on 2 state bits: each pair's circuits map 3 -> 2 bits."""
+    return InvertibleSequence((_xor_bit_step(2, 0), _xor_bit_step(2, 1)), 2).to_json_dict()
+
+
 class TestSerialization:
+    def test_compiled_corpus_files_are_pinned(self):
+        digest = hashlib.sha256()
+        for item in polarize_corpus(build_sd_corpus(20, 2026)):
+            for obj in (item.instance.c0, item.instance.c1, reduce_sd_to_sisd(item.instance)):
+                digest.update(canonical_dumps(obj.to_json_dict()).encode())
+        assert digest.hexdigest() == COMPILED_CORPUS_JSON_SHA256
+
+    @pytest.mark.parametrize(
+        "path, value, error, message",
+        [
+            (("pairs", 0, "r"), 0, MalformedSequenceError, "forward circuit maps 3->2 bits, expected 2->2"),
+            (("pairs", 0, "r"), 2, MalformedSequenceError, "forward circuit maps 3->2 bits, expected 4->2"),
+            (("pairs", 1, "r"), -1, MalformedSequenceError, "need k >= 1 and r >= 0"),
+            (("pairs", 1, "r"), "1", ParseError, "ill-typed field in sequence object: r must be an int, got '1'"),
+            (("k",), 3, MalformedSequenceError, "forward circuit maps 3->2 bits, expected 4->3"),
+            (("k",), 1, MalformedSequenceError, "forward circuit maps 3->2 bits, expected 2->1"),
+            (("k",), 0, MalformedSequenceError, "need k >= 1 and r >= 0"),
+            (("k",), "2", ParseError, "ill-typed field in sequence object: k must be an int, got '2'"),
+            (("pairs", 1, "backward"), {"k_in": 3, "k_out": 1, "gates": [], "outputs": [0]},
+             MalformedSequenceError, "backward circuit maps 3->1 bits, expected 3->2"),
+            (("pairs", 0, "forward"), {"k_in": 4, "k_out": 2, "gates": [], "outputs": [0, 1]},
+             MalformedSequenceError, "forward circuit maps 4->2 bits, expected 3->2"),
+        ],
+    )
+    def test_disagreeing_widths_are_refused(self, path, value, error, message):
+        # a file states each step's k and r beside its circuits' widths
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+            InvertibleSequence.from_json_dict(edited(two_step_file(), path, value))
+        assert type(caught.value) is error
+
+    def test_empty_sequence_needs_an_int_k(self):
+        # its k has no circuit to agree with
+        with pytest.raises(ParseError, match="^ill-typed field in sequence object: k must be an int, got '2'$"):
+            InvertibleSequence.from_json_dict({"k": "2", "pairs": []})
+
     def test_sequence_round_trip(self):
         red = reduce_sd_to_sisd(random_sd_instance(3))
         blob = red.seq0.to_json_dict()
@@ -587,7 +642,7 @@ def one_batch_fold(seq: InvertibleSequence) -> Distribution:
 def random_step(k: int, r: int, seed: int) -> InvPair:
     """A step whose forward circuit is random, so rarely a bijection."""
     circuit = random_circuit(k + r, k, 14, seed)
-    return InvPair(circuit, circuit, k, r)
+    return InvPair(circuit, circuit)
 
 
 def is_bijection(step: InvPair) -> bool:
@@ -609,7 +664,7 @@ class TestBlocksMatchOneBatch:
             r = index % 4
             step = involution(4, r, derive_seed(6, "step", index))
             flipped = with_rare_flip(step, derive_seed(6, "flip", index))
-            pairs.append(InvPair(flipped if case == "shared" else step, flipped, 4, r))
+            pairs.append(InvPair(flipped if case == "shared" else step, flipped))
         pairs.append(_xor_bit_step(4, 1))
         report = validate_sequence(InvertibleSequence(tuple(pairs), 4))
         expected = [
@@ -625,7 +680,7 @@ class TestBlocksMatchOneBatch:
     def test_sampled_validation(self, monkeypatch):
         monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 7)
         step = involution(20, 1, seed=8)
-        pairs = (InvPair(step, with_rare_flip(step, seed=9), 20, 1), InvPair(step, step, 20, 1))
+        pairs = (InvPair(step, with_rare_flip(step, seed=9)), InvPair(step, step))
         report = validate_sequence(InvertibleSequence(pairs, 20), seed=4)
         expected = []
         for index, pair in enumerate(pairs):

@@ -16,6 +16,7 @@ from oilab.lwe import (
     GapCvpInstance,
     LweInstance,
     LweParams,
+    LweSecret,
     alpha_bound,
     centered_mod,
     dist_to_lattice,
@@ -115,6 +116,12 @@ class TestSampling:
         loaded = LweInstance.from_json_dict(blob)
         assert loaded.secret is None
         assert np.array_equal(loaded.A, inst.A) and np.array_equal(loaded.b, inst.b)
+
+    def test_secret_must_reproduce_b(self):
+        inst = sample_lwe(DESK, derive_rng(7, "seal"))
+        shifted = LweSecret(inst.secret.s, inst.secret.e + 1)
+        with pytest.raises(ValueError, match="^recorded secret does not reproduce b$"):
+            LweInstance(inst.params, inst.A, inst.b, "lwe", shifted)
 
     def test_uniform_origin(self):
         inst = sample_uniform(DESK, derive_rng(8, "uni"))
@@ -262,6 +269,15 @@ class TestCountingBound:
     def test_vacuous_when_radius_covers_modulus(self):
         params = LweParams(3, 5, 3, alpha=0.5)  # alpha*q = 2.5, d ~ 4.33
         assert no_side_probability_bound(params, gamma=1.0) >= 1.0
+
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError, match="^gamma \\* d must be positive$"):
+            no_side_log2_bound(LweParams(3, 5, 3, alpha=0.5), gamma=0.0)
+
+    @pytest.mark.parametrize("n, m, q", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+    def test_alpha_bound_needs_two_of_each(self, n, m, q):
+        with pytest.raises(ValueError, match="^need n, m, q >= 2$"):
+            alpha_bound(n, m, q)
 
     def test_two_arithmetic_paths_agree(self):
         params = LweParams(4, 257, 32, alpha=1e-3)

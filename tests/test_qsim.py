@@ -68,6 +68,10 @@ class TestStateVector:
         with pytest.raises(WidthError):
             StateVector(2, np.ones(3))
 
+    def test_inner_needs_equal_widths(self):
+        with pytest.raises(WidthError, match="^qubit counts differ$"):
+            basis_state(1, "0").inner(basis_state(2, "00"))
+
     def test_json_round_trip(self):
         psi = random_state(2, derive_rng(0, "sv"))
         again = StateVector.from_json_list(psi.to_json_list())
@@ -81,6 +85,11 @@ class TestSimUnitary:
         for n, table in ((1, [0, 0]), (2, [0, 0, 1, 2]), (2, [0, 1, 2, -1]), (2, [0, 1, 2, 4])):
             with pytest.raises(InvalidPairError):
                 SimUnitary(n, table=np.array(table))
+
+    def test_exactly_one_form(self):
+        for forms in ({}, {"table": np.array([1, 0]), "matrix": np.eye(2)}):
+            with pytest.raises(ValueError, match="^exactly one of table/matrix must be given$"):
+                SimUnitary(1, **forms)
 
     def test_dense_must_be_unitary(self):
         with pytest.raises(ValueError):
@@ -100,7 +109,7 @@ class TestSimUnitary:
 
 class TestPermutationFromCircuit:
     def test_identity_circuit(self):
-        pair = InvPair(identity_circuit(3), identity_circuit(3), 3, 0)
+        pair = InvPair(identity_circuit(3), identity_circuit(3))
         u = permutation_unitary_from_circuit(pair, 0)
         assert np.array_equal(u.table, np.arange(8))
 
@@ -121,7 +130,7 @@ class TestPermutationFromCircuit:
                 assert len(np.unique(table)) == 1 << k
 
     def test_non_bijective_forward_rejected(self):
-        broken = InvPair(constant_circuit(3, "00"), constant_circuit(3, "00"), 2, 1)
+        broken = InvPair(constant_circuit(3, "00"), constant_circuit(3, "00"))
         with pytest.raises(InvalidPairError, match="randomness 0"):
             permutation_unitary_from_circuit(broken, 0)
 
@@ -467,6 +476,10 @@ class TestSwapTest:
         bad = StateVector(1, np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError):
             swap_test(bad, basis_state(1, "0"), 10, derive_rng(25, "bad"))
+
+    def test_states_need_equal_widths(self):
+        with pytest.raises(WidthError, match="^states must have the same qubit count$"):
+            swap_test(basis_state(1, "0"), basis_state(2, "00"), 10, derive_rng(25, "widths"))
 
     def test_shot_validation(self):
         psi = basis_state(1, "0")

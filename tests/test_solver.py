@@ -57,8 +57,8 @@ from oilab.solver import (
 
 
 def and4_circuit() -> BoolCircuit:
-    gates = (Gate("AND", (0, 1), 4), Gate("AND", (4, 2), 5), Gate("AND", (5, 3), 6))
-    return BoolCircuit(4, 1, gates, (6,))
+    gates = (Gate("AND", (0, 1)), Gate("AND", (4, 2)), Gate("AND", (5, 3)))
+    return BoolCircuit(4, gates, (6,))
 
 
 class TestDeriveThreshold:
@@ -212,7 +212,7 @@ def masked_instance() -> SdInstance:
     builder = CircuitBuilder(7)
     keep = builder.add("NOT", builder.add("AND", 0, 1))
     c1 = builder.build([builder.add("AND", j, keep) for j in range(2, 7)])
-    return SdInstance(BoolCircuit(7, 5, (), tuple(range(2, 7))), c1, Fraction(1, 4), Fraction(3, 4))
+    return SdInstance(BoolCircuit(7, (), tuple(range(2, 7))), c1, Fraction(1, 4), Fraction(3, 4))
 
 
 class TestKnownWrongVerdict:
@@ -408,9 +408,9 @@ class TestStepTableMemo:
 
     def test_non_bijective_step_fails_at_its_stage(self, table_builds):
         # forward(x; z) = x AND NOT z: the identity for z = 0, constant for z = 1
-        gates = (Gate("NOT", (1,), 2), Gate("AND", (0, 2), 3))
-        broken_circuit = BoolCircuit(2, 1, gates, (3,))
-        broken = InvPair(broken_circuit, broken_circuit, 1, 1)
+        gates = (Gate("NOT", (1,)), Gate("AND", (0, 2)))
+        broken_circuit = BoolCircuit(2, gates, (3,))
+        broken = InvPair(broken_circuit, broken_circuit)
         flip = _xor_bit_step(1, 0)
         seq0 = InvertibleSequence((flip, broken, identity_pair(1)), 1)
         seq1 = InvertibleSequence((flip,), 1)
@@ -431,7 +431,7 @@ def xor_bit_like(k: int, bit: int, kind: str = "XOR", outputs=None) -> BoolCircu
     """A one-gate circuit shaped like ``_xor_bit_step(k, bit).forward``."""
     if outputs is None:
         outputs = tuple(k + 1 if j == bit else j for j in range(k))
-    return BoolCircuit(k + 1, k, (Gate(kind, (bit, k), k + 1),), outputs)
+    return BoolCircuit(k + 1, (Gate(kind, (bit, k)),), outputs)
 
 
 class TestClosedFormPerturbSteps:
@@ -458,10 +458,10 @@ class TestClosedFormPerturbSteps:
         "pair",
         [
             # backward differs from forward: the same map, inputs swapped
-            InvPair(xor_bit_like(3, 1), BoolCircuit(4, 3, (Gate("XOR", (3, 1), 4),), (0, 4, 2)), 3, 1),
+            InvPair(xor_bit_like(3, 1), BoolCircuit(4, (Gate("XOR", (3, 1)),), (0, 4, 2))),
             # the flipped bit is read out at another position
-            InvPair(xor_bit_like(3, 1, outputs=(0, 2, 4)), xor_bit_like(3, 1, outputs=(0, 2, 4)), 3, 1),
-            InvPair(xor_bit_like(3, 1, outputs=(2, 4, 0)), xor_bit_like(3, 1, outputs=(2, 4, 0)), 3, 1),
+            InvPair(xor_bit_like(3, 1, outputs=(0, 2, 4)), xor_bit_like(3, 1, outputs=(0, 2, 4))),
+            InvPair(xor_bit_like(3, 1, outputs=(2, 4, 0)), xor_bit_like(3, 1, outputs=(2, 4, 0))),
         ],
         ids=["backward-differs", "output-rewired", "outputs-swapped"],
     )
@@ -470,12 +470,24 @@ class TestClosedFormPerturbSteps:
         StepTables()[pair]
         assert table_builds == [(pair, 0), (pair, 1)]
 
+    def test_a_step_read_from_a_file_is_recognized(self):
+        # the reduction and the recognizer share one frozen step per (width, bit)
+        step = _xor_bit_step(5, 2)
+        loaded = InvertibleSequence.from_json_dict(InvertibleSequence((step,), 5).to_json_dict()).pairs[0]
+        assert loaded == step and loaded is not step and perturbed_bit(loaded) == 2
+        assert _xor_bit_step(5, 2) is step
+
+    def test_a_one_gate_step_reading_no_state_bit_first_is_evaluated(self):
+        for gate in (Gate("CONST1", ()), Gate("XOR", (3, 1))):
+            circuit = BoolCircuit(4, (gate,), (0, 4, 2))
+            assert perturbed_bit(InvPair(circuit, circuit)) is None
+
     @pytest.mark.parametrize("kind, z", [("OR", 1), ("AND", 0)])
     def test_another_gate_kind_is_evaluated_and_rejected(self, kind, z, table_builds):
         # OR with z = 1 and AND with z = 0 are constant on the bit: a
         # closed-form table would hide that the step is not a bijection
         circuit = xor_bit_like(3, 1, kind)
-        pair = InvPair(circuit, circuit, 3, 1)
+        pair = InvPair(circuit, circuit)
         assert perturbed_bit(pair) is None
         with pytest.raises(InvalidPairError, match=f"randomness {z}"):
             StepTables()[pair]
