@@ -68,12 +68,10 @@ def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
 
 
 def polarize_corpus(corpus: list[LabeledInstance]) -> list[LabeledInstance]:
-    """Amplify every instance; labels carry over (they describe the raw side).
-    Equal gates of the whole result are one object."""
-    shared: dict = {}
+    """Amplify every instance; labels carry over (they describe the raw side)."""
     return [
         LabeledInstance(
-            polarize(item.instance, POLARIZE_K, POLARIZE_REPS, POLARIZE_REPS, shared),
+            polarize(item.instance, POLARIZE_K, POLARIZE_REPS, POLARIZE_REPS),
             item.delta,
             item.label,
         )

@@ -19,8 +19,8 @@ its content becomes an independent uniform string.  The construction
 preserves total-variation distance exactly.  A perturb step's permutation
 for randomness z is the identity with one bit flipped when z is 1;
 ``perturbed_bit`` recognizes such a step by equality with the one cached
-``_xor_bit_step`` of its width and bit, so the solver can write its
-tables in closed form instead of evaluating the circuit.
+``_xor_bit_step`` of its width and bit, so the solver can apply it as an
+XOR mask instead of evaluating the circuit.
 
 ``polarize`` is the gap amplifier used when the raw promise parameters
 fail the decision gap condition: an XOR-combination drives close
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, blocks, eval_circuit_batch
+from .circuits import BoolCircuit, CircuitBuilder, SdInstance, blocks, eval_circuit_batch
 from .config import ENUM_BITS
 from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
@@ -84,7 +84,8 @@ class InvertibleSequence:
     k: int
 
     def __post_init__(self):
-        require_int(self.k, "k")
+        if require_int(self.k, "k") < 1:
+            raise MalformedSequenceError(f"sequence k must be >= 1, got {self.k}")
         for i, pair in enumerate(self.pairs):
             if pair.k != self.k:
                 raise MalformedSequenceError(
@@ -402,24 +403,15 @@ def decision_gap(a: Fraction, b: Fraction) -> Fraction:
     return b * b - 2 * a + a * a
 
 
-def polarize(
-    inst: SdInstance,
-    k: int,
-    xor_reps: int,
-    product_reps: int,
-    shared: dict[Gate, Gate] | None = None,
-) -> SdInstance:
+def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdInstance:
     """Amplify the promise gap to (2^-k, 1 - 2^-k).
 
     Applies the XOR-combination first (so a close pair lands below
     ``product_reps * a**xor_reps`` by a union bound) and the direct product
     second (driving far pairs toward distance 1).  The compiled width grows
     with ``xor_reps * product_reps``, so the caller picks both counts for
-    the qubit budget at hand.  The two circuits differ only where the
-    selector parity reaches, so each gate of c1 that equals a gate of c0 is
-    that same (frozen) object.  ``shared`` maps each gate to the object that
-    stands for it; one dict passed to many calls shares equal gates across
-    all their circuits.
+    the qubit budget at hand.  Both circuits come from ``CircuitBuilder``,
+    so a gate equal to any other built gate is that same (frozen) object.
     """
     if inst.b * inst.b <= inst.a:
         raise PreconditionError(
@@ -427,15 +419,9 @@ def polarize(
         )
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def compile_one(which: int) -> BoolCircuit:
-        return direct_product(xor_combine(inst.c0, inst.c1, xor_reps, which), product_reps)
-
-    if shared is None:
-        shared = {}
     c0, c1 = (
-        replace(circuit, gates=tuple(shared.setdefault(gate, gate) for gate in circuit.gates))
-        for circuit in (compile_one(0), compile_one(1))
+        direct_product(xor_combine(inst.c0, inst.c1, xor_reps, which), product_reps)
+        for which in (0, 1)
     )
     a_out = Fraction(1, 2 ** k)
     return SdInstance(c0, c1, a_out, 1 - a_out)

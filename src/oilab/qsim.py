@@ -19,16 +19,18 @@ Conventions
   interference norms, tempered by the patience parameter lambda.  A failed
   query returns a structured failure rather than raising, so callers can
   retry under a budget.
-* Unitaries coming from circuits are permutation tables; dense matrices
-  are for hand-built examples.  Keeping permutations as index tables makes
-  an order-interference query cost O(m! * m * 2^n) instead of paying for
-  matrix products.
+* Unitaries coming from circuits are permutations: index tables, or XOR
+  masks x -> x ^ flip, which reverse the flipped bits' axes of the
+  amplitudes viewed as a (2,) * n array and need no table.  Dense matrices
+  are for hand-built examples.  Keeping permutations out of matrix form
+  makes an order-interference query cost O(m! * m * 2^n) instead of paying
+  for matrix products.
 * Amplitudes are float64 unless a value needs complex128: a state built
   from real input, and every permutation of it, stays real, while complex
   input (a state read from JSON) or a dense matrix (always complex)
   promotes the result by numpy's type promotion.
-* Over permutation tables on a real non-negative state (every counting
-  state of the decision pipeline) no amplitude can cancel, so the phase
+* Over permutations on a real non-negative state (every counting state
+  of the decision pipeline) no amplitude can cancel, so the phase
   alignment is exactly 1 without a per-ordering pass.  Dense matrices,
   complex states and mixed-sign states pay that pass.
 * The inner products and norms a report reads are numpy's own pairwise
@@ -113,19 +115,24 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class SimUnitary:
-    """Either a permutation of basis states (index table) or a dense matrix."""
+    """A permutation of basis states, as an index table or as the XOR mask
+    x -> x ^ flip, or a dense matrix."""
 
     n: int
     table: np.ndarray | None = None
     matrix: np.ndarray | None = None
+    flip: int | None = None
 
     def __post_init__(self):
         if not 0 <= require_int(self.n, "n") <= QUBIT_CAP:
             raise WidthError(f"unitary n must lie in [0, {QUBIT_CAP}] qubits, got n = {self.n}")
         dim = 1 << self.n
-        if (self.table is None) == (self.matrix is None):
-            raise ValueError("exactly one of table/matrix must be given")
-        if self.table is not None:
+        if sum(form is not None for form in (self.table, self.matrix, self.flip)) != 1:
+            raise ValueError("exactly one of table/matrix/flip must be given")
+        if self.flip is not None:
+            if not 0 <= require_int(self.flip, "flip mask") < dim:
+                raise InvalidPairError(f"flip mask {self.flip} does not fit {self.n} qubits")
+        elif self.table is not None:
             table = int_array(self.table, "permutation table")
             seen = np.zeros(dim, dtype=bool)
             # range-checked first: a negative entry would wrap in the scatter
@@ -144,6 +151,14 @@ class SimUnitary:
             object.__setattr__(self, "matrix", matrix)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The amplitudes after the unitary, in a new array; only the
+        identity mask (flip 0) hands back its input."""
+        if self.flip is not None:
+            if not self.flip:
+                return amps
+            # bit j of the mask, counted from the most significant, is axis j
+            axes = [j for j in range(self.n) if self.flip >> (self.n - 1 - j) & 1]
+            return np.flip(amps.reshape((2,) * self.n), axes).flatten()
         if self.table is not None:
             out = np.empty_like(amps)
             out[self.table] = amps
@@ -214,13 +229,14 @@ def _interference(
     Ordering (i, j, ...) applies unitary i first; each ordering's amplitudes
     are added into one vector as they are made, in place while the dtypes
     agree (the row-by-row additions of a block's column sums), so only
-    O(2^n) amplitudes are held.  The alignment, sum |vector| / sum |rows|
-    capped at 1, says how coherently the orderings add; it is exactly 1
-    when no term is negative or imaginary, as on permutation tables over a
-    real non-negative state, which need no per-ordering pass.
+    O(2^n) amplitudes are held.  The vector is never psi's own array,
+    which the identity mask hands back.  The alignment, sum |vector| /
+    sum |rows| capped at 1, says how coherently the orderings add; it is
+    exactly 1 when no term is negative or imaginary, as on permutations
+    over a real non-negative state, which need no per-ordering pass.
     """
     aligned = (
-        all(u.table is not None for u in unitaries)
+        all(u.matrix is None for u in unitaries)
         and not np.iscomplexobj(psi.amps)
         and psi.amps.min() >= 0
     )
@@ -234,7 +250,7 @@ def _interference(
             cancels = cancels or amps.real.min() < 0 or np.iscomplexobj(amps) and amps.imag.any()
         if vector is None:
             vector = amps
-        elif vector.dtype == amps.dtype:
+        elif vector.dtype == amps.dtype and vector is not psi.amps:
             vector += amps
         else:
             vector = vector + amps

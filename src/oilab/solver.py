@@ -4,9 +4,9 @@ The output-distribution state of a sequence is built iteratively: starting
 from the all-zero basis state, each random step is one choice-interference
 oracle call over the step's per-randomness permutations (retried under a
 budget, since the oracle is probabilistic), and each deterministic step is
-a direct permutation application.  Each distinct step's permutation
-tables are built once per decision (``StepTables``): a perturbation step's
-in closed form, any other step's by evaluating its circuit.  The
+a direct permutation application.  Each distinct step's permutations are
+built once per decision (``StepTables``): a perturbation step's as two
+XOR masks with no table, any other step's as tables from its circuit.  The
 resulting amplitudes are proportional to the sequence's output
 probabilities, so the swap test between the two states estimates the
 squared cosine similarity of the two output distributions, which the
@@ -103,16 +103,10 @@ class StepTables(dict):
     unitaries, one per randomness, built on first lookup, so a
     non-bijective step fails at its own stage.
 
-    A perturbation step (``invseq.perturbed_bit``) gets its two tables in
-    closed form, the identity and the identity with one bit flipped, and
-    all of them share one identity; every other step is evaluated through
-    ``permutation_unitary_from_circuit``.  Both pass SimUnitary's
-    bijection check.
+    A perturbation step (``invseq.perturbed_bit``) is the identity and
+    one bit flip, two XOR masks with no table; every other step is
+    evaluated through ``permutation_unitary_from_circuit``.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._identities: dict[int, SimUnitary] = {}  # state width -> identity
 
     def __missing__(self, pair: InvPair) -> tuple[SimUnitary, ...]:
         bit = perturbed_bit(pair)
@@ -120,10 +114,7 @@ class StepTables(dict):
             unitaries = tuple(permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r))
         else:
             k = pair.k
-            identity = self._identities.get(k)
-            if identity is None:
-                identity = self._identities[k] = SimUnitary(k, table=np.arange(1 << k))
-            unitaries = (identity, SimUnitary(k, table=identity.table ^ (1 << (k - 1 - bit))))
+            unitaries = (SimUnitary(k, flip=0), SimUnitary(k, flip=1 << (k - 1 - bit)))
         self[pair] = unitaries
         return unitaries
 

@@ -882,6 +882,16 @@ def _sisd_files() -> dict:
             pytest.param(("decide", "sisd", "--instance"), sisd, message, id=f"sisd-{name}")
             for name, (sisd, message) in _sisd_files().items()
         ],
+        # sequences with no pair to read a width from
+        *[
+            pytest.param(command, content, f"sequence k must be >= 1, got {k}", id=f"{name}-k{k}")
+            for k in (-1, 0)
+            for name, command, content in (
+                ("sisd", ("decide", "sisd", "--instance"),
+                 {"seq0": {"k": k, "pairs": []}, "seq1": {"k": k, "pairs": []}, "a": "0", "b": "1"}),
+                ("sequence", ("validate", "--instance"), {"k": k, "pairs": []}),
+            )
+        ],
         pytest.param(LWE_DIST, {**small_gapcvp(), "d": 0.0}, "d must be positive, got 0.0", id="gapcvp-d"),
         pytest.param(LWE_DIST, {**small_gapcvp(), "gamma": 0.5}, "gamma must be >= 1, got 0.5", id="gapcvp-gamma"),
     ],

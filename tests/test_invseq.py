@@ -22,6 +22,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oilab import circuits
 from oilab.circuits import (
     GATE_ARITY,
     BoolCircuit,
@@ -442,6 +443,17 @@ class TestKnownValueFolding:
         for x in all_inputs(2):
             assert eval_circuit(folded, x) == eval_circuit(source, x)
 
+    def test_equal_built_circuits_are_one_object_while_one_is_alive(self):
+        def build():
+            builder = CircuitBuilder(5)
+            return builder.build([4, builder.add("OR", 3, builder.add("AND", 1, 4))])
+
+        first = build()
+        assert build() is first
+        alive = len(circuits._BUILT_CIRCUITS)
+        del first  # the table holds no strong reference: the entry goes with it
+        assert len(circuits._BUILT_CIRCUITS) == alive - 1
+
     def test_constants_are_shared_and_unread_ones_dropped(self):
         builder = CircuitBuilder(1)
         assert builder.add("CONST1") == builder.add("CONST1")
@@ -487,7 +499,8 @@ class TestLiveInlining:
             assert all(gate is first[gate] for gate in shared)
 
     def test_polarized_corpus_shares_equal_gates_across_instances(self):
-        polarized = polarize_corpus(build_sd_corpus(20, 2026))
+        # and across two corpora built apart, as a stream of corpora is
+        polarized = [item for seed in (2026, 7) for item in polarize_corpus(build_sd_corpus(20, seed))]
         first: dict = {}
         repeats = 0
         for item in polarized:
@@ -727,13 +740,14 @@ class TestMemoryBounds:
     def test_kept_polarized_instances(self):
         # five corpora as the decide-corpus benchmark keeps them: 2.3 KB per
         # instance before gates were shared across a corpus and the instance
-        # types had slots
+        # types had slots, 1.26 KB while gates were shared only within one
+        # corpus; built gates are now one object across corpora
         def corpora():
             seeds = [derive_seed(2026, "corpus", number) for number in range(5)]
             return [polarize_corpus(build_sd_corpus(20, seed)) for seed in seeds]
 
         corpora()  # module-level caches are filled before tracing
-        assert traced_kept_bytes(corpora) / 100 < 1_800
+        assert traced_kept_bytes(corpora) / 100 < 900
 
     def test_exhaustive_validation_of_a_width_20_pair(self):
         inst = SdInstance(random_circuit(16, 4, 40, seed=1), random_circuit(16, 4, 40, seed=2), 0, 1)

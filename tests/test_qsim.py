@@ -87,9 +87,27 @@ class TestSimUnitary:
                 SimUnitary(n, table=np.array(table))
 
     def test_exactly_one_form(self):
-        for forms in ({}, {"table": np.array([1, 0]), "matrix": np.eye(2)}):
-            with pytest.raises(ValueError, match="^exactly one of table/matrix must be given$"):
+        for forms in (
+            {},
+            {"table": np.array([1, 0]), "matrix": np.eye(2)},
+            {"table": np.array([1, 0]), "flip": 1},
+            {"matrix": np.eye(2), "flip": 0},
+        ):
+            with pytest.raises(ValueError, match="^exactly one of table/matrix/flip must be given$"):
                 SimUnitary(1, **forms)
+
+    def test_flip_mask_must_fit_and_be_an_int(self):
+        # each mask fails as the table of the same map would
+        for n, mask in ((0, 1), (1, 2), (2, 4), (2, -1)):
+            with pytest.raises(InvalidPairError, match=f"^flip mask {mask} does not fit {n} qubits$"):
+                SimUnitary(n, flip=mask)
+        with pytest.raises(InvalidPairError):
+            SimUnitary(1, table=[0, 2])
+        for mask in (1.0, True, "1", np.int64(1)):
+            with pytest.raises(TypeError, match="^flip mask must be an int"):
+                SimUnitary(2, flip=mask)
+            with pytest.raises(TypeError, match="^permutation table entry must be an int"):
+                SimUnitary(1, table=[mask, 0])
 
     def test_dense_must_be_unitary(self):
         with pytest.raises(ValueError):
@@ -447,6 +465,74 @@ class TestCiFastPath:
                 assert outcome.phase_alignment == got[1]
             ci = ci_oracle_query(unitaries, psi, 10, derive_rng(52, "draw"))
             assert ci.phase_alignment == pytest.approx(ci_alignment, abs=1e-12)
+
+
+def flip_table(n: int, mask: int) -> SimUnitary:
+    """The XOR mask as an index table."""
+    return SimUnitary(n, table=np.arange(1 << n) ^ mask)
+
+
+class TestFlipForm:
+    """XOR masks are permutations with no table: queries that mix them with
+    tables and dense matrices equal the same queries with each mask as its
+    table, and the identity mask, which hands back its input, never lets a
+    query add into the query state's array."""
+
+    @staticmethod
+    def mixed_queries():
+        """(unitaries, the same with every mask as its table, state): masks
+        (the identity among them), random tables and Haar matrices, on
+        non-negative, mixed-sign and complex states."""
+        rng = derive_rng(60, "flip-mix")
+        for trial in range(90):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            mixed, tables = [], []
+            for slot in range(m):
+                form = 0 if slot == 0 and trial % 3 == 0 else int(rng.integers(4))
+                if form <= 1:  # the identity first in every third query
+                    mask = 0 if form == 0 else int(rng.integers(1, 1 << n))
+                    mixed.append(SimUnitary(n, flip=mask))
+                    tables.append(flip_table(n, mask))
+                else:
+                    u = random_permutation_unitary(n, rng) if form == 2 else haar_unitary(n, rng)
+                    mixed.append(u)
+                    tables.append(u)
+            nonnegative = random_nonnegative_state(n, rng)
+            signs = np.where(rng.random(1 << n) < 0.3, -1.0, 1.0)
+            mixed_sign = StateVector(n, signs * nonnegative.amps)
+            psi = (nonnegative, mixed_sign, random_state(n, rng))[trial % 3]
+            yield tuple(mixed), tuple(tables), psi
+
+    @pytest.mark.parametrize("query", [ci_oracle_query, oi_oracle_query], ids=["ci", "oi"])
+    def test_mixed_forms_equal_the_table_query(self, query):
+        successes = 0
+        for index, (mixed, tables, psi) in enumerate(self.mixed_queries()):
+            rngs = derive_rng(61, index), derive_rng(61, index)
+            got = query(mixed, psi, 10, rngs[0])
+            want = query(tables, psi, 10, rngs[1])
+            # a matrix product may add in another order on another buffer
+            tol = 0 if all(u.matrix is None for u in mixed) else 1e-14
+            assert got.success == want.success
+            for name in ("success_probability", "interference_norm", "phase_alignment"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=tol, abs=tol)
+            if got.success:
+                successes += 1
+                assert got.state.amps.dtype == want.state.amps.dtype
+                assert np.allclose(got.state.amps, want.state.amps, rtol=0, atol=tol)
+        assert successes > 30
+
+    @pytest.mark.parametrize("query", [ci_oracle_query, oi_oracle_query], ids=["ci", "oi"])
+    def test_identity_first_query_leaves_the_state_unchanged(self, query):
+        rng = derive_rng(62, "identity-first")
+        identity = SimUnitary(3, flip=0)
+        for psi in (random_nonnegative_state(3, rng), random_state(3, rng)):
+            before = psi.amps.copy()
+            for second in (SimUnitary(3, flip=0b010), identity, identity_unitary(3)):
+                vector = qsim._interference((identity, second), psi, choices(2))[0]
+                assert vector is not psi.amps
+                assert np.array_equal(vector, before + second.apply(before))
+                query((identity, second), psi, 10, derive_rng(62, "draw"))
+                assert np.array_equal(psi.amps, before)
 
 
 class TestSwapTest:

@@ -204,6 +204,16 @@ class TestStageCounts:
                     assert abs(log[-1].success_probability - s / (s + 1 / cfg.lam)) <= 1e-15
 
 
+def counting_cos2(inst: SdInstance) -> Fraction:
+    """The exact squared cosine of the final counting states of the two
+    compiled sequences, the squared overlap the swap test estimates."""
+    sisd = reduce_sd_to_sisd(inst)
+    (*_, c0), (*_, c1) = stage_counts(sisd.seq0), stage_counts(sisd.seq1)
+    c0, c1 = c0.tolist(), c1.tolist()
+    dot = sum(a * b for a, b in zip(c0, c1))
+    return Fraction(dot * dot, sum(a * a for a in c0) * sum(b * b for b in c1))
+
+
 def masked_instance() -> SdInstance:
     """A YES instance decided NO: c0 outputs input wires 2..6 of 7 (uniform
     on 5 bits), c1 the same bits ANDed with NOT(x0 AND x1), which is
@@ -224,12 +234,8 @@ class TestKnownWrongVerdict:
         inst = masked_instance()
         assert sd_distance(inst) == Fraction(31, 128)  # by enumeration
         assert Fraction(31, 128) <= inst.a
-        sisd = reduce_sd_to_sisd(inst)
-        assert sisd.seq0.k == 12
-        (*_, c0), (*_, c1) = stage_counts(sisd.seq0), stage_counts(sisd.seq1)
-        c0, c1 = c0.tolist(), c1.tolist()
-        dot = sum(a * b for a, b in zip(c0, c1))
-        cos2 = Fraction(dot * dot, sum(a * a for a in c0) * sum(b * b for b in c1))
+        assert reduce_sd_to_sisd(inst).seq0.k == 12
+        cos2 = counting_cos2(inst)
         assert cos2 == Fraction(16, 47)
         assert cos2 < derive_threshold(inst.a, inst.b).tau == Fraction(1, 2)
 
@@ -239,6 +245,75 @@ class TestKnownWrongVerdict:
     @pytest.mark.parametrize("seed", [0, 99, 2026])
     def test_decided_yes(self, seed):
         assert decide_sd(masked_instance(), SolverConfig(seed=seed)).verdict == "YES"
+
+
+def moved_atom_instance() -> SdInstance:
+    """A YES instance decided NO, 6 qubits wide: c0 outputs (x0, x1, x2 AND
+    (x0 OR x1)) and c1 outputs (x0, x1, x2 OR NOT(x0 OR x1)), so p puts 1/4
+    on 0 and q puts it on 1, and both put 1/8 on each of 2..7."""
+    b0 = CircuitBuilder(3)
+    c0 = b0.build([0, 1, b0.add("AND", 2, b0.add("OR", 0, 1))])
+    b1 = CircuitBuilder(3)
+    c1 = b1.build([0, 1, b1.add("OR", 2, b1.add("NOT", b1.add("OR", 0, 1)))])
+    return SdInstance(c0, c1, Fraction(1, 4), Fraction(3, 4))
+
+
+def heavy_atom_instance() -> SdInstance:
+    """A NO instance decided YES, 12 qubits wide: c0 outputs 0 when its 4
+    high input bits are 0, 1 or 2 and its 4 low input bits otherwise, so p
+    puts 61/256 on 0 and 13/256 on each other value; c1 is the constant 0."""
+    b = CircuitBuilder(8)
+    below_4 = b.add("AND", b.add("NOT", 0), b.add("NOT", 1))
+    keep = b.add("NOT", b.add("AND", below_4, b.add("NOT", b.add("AND", 2, 3))))
+    c0 = b.build([b.add("AND", j, keep) for j in range(4, 8)])
+    return SdInstance(c0, constant_circuit(1, "0000"), Fraction(1, 4), Fraction(3, 4))
+
+
+class TestKnownWrongVerdictMovedAtom:
+    """The cosine rule fails on a 6-qubit YES instance (ROADMAP item 3):
+    p = a delta_0 + (1-a) U_M and q = a delta_1 + (1-a) U_M are at TV a, and
+    their squared cosine ((1-a)^2 / (a^2 M + (1-a)^2))^2 is 9/25 at a = 1/4,
+    M = 6, below tau."""
+
+    def test_exact_facts(self):
+        inst = moved_atom_instance()
+        assert [len(c.gates) for c in (inst.c0, inst.c1)] == [2, 3]
+        assert sd_distance(inst) == Fraction(1, 4) == inst.a
+        assert reduce_sd_to_sisd(inst).seq0.k == 6
+        cos2 = counting_cos2(inst)
+        assert cos2 == Fraction(9, 25)
+        assert cos2 < derive_threshold(inst.a, inst.b).tau == Fraction(1, 2)
+
+    @pytest.mark.xfail(
+        strict=True, reason="squared cosine 9/25 < tau = 1/2 on a YES instance (ROADMAP item 3)"
+    )
+    @pytest.mark.parametrize("seed", [0, 99, 2026])
+    def test_decided_yes(self, seed):
+        assert decide_sd(moved_atom_instance(), SolverConfig(seed=seed)).verdict == "YES"
+
+
+class TestKnownWrongVerdictHeavyAtom:
+    """The cosine rule fails on a 12-qubit NO instance (ROADMAP item 3): a
+    heavy atom that p shares with the point mass q keeps their squared
+    cosine 61^2 / (61^2 + 15 * 13^2) = 3721/6256 above tau, although their
+    TV 195/256 is beyond b."""
+
+    def test_exact_facts(self):
+        inst = heavy_atom_instance()
+        assert len(inst.c0.gates) == 11
+        assert sd_distance(inst) == Fraction(195, 256)
+        assert Fraction(195, 256) > inst.b
+        assert reduce_sd_to_sisd(inst).seq0.k == 12
+        cos2 = counting_cos2(inst)
+        assert cos2 == Fraction(3721, 6256)
+        assert cos2 > derive_threshold(inst.a, inst.b).tau == Fraction(1, 2)
+
+    @pytest.mark.xfail(
+        strict=True, reason="squared cosine 3721/6256 > tau = 1/2 on a NO instance (ROADMAP item 3)"
+    )
+    @pytest.mark.parametrize("seed", [0, 99, 2026])
+    def test_decided_no(self, seed):
+        assert decide_sd(heavy_atom_instance(), SolverConfig(seed=seed)).verdict == "NO"
 
 
 class TestDecideSisd:
@@ -373,7 +448,7 @@ def table_builds(monkeypatch):
 
 class TestStepTableMemo:
     """Each distinct step's tables are built once per decision, in stage
-    order, perturbation steps in closed form, and the decisions are those
+    order, perturbation steps as XOR masks, and the decisions are those
     of unmemoized circuit-evaluated builds."""
 
     @pytest.fixture(scope="class")
@@ -391,7 +466,7 @@ class TestStepTableMemo:
 
     def test_corpus_pass_builds_each_distinct_step_once(self, corpus_pass):
         # the p = 10 (width 14) or 6 (width 10) perturb steps, shared by both
-        # sequences, take their tables in closed form; only each sequence's
+        # sequences, take XOR masks with no table; only each sequence's
         # middle step is evaluated, against 8p + 2 builds without the memo
         widths, per_decision, _ = corpus_pass
         assert set(widths) == {14, 10}
@@ -422,7 +497,7 @@ class TestStepTableMemo:
         seq = reduce_sd_to_sisd(SdInstance(and4_circuit(), and4_circuit(), 0, 1)).seq0
         copy = InvertibleSequence.from_json_dict(seq.to_json_dict())
         decide_sisd(SisdInstance(seq, copy, 0, 1), SolverConfig(seed=6, trial_count=1))
-        # the 4 perturb steps take closed-form tables; the equal middle steps
+        # the 4 perturb steps take XOR masks; the equal middle steps
         # are evaluated once
         assert len(table_builds) == 1
 
@@ -435,23 +510,28 @@ def xor_bit_like(k: int, bit: int, kind: str = "XOR", outputs=None) -> BoolCircu
 
 
 class TestClosedFormPerturbSteps:
-    """Perturbation steps take their tables in closed form; the tables are
-    exactly those of the circuit path, and any other step takes that path."""
+    """Perturbation steps are two XOR masks, the identity and one bit flip;
+    each applies exactly as the circuit path's table, and any other step
+    takes that path."""
 
     def test_tables_equal_the_circuit_path_at_every_width_and_bit(self, table_builds):
+        rng = derive_rng(70, "flip-apply")
         for k in range(1, QUBIT_CAP + 1):
             tables = StepTables()
+            real = rng.normal(size=1 << k)
+            vectors = (real, real + 1j * rng.normal(size=1 << k))
             for bit in range(k):
                 step = _xor_bit_step(k, bit)
                 assert perturbed_bit(step) == bit
                 closed = tables[step]
-                assert tables[step] is closed and len(closed) == 2
+                assert tables[step] is closed
+                assert [u.flip for u in closed] == [0, 1 << (k - 1 - bit)]
                 for z in (0, 1):
-                    circuit = permutation_unitary_from_circuit(step, z).table
-                    assert closed[z].table.dtype == circuit.dtype
-                    assert np.array_equal(closed[z].table, circuit)
-            # one identity for every perturbation step of the memo
-            assert len({id(tables[_xor_bit_step(k, bit)][0]) for bit in range(k)}) == 1
+                    circuit = permutation_unitary_from_circuit(step, z)
+                    for amps in vectors:
+                        got = closed[z].apply(amps)
+                        assert got.dtype == amps.dtype
+                        assert np.array_equal(got, circuit.apply(amps))
         assert table_builds == []
 
     @pytest.mark.parametrize(
@@ -485,7 +565,7 @@ class TestClosedFormPerturbSteps:
     @pytest.mark.parametrize("kind, z", [("OR", 1), ("AND", 0)])
     def test_another_gate_kind_is_evaluated_and_rejected(self, kind, z, table_builds):
         # OR with z = 1 and AND with z = 0 are constant on the bit: a
-        # closed-form table would hide that the step is not a bijection
+        # flip would hide that the step is not a bijection
         circuit = xor_bit_like(3, 1, kind)
         pair = InvPair(circuit, circuit)
         assert perturbed_bit(pair) is None
@@ -496,8 +576,8 @@ class TestClosedFormPerturbSteps:
 
 class TestDecisionMemory:
     def test_a_width_14_decision_peak(self):
-        # one shared identity and closed-form perturbation tables: 3.6 MB
-        # traced when every perturbation step was evaluated
+        # perturbation steps as XOR masks: 3.6 MB traced when every
+        # perturbation step was evaluated, 2.4 MB with closed-form tables
         item = next(
             item
             for item in polarize_corpus(build_sd_corpus(20, 2026))
@@ -505,7 +585,7 @@ class TestDecisionMemory:
         )
         cfg = SolverConfig(seed=99)
         decide_sd(item.instance, cfg)
-        assert traced_peak_bytes(lambda: decide_sd(item.instance, cfg)) < 2_750_000
+        assert traced_peak_bytes(lambda: decide_sd(item.instance, cfg)) < 1_500_000
 
 
 def test_corpus_decisions_do_not_depend_on_the_blas_thread_count():
