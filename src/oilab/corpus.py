@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .circuits import SdInstance, enumerate_distribution, random_circuit
 from .distributions import tv_distance
+from .errors import ResourceError
 from .invseq import polarize
 from .seeding import derive_seed
 
@@ -60,7 +61,9 @@ def build_sd_corpus(count: int, seed: int) -> list[LabeledInstance]:
         elif delta > PROMISE_B and len(no) < want_no:
             no.append(LabeledInstance(inst, delta, "NO"))
         if attempt > 200 * count:
-            raise RuntimeError("rejection sampling is not terminating")
+            raise ResourceError(
+                f"rejection sampling stopped after {attempt} attempts, short of {count} valid instances"
+            )
     corpus = yes + no
     # deterministic shuffle so truncations stay balanced
     order = sorted(range(len(corpus)), key=lambda i: derive_seed(seed, "order", i))

@@ -316,6 +316,40 @@ def perturbed_bit(pair: InvPair) -> int | None:
     return bit if bit is not None and bit < pair.k and pair == _xor_bit_step(pair.k, bit) else None
 
 
+def xor_shift_prefix(pair: InvPair) -> int | None:
+    """The least p for which the step is (x, y) -> (x, y XOR g(x)) over a
+    p-bit prefix x, read from forward's structure alone, else None; it
+    evaluates nothing.
+
+    The step must read no random bit.  Forward's first p outputs are input
+    wires 0..p-1, and each later output j is y_j, NOT y_j, or XOR(y_j, w)
+    where w's cone reads no wire from p on.  ``_apply_circuit_step`` builds
+    such steps, and a file copy of one is recognized the same way.
+    """
+    if pair.r:
+        return None
+    circuit, k = pair.forward, pair.k
+    reach = list(range(k))  # per wire, the highest input wire its cone reads
+    for gate in circuit.gates:
+        reach.append(max((reach[wire] for wire in gate.inputs), default=-1))
+    need = []  # per output j: the least p under which it is y_j XOR g_j(x)
+    for j, wire in enumerate(circuit.outputs):
+        gate = circuit.gates[wire - k] if wire >= k else None
+        if wire == j or gate is not None and gate.kind == "NOT" and gate.inputs == (j,):
+            need.append(0)
+        elif gate is not None and gate.kind == "XOR" and j in gate.inputs:
+            other = gate.inputs[1] if gate.inputs[0] == j else gate.inputs[0]
+            need.append(reach[other] + 1)
+        else:
+            need.append(k + 1)
+    p = 0
+    while max(need[p:], default=0) > p:
+        if circuit.outputs[p] != p:
+            return None
+        p += 1
+    return p
+
+
 def _apply_circuit_step(circuit: BoolCircuit, prefix_width: int) -> InvPair:
     """Deterministic step (x, y) -> (x, y XOR circuit(x-prefix)); an involution."""
     state_width = prefix_width + circuit.k_out

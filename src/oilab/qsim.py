@@ -18,13 +18,17 @@ Conventions
   contribute to each basis amplitude) and a norm factor penalizing small
   interference norms, tempered by the patience parameter lambda.  A failed
   query returns a structured failure rather than raising, so callers can
-  retry under a budget.
+  retry under a budget.  A retry is a new coin on the same query
+  (``oracle_draw``, the one place the coin rule is stated): the outcome
+  carries its normalized interference state whether or not it succeeded.
 * Unitaries coming from circuits are permutations: index tables, or XOR
   masks x -> x ^ flip, which reverse the flipped bits' axes of the
   amplitudes viewed as a (2,) * n array and need no table.  Dense matrices
   are for hand-built examples.  Keeping permutations out of matrix form
   makes an order-interference query cost O(m! * m * 2^n) instead of paying
-  for matrix products.
+  for matrix products.  A table is evaluated from its circuit on every
+  basis state, except that a step (x, y) -> (x, y XOR g(x)) is evaluated
+  on the 2^p rows (x, 0) of its p-bit prefix only and expanded by XOR.
 * Amplitudes are float64 unless a value needs complex128: a state built
   from real input, and every permutation of it, stays real, while complex
   input (a state read from JSON) or a dense matrix (always complex)
@@ -36,6 +40,9 @@ Conventions
 * The inner products and norms a report reads are numpy's own pairwise
   sums, which add in one fixed order; a BLAS dot adds in an order that
   follows its thread count.
+* One ``swap_test`` call runs any number of trials on one overlap, one
+  generator per trial.  Its estimates come from one process-wide table
+  keyed by (accepts, shots), so equal estimates are one float object.
 
 All operations are pure given an explicit generator; concurrent tasks
 should each derive their own stream via ``seeding.derive_rng``.
@@ -54,7 +61,7 @@ import numpy as np
 from .circuits import eval_circuit_batch
 from .config import MAX_ORACLE_UNITARIES, QUBIT_CAP
 from .errors import InvalidPairError, PreconditionError, ResourceError, WidthError
-from .invseq import InvPair
+from .invseq import InvPair, xor_shift_prefix
 from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -183,13 +190,22 @@ def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
     """Basis permutation x -> forward(x; z) for one hard-wired randomness,
     packed MSB first like the state bits.
 
-    The full table is built by evaluating the forward circuit on every
-    basis state, and checked to be a bijection by SimUnitary; a
-    non-invertible forward map surfaces as InvalidPairError.
+    The table is the forward circuit's value on every basis state.  A step
+    (x, y) -> (x, y XOR g(x)) over a p-bit prefix x (``invseq.xor_shift_prefix``,
+    read from the circuit alone) is evaluated on the 2^p rows (x, 0) only:
+    row (x, y) of the table is head x XOR y.  Either table is checked to be
+    a bijection by SimUnitary; a non-invertible forward map surfaces as
+    InvalidPairError.
     """
     if not 0 <= z < 1 << pair.r:
         raise WidthError(f"randomness {z!r} does not fit {pair.r} bits")
-    table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
+    prefix = xor_shift_prefix(pair)
+    if prefix is None:
+        table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
+    else:
+        tail = pair.k - prefix
+        heads = eval_circuit_batch(pair.forward, np.arange(1 << prefix) << tail)
+        table = (heads[:, None] ^ np.arange(1 << tail)).reshape(-1)
     try:
         return SimUnitary(pair.k, table=table)
     except InvalidPairError as exc:
@@ -265,16 +281,22 @@ class OIOutcome:
 
     ``interference_norm`` is the norm of the raw (unnormalized)
     interference vector; ``norm_factor`` the patience-tempered factor it
-    contributes to the success probability.  The state is present only on
-    success.
+    contributes to the success probability.  ``candidate`` is the
+    normalized interference state (None for a zero vector), which
+    ``state`` returns on success only.  Another attempt on the same query
+    needs only a new coin (``oracle_draw``) and, on success, the candidate.
     """
 
     success: bool
-    state: StateVector | None
+    candidate: StateVector | None
     interference_norm: float
     phase_alignment: float
     norm_factor: float
     success_probability: float
+
+    @property
+    def state(self) -> StateVector | None:
+        return self.candidate if self.success else None
 
     def diagnostics_dict(self) -> dict:
         return {
@@ -282,6 +304,13 @@ class OIOutcome:
             "phase_alignment": self.phase_alignment,
             "success_probability": self.success_probability,
         }
+
+
+def oracle_draw(norm: float, probability: float, rng: np.random.Generator) -> bool:
+    """One attempt's coin: success with ``probability``.  A zero
+    interference vector has no state to return, so it fails without a
+    draw."""
+    return norm > 0 and bool(rng.random() < probability)
 
 
 def _oracle_outcome(
@@ -294,9 +323,9 @@ def _oracle_outcome(
     scaled = norm / rows
     norm_factor = scaled / (scaled + 1.0 / lam)
     probability = alignment * norm_factor
-    success = norm > 0 and bool(rng.random() < probability)
-    state = StateVector(n, vector / norm) if success else None
-    return OIOutcome(success, state, norm, alignment, norm_factor, probability)
+    candidate = StateVector(n, vector / norm) if norm > 0 else None
+    success = oracle_draw(norm, probability, rng)
+    return OIOutcome(success, candidate, norm, alignment, norm_factor, probability)
 
 
 def oi_oracle_query(
@@ -346,14 +375,21 @@ class SwapTestResult:
     shots: int
 
 
-def swap_test(
-    phi: StateVector, psi: StateVector, shots: int, rng: np.random.Generator
-) -> SwapTestResult:
-    """Simulate the swap-test estimator of |<phi|psi>|^2.
+# every estimate a swap test has returned, by (accepts, shots), so equal
+# estimates are one float: at most shots + 1 entries per shot count
+_ESTIMATES: dict[tuple[int, int], float] = {}
 
-    Each shot accepts with probability 1/2 + |<phi|psi>|^2 / 2; the
+
+def swap_test(
+    phi: StateVector, psi: StateVector, shots: int, rngs: Iterable[np.random.Generator]
+) -> tuple[SwapTestResult, ...]:
+    """Simulate swap-test trials estimating |<phi|psi>|^2, one trial of
+    ``shots`` shots per generator, in order.
+
+    Each shot accepts with probability 1/2 + |<phi|psi>|^2 / 2; a trial's
     estimate is 2 * (accept fraction) - 1 and may dip below zero by shot
-    noise.
+    noise.  The overlap and the normalization checks are computed once for
+    all trials.
     """
     if phi.n != psi.n:
         raise WidthError("states must have the same qubit count")
@@ -364,5 +400,9 @@ def swap_test(
             raise PreconditionError("swap test inputs must be normalized")
     overlap = min(abs(phi.inner(psi)) ** 2, 1.0)
     accept_probability = 0.5 + overlap / 2.0
-    accepts = int(np.count_nonzero(rng.random(shots) < accept_probability))
-    return SwapTestResult(2.0 * accepts / shots - 1.0, float(overlap), accepts, shots)
+    results = []
+    for rng in rngs:
+        accepts = int(np.count_nonzero(rng.random(shots) < accept_probability))
+        estimate = _ESTIMATES.setdefault((accepts, shots), 2.0 * accepts / shots - 1.0)
+        results.append(SwapTestResult(estimate, float(overlap), accepts, shots))
+    return tuple(results)

@@ -2,15 +2,21 @@
 
 The output-distribution state of a sequence is built iteratively: starting
 from the all-zero basis state, each random step is one choice-interference
-oracle call over the step's per-randomness permutations (retried under a
-budget, since the oracle is probabilistic), and each deterministic step is
-a direct permutation application.  Each distinct step's permutations are
-built once per decision (``StepTables``): a perturbation step's as two
-XOR masks with no table, any other step's as tables from its circuit.  The
+oracle query over the step's per-randomness permutations, and each
+deterministic step is a direct permutation application.  The oracle is
+probabilistic, so a random step draws up to a budget of coins on its one
+query; the interference is computed once.  Each distinct step's
+permutations are built once per decision (``StepTables``): a perturbation
+step's as two XOR masks with no table, any other step's as a table from
+its circuit.  A success state depends only on the input state and the
+step, so the second sequence's build replays the first one's over the
+leading steps they share (``SharedPrefix``), drawing its own coins against
+the recorded probabilities, and takes over the state at their end.  The
 resulting amplitudes are proportional to the sequence's output
 probabilities, so the swap test between the two states estimates the
 squared cosine similarity of the two output distributions, which the
-promise gap separates across a threshold.
+promise gap separates across a threshold; one ``swap_test`` call runs
+every trial on one overlap.
 
 Thresholding: a YES instance (distance <= a) keeps the squared overlap at
 or above (1-a)^2 while a NO instance (distance > b) pushes it below
@@ -27,7 +33,7 @@ qubits wide.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +43,14 @@ from .config import LAMBDA, QUBIT_CAP, RETRY_BUDGET, SWAP_SHOTS, TRIAL_COUNT
 from .errors import GapViolationError, OracleFailureError, ResourceError
 from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, perturbed_bit, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
-from .qsim import SimUnitary, StateVector, ci_oracle_query, permutation_unitary_from_circuit, swap_test
+from .qsim import (
+    SimUnitary,
+    StateVector,
+    ci_oracle_query,
+    oracle_draw,
+    permutation_unitary_from_circuit,
+    swap_test,
+)
 from .seeding import derive_rng
 
 AMPLITUDE_REALITY_TOLERANCE = 1e-12
@@ -90,12 +103,16 @@ def derive_threshold(a, b) -> ThresholdSpec:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One stage of a build; a record's stage is its index in the log."""
+    """One stage of a build; a record's stage is its index in the log.
+    ``interference_norm`` is the norm of the stage's choice-interference
+    vector, 1.0 for a deterministic step (one permutation of a unit
+    vector)."""
 
     r: int
     attempts: int
     success_probability: float
     min_real_amplitude: float
+    interference_norm: float
 
 
 class StepTables(dict):
@@ -119,50 +136,84 @@ class StepTables(dict):
         return unitaries
 
 
+@dataclass
+class SharedPrefix:
+    """The leading ``length`` steps a decision's two sequences have in
+    common.  The first build fills in its stage records over them and its
+    state at their end.  The second build replays them: a success state
+    depends only on the input state and the step, so it draws only its own
+    coins, against the recorded probabilities, and takes over the state."""
+
+    length: int
+    records: tuple[StageRecord, ...] = ()
+    state: StateVector | None = None
+
+
+def _attempts(norm: float, probability: float, stage: int, cfg: SolverConfig, rng, made: int = 0) -> int:
+    """Draw coins on one query (``oracle_draw``) until one succeeds, within
+    cfg.retry_budget attempts in all; the attempts it took, counting the
+    ``made`` already failed."""
+    attempts = made
+    while attempts < cfg.retry_budget:
+        attempts += 1
+        if oracle_draw(norm, probability, rng):
+            return attempts
+    raise OracleFailureError(stage, probability, attempts)
+
+
 def build_output_state(
     seq: InvertibleSequence,
     cfg: SolverConfig,
     rng: np.random.Generator,
     stage_log: list[StageRecord] | None = None,
     tables: StepTables | None = None,
+    shared: SharedPrefix | None = None,
 ) -> StateVector:
     """Iteratively build the sequence's output-distribution state.
 
     Every random step queries the choice-interference oracle over its
-    2^r permutation unitaries, retrying up to cfg.retry_budget times;
-    exhaustion raises OracleFailureError with the stage index.  States wider
-    than QUBIT_CAP qubits raise ResourceError up front.  All intermediate
-    states must keep non-negative real amplitudes (they are counting
-    states), which is asserted per stage.
+    2^r permutation unitaries once, and draws up to cfg.retry_budget coins
+    on that query; exhaustion raises OracleFailureError with the stage
+    index.  States wider than QUBIT_CAP qubits raise ResourceError up
+    front.  All intermediate states must keep non-negative real amplitudes
+    (they are counting states), which is asserted per stage.
 
     ``tables`` is the decision's step memo; a step equal to one already
-    built reads its entry.
+    built reads its entry.  ``shared`` names leading steps of ``seq``: a
+    build given it empty fills it in, and a build given it filled in
+    replays those steps instead of building them again.
     """
     if seq.k > QUBIT_CAP:
         raise ResourceError(f"state width {seq.k} exceeds qubit cap {QUBIT_CAP}")
     if tables is None:
         tables = StepTables()
-    state = StateVector.zero(seq.k)
-    for stage, pair in enumerate(seq.pairs):
+    log = [] if stage_log is None else stage_log
+    state, start = StateVector.zero(seq.k), 0
+    if shared is not None and shared.state is not None:
+        for stage, record in enumerate(shared.records):
+            if record.r:
+                attempts = _attempts(record.interference_norm, record.success_probability, stage, cfg, rng)
+                record = replace(record, attempts=attempts)
+            log.append(record)
+        state, start = shared.state, shared.length
+    for stage in range(start, len(seq.pairs)):
+        pair = seq.pairs[stage]
         unitaries = tables[pair]
         if pair.r == 0:
             state = StateVector(seq.k, unitaries[0].apply(state.amps))
-            attempts, probability = 0, 1.0
+            attempts, probability, norm = 0, 1.0, 1.0
         else:
-            for attempts in range(1, cfg.retry_budget + 1):
-                outcome = ci_oracle_query(unitaries, state, cfg.lam, rng)
-                if outcome.success:
-                    break
-            else:
-                raise OracleFailureError(stage, outcome.success_probability, attempts)
-            state = outcome.state
-            probability = outcome.success_probability
+            outcome = ci_oracle_query(unitaries, state, cfg.lam, rng)
+            probability, norm = outcome.success_probability, outcome.interference_norm
+            attempts = 1 if outcome.success else _attempts(norm, probability, stage, cfg, rng, 1)
+            state = outcome.candidate
         # float64 throughout: the zero state is real and every table a permutation
         min_real = float(state.amps.real.min())
         if min_real < -AMPLITUDE_REALITY_TOLERANCE:
             raise AssertionError(f"stage {stage} produced a negative amplitude")
-        if stage_log is not None:
-            stage_log.append(StageRecord(pair.r, attempts, probability, min_real))
+        log.append(StageRecord(pair.r, attempts, probability, min_real, norm))
+        if shared is not None and stage + 1 == shared.length:
+            shared.records, shared.state = tuple(log[-shared.length:]), state
     return state
 
 
@@ -195,20 +246,25 @@ class Decision:
 def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     """Build both output states, estimate their squared overlap by repeated
     swap tests, and compare the median estimate against the threshold.
+
     Both builds share one table memo, so a step the sequences have in common
-    is built once per decision."""
+    is built once per decision, and the second build replays the first one
+    over the leading steps the two sequences share (``SharedPrefix``).  One
+    ``swap_test`` call runs every trial, so the overlap is computed once."""
     spec = derive_threshold(inst.a, inst.b)
     log0: list[StageRecord] = []
     log1: list[StageRecord] = []
     tables = StepTables()
-    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, tables)
-    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, tables)
-    estimates = []
-    exact = 0.0
-    for trial in range(cfg.trial_count):
-        result = swap_test(state0, state1, cfg.swap_shots, derive_rng(cfg.seed, "trial", trial))
-        estimates.append(result.estimate)
-        exact = result.exact_overlap
+    shared = SharedPrefix(0)
+    for pair0, pair1 in zip(inst.seq0.pairs, inst.seq1.pairs):
+        if pair0 != pair1:
+            break
+        shared.length += 1
+    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, tables, shared)
+    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, tables, shared)
+    trials = (derive_rng(cfg.seed, "trial", trial) for trial in range(cfg.trial_count))
+    results = swap_test(state0, state1, cfg.swap_shots, trials)
+    estimates = [result.estimate for result in results]
     median = statistics.median(estimates)
     verdict = "YES" if median >= spec.tau else "NO"
     return Decision(
@@ -217,7 +273,7 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
         float(spec.tau),
         float(spec.gap),
         tuple(estimates),
-        exact,
+        results[-1].exact_overlap,
         tuple(log0),
         tuple(log1),
     )

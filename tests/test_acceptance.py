@@ -298,7 +298,7 @@ def test_criterion_12_metric_bounds_and_swap_convergence():
             theta = run_rng.uniform(0, math.pi / 2)
             phi = StateVector(1, np.array([1.0, 0.0]))
             psi = StateVector(1, np.array([math.cos(theta), math.sin(theta)]))
-            result = swap_test(phi, psi, 10 ** 4, run_rng)
+            (result,) = swap_test(phi, psi, 10 ** 4, [run_rng])
             if abs(result.estimate - result.exact_overlap) > 0.05:
                 misses += 1
         assert misses <= runs * 0.01

@@ -4,7 +4,10 @@
 look it up by (``SITES``), and refuses to install when a site no longer
 holds its layer's function.  Installing and removing the probes here, with
 the file loaded on its own, turns a refactor that drops or renames a site
-into a test failure instead of a failure of the traced benchmark run.
+into a test failure instead of a failure of the traced benchmark run.  One
+decide-corpus operation run with the probes installed must reach every site
+that workload declares, so a refactor that routes around a declared site
+fails here too.
 """
 
 import importlib
@@ -12,7 +15,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -35,3 +39,15 @@ def test_every_probe_site_installs_and_restores():
     with tracing.Tracer().installed():
         assert all(resolve(site) is not before[site] for site in sites)
     assert {site: resolve(site) for site in sites} == before
+
+
+def test_one_decision_reaches_every_declared_site(monkeypatch, tmp_path):
+    tracing = load_tracing()
+    monkeypatch.syspath_prepend(str(BENCH))
+    decide_corpus = importlib.import_module("workloads.decide_corpus")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        inputs = decide_corpus.setup(2026, "smoke", tmp_path)
+        record = decide_corpus.run(inputs, 0)
+    tracer.require_calls(decide_corpus.DECLARED_SITES)
+    assert decide_corpus.check(inputs, 0, record) == []

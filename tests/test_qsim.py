@@ -20,11 +20,12 @@ from helpers import (
     unitary_to_json_dict,
 )
 
-from oilab.circuits import random_circuit
+from oilab.circuits import BoolCircuit, Gate, eval_circuit_batch, random_circuit
+from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.config import MAX_ORACLE_UNITARIES
 from oilab.errors import InvalidPairError, PreconditionError, ResourceError, WidthError
 from oilab import qsim
-from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step
+from oilab.invseq import InvPair, _apply_circuit_step, _xor_bit_step, reduce_sd_to_sisd, xor_shift_prefix
 from oilab.qsim import (
     SimUnitary,
     StateVector,
@@ -169,6 +170,79 @@ class TestPermutationFromCircuit:
         pair = _xor_bit_step(2, 0)
         for z in (-1, 1 << pair.r):
             with pytest.raises(WidthError):
+                permutation_unitary_from_circuit(pair, z)
+
+
+def structured_step(k: int, gates, outputs, r: int = 0) -> InvPair:
+    circuit = BoolCircuit(k + r, tuple(Gate(kind, inputs) for kind, inputs in gates), outputs)
+    return InvPair(circuit, circuit)
+
+
+class TestStructuredStep:
+    """A step (x, y) -> (x, y XOR g(x)) is evaluated on its 2^p prefix rows
+    only; its table equals the full evaluation on every basis state, and a
+    step of any other shape takes the full evaluation."""
+
+    def test_corpus_middle_steps_match_full_evaluation(self):
+        prefixes = []
+        for item in polarize_corpus(build_sd_corpus(40, 7)):
+            sisd = reduce_sd_to_sisd(item.instance)
+            for seq in (sisd.seq0, sisd.seq1):
+                middle = seq.pairs[len(seq) // 2]
+                prefixes.append(xor_shift_prefix(middle))
+                full = eval_circuit_batch(middle.forward, np.arange(1 << middle.k))
+                assert np.array_equal(permutation_unitary_from_circuit(middle, 0).table, full)
+        assert None not in prefixes and max(prefixes) == 10
+
+    def test_a_file_copy_is_recognized(self):
+        step = _apply_circuit_step(random_circuit(3, 2, 12, seed=5), 4)
+        loaded = InvPair(*(BoolCircuit.from_json_dict(c.to_json_dict()) for c in (step.forward, step.backward)))
+        assert loaded.forward is not step.forward
+        assert xor_shift_prefix(loaded) == xor_shift_prefix(step) is not None
+
+    @pytest.mark.parametrize(
+        "pair, prefix",
+        [
+            # y_1 negated, y_2 kept and y_3 XORed with a constant: a mask, p = 0
+            (structured_step(4, [("NOT", (1,)), ("CONST1", ()), ("XOR", (3, 5))], (0, 4, 2, 6)), 0),
+            # y_1 kept and y_2 XOR NOT x_0, the XOR's inputs in either order
+            (structured_step(3, [("NOT", (0,)), ("XOR", (2, 3))], (0, 1, 4)), 1),
+            (structured_step(3, [("NOT", (0,)), ("XOR", (3, 2))], (0, 1, 4)), 1),
+            # y_2 XOR (x_0 AND y_1): y_1 is an output in place, so x takes it
+            (structured_step(3, [("AND", (0, 1)), ("XOR", (2, 3))], (0, 1, 4)), 2),
+            (structured_step(2, [], (0, 1)), 0),
+        ],
+        ids=["masks", "xor-y-first", "xor-y-second", "prefix-grows", "identity"],
+    )
+    def test_recognized_steps_match_full_evaluation(self, pair, prefix):
+        assert xor_shift_prefix(pair) == prefix
+        full = eval_circuit_batch(pair.forward, np.arange(1 << pair.k))
+        assert np.array_equal(permutation_unitary_from_circuit(pair, 0).table, full)
+
+    @pytest.mark.parametrize(
+        "pair, bijective",
+        [
+            # y wires permuted: (x0, y1, y2) -> (x0, y2 ^ x0, y1 ^ x0)
+            (structured_step(3, [("XOR", (2, 0)), ("XOR", (1, 0))], (0, 3, 4)), True),
+            # y_2's XOR reads y_1, which is not an output in place
+            (structured_step(3, [("XOR", (1, 0)), ("AND", (0, 1)), ("XOR", (2, 4))], (0, 3, 5)), True),
+            # a step that reads a random bit
+            (_xor_bit_step(3, 1), True),
+            # y_1 is ORed with x_0, not XORed: not a bijection
+            (structured_step(2, [("OR", (1, 0))], (0, 2)), False),
+            # y_1 XOR y_1 is a constant
+            (structured_step(2, [("XOR", (1, 1))], (0, 2)), False),
+        ],
+        ids=["permuted-y", "xor-reads-y", "random-bit", "or-not-xor", "xor-itself"],
+    )
+    def test_other_steps_take_full_evaluation(self, pair, bijective):
+        assert xor_shift_prefix(pair) is None
+        z = (1 << pair.r) - 1
+        if bijective:
+            full = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
+            assert np.array_equal(permutation_unitary_from_circuit(pair, z).table, full)
+        else:
+            with pytest.raises(InvalidPairError):
                 permutation_unitary_from_circuit(pair, z)
 
 
@@ -538,7 +612,7 @@ class TestFlipForm:
 class TestSwapTest:
     def test_equal_states_always_accept(self):
         psi = random_state(2, derive_rng(22, "st"))
-        result = swap_test(psi, psi, 500, derive_rng(22, "draw"))
+        (result,) = swap_test(psi, psi, 500, [derive_rng(22, "draw")])
         assert result.exact_overlap == pytest.approx(1.0, abs=1e-12)
         assert result.accepts == 500
         assert result.estimate == 1.0
@@ -546,14 +620,14 @@ class TestSwapTest:
     def test_orthogonal_states_center_on_zero(self):
         phi = basis_state(1, "0")
         psi = basis_state(1, "1")
-        result = swap_test(phi, psi, 20000, derive_rng(23, "orth"))
+        (result,) = swap_test(phi, psi, 20000, [derive_rng(23, "orth")])
         assert result.exact_overlap == 0.0
         assert abs(result.estimate) < 0.05
 
     def test_known_overlap_accept_probability(self):
         phi = basis_state(1, "0")
         psi = StateVector(1, np.array([0.6, 0.8]))
-        result = swap_test(phi, psi, 50000, derive_rng(24, "known"))
+        (result,) = swap_test(phi, psi, 50000, [derive_rng(24, "known")])
         assert result.exact_overlap == pytest.approx(0.36, abs=1e-12)
         # accept probability 1/2 + 0.36/2 = 0.68
         assert result.accepts / result.shots == pytest.approx(0.68, abs=0.01)
@@ -561,16 +635,33 @@ class TestSwapTest:
     def test_unnormalized_rejected(self):
         bad = StateVector(1, np.array([1.0, 1.0]))
         with pytest.raises(PreconditionError):
-            swap_test(bad, basis_state(1, "0"), 10, derive_rng(25, "bad"))
+            swap_test(bad, basis_state(1, "0"), 10, [derive_rng(25, "bad")])
 
     def test_states_need_equal_widths(self):
         with pytest.raises(WidthError, match="^states must have the same qubit count$"):
-            swap_test(basis_state(1, "0"), basis_state(2, "00"), 10, derive_rng(25, "widths"))
+            swap_test(basis_state(1, "0"), basis_state(2, "00"), 10, [derive_rng(25, "widths")])
 
     def test_shot_validation(self):
         psi = basis_state(1, "0")
         with pytest.raises(ValueError):
-            swap_test(psi, psi, 0, derive_rng(26, "z"))
+            swap_test(psi, psi, 0, [derive_rng(26, "z")])
+
+    def test_one_call_equals_a_trial_at_a_time(self):
+        # the overlap once for all trials, against each trial drawn alone
+        # from the exact accept probability
+        phi = random_nonnegative_state(6, derive_rng(27, "phi"))
+        psi = random_nonnegative_state(6, derive_rng(27, "psi"))
+        overlap = min(abs(np.add.reduce(phi.amps * psi.amps)) ** 2, 1.0)
+        results = swap_test(phi, psi, 333, [derive_rng(28, trial) for trial in range(9)])
+        assert len(results) == 9
+        for trial, result in enumerate(results):
+            accepts = int(np.count_nonzero(derive_rng(28, trial).random(333) < 0.5 + overlap / 2))
+            (alone,) = swap_test(phi, psi, 333, [derive_rng(28, trial)])
+            assert result == alone
+            assert (result.accepts, result.shots, result.exact_overlap) == (accepts, 333, overlap)
+            assert result.estimate == 2 * accepts / 333 - 1
+            assert result.estimate is alone.estimate  # one float per (accepts, shots)
+        assert swap_test(phi, psi, 333, []) == ()
 
 
 def step_table_groups() -> list[tuple[SimUnitary, ...]]:
@@ -634,7 +725,7 @@ class TestRealAmplitudes:
             n = 1 + index % 4
             phi = random_nonnegative_state(n, derive_rng(42, index, "phi"))
             psi = random_nonnegative_state(n, derive_rng(42, index, "psi"))
-            got = swap_test(phi, psi, 4096, derive_rng(43, index))
-            want = swap_test(as_complex(phi), as_complex(psi), 4096, derive_rng(43, index))
+            (got,) = swap_test(phi, psi, 4096, [derive_rng(43, index)])
+            (want,) = swap_test(as_complex(phi), as_complex(psi), 4096, [derive_rng(43, index)])
             assert got.accepts == want.accepts
             assert got.exact_overlap == pytest.approx(want.exact_overlap, rel=1e-13)

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from helpers import (
     uniform_distribution,
 )
 
-from oilab import solver
+from oilab import corpus, solver
 from oilab.circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, random_circuit
 from oilab.config import QUBIT_CAP
 from oilab.corpus import build_sd_corpus, polarize_corpus
@@ -43,9 +45,10 @@ from oilab.invseq import (
     reduce_sd_to_sisd,
     stage_counts,
 )
-from oilab.qsim import StateVector, permutation_unitary_from_circuit
+from oilab.qsim import SimUnitary, StateVector, permutation_unitary_from_circuit
 from oilab.seeding import derive_rng, derive_seed
 from oilab.solver import (
+    SharedPrefix,
     SolverConfig,
     StageRecord,
     StepTables,
@@ -153,6 +156,14 @@ class TestBuildOutputState:
             (math.sqrt(2) / 2) / (math.sqrt(2) / 2 + 1), abs=1e-12
         )
 
+    def test_a_negative_amplitude_stops_the_build(self):
+        # no circuit step can make one: a dense -1 in the memo stands in
+        pair = identity_pair(1)
+        tables = StepTables({pair: (SimUnitary(1, matrix=-np.eye(2)),)})
+        seq = InvertibleSequence((_xor_bit_step(1, 0), pair), 1)
+        with pytest.raises(AssertionError, match="^stage 1 produced a negative amplitude$"):
+            build_output_state(seq, SolverConfig(), derive_rng(0, "negative"), tables=tables)
+
     def test_qubit_cap(self):
         seq = InvertibleSequence((_xor_bit_step(16, 0),), 16)
         with pytest.raises(ResourceError):
@@ -199,6 +210,8 @@ class TestStageCounts:
                 state = build_output_state(prefix, cfg, derive_rng(0, "stage", index, t), log)
                 assert np.abs(state.amps - counts[t] / norm(counts[t])).max() <= 1e-15
                 r = seq.pairs[t - 1].r
+                # ||CI|| carries c_{t-1} / ||c_{t-1}|| to c_t / ||c_{t-1}||
+                assert abs(log[-1].interference_norm - norm(counts[t]) / norm(counts[t - 1])) <= 1e-15
                 if r:
                     s = norm(counts[t]) / ((1 << r) * norm(counts[t - 1]))
                     assert abs(log[-1].success_probability - s / (s + 1 / cfg.lam)) <= 1e-15
@@ -413,6 +426,12 @@ class TestDecideSd:
         )
         assert correct == 10
 
+    def test_sampling_that_never_meets_the_promise_stops(self, monkeypatch):
+        # every pair at distance 1/2, inside the gap (1/3, 2/3) the promise leaves
+        monkeypatch.setattr(corpus, "tv_distance", lambda p, q: Fraction(1, 2))
+        with pytest.raises(ResourceError, match="after 401 attempts"):
+            build_sd_corpus(2, seed=881)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_corpus_needs_an_instance(self, count):
         # an empty corpus has no accuracy to report
@@ -500,6 +519,68 @@ class TestStepTableMemo:
         # the 4 perturb steps take XOR masks; the equal middle steps
         # are evaluated once
         assert len(table_builds) == 1
+
+
+class TestSharedPrefix:
+    """The second build replays the first over the leading steps the two
+    sequences share: its states, stage records and oracle failures are
+    those of a plain build with the same generator."""
+
+    def test_replayed_build_equals_a_plain_build(self):
+        seen = {"built": 0, "failed in the prefix": 0, "failed after it": 0}
+        corpus_items = polarize_corpus(build_sd_corpus(6, 2026))
+        for lam, budget, (index, item) in itertools.product((1, 2), (1, 3), enumerate(corpus_items)):
+            sisd = reduce_sd_to_sisd(item.instance)
+            length = len(sisd.seq0) // 2
+            assert sisd.seq0.pairs[:length] == sisd.seq1.pairs[:length]
+            cfg = SolverConfig(lam=lam, retry_budget=budget)
+            for seed in range(4):
+                # a large budget takes the first build past the prefix; the
+                # replay draws its own attempts under cfg's budget
+                shared = SharedPrefix(length)
+                try:
+                    first_cfg = replace(cfg, retry_budget=50)
+                    build_output_state(sisd.seq0, first_cfg, derive_rng(seed, index, 0), [], None, shared)
+                except OracleFailureError:
+                    pass
+                assert shared.state is not None and len(shared.records) == length
+                builds = []
+                for replay in (shared, None):
+                    log: list[StageRecord] = []
+                    try:
+                        state = build_output_state(sisd.seq1, cfg, derive_rng(seed, index, 1), log, None, replay)
+                        builds.append((state.amps.tobytes(), log))
+                    except OracleFailureError as exc:
+                        builds.append((str(exc), exc.stage, exc.attempts, exc.success_probability, log))
+                assert builds[0] == builds[1]
+                if len(builds[0]) == 2:
+                    seen["built"] += 1
+                else:
+                    seen["failed in the prefix" if builds[0][1] < length else "failed after it"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_a_decision_queries_each_oracle_state_once(self, monkeypatch):
+        calls = {"ci_oracle_query": 0, "swap_test": 0}
+
+        def counted(name):
+            fn = getattr(solver, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name))
+        for item in polarize_corpus(build_sd_corpus(4, 2026)):
+            sisd = reduce_sd_to_sisd(item.instance)
+            before = dict(calls)
+            decide_sisd(sisd, SolverConfig(seed=99))
+            # seq0's 2p perturbation stages, then seq1's p after the shared ones
+            length = len(sisd.seq0) // 2
+            assert calls["ci_oracle_query"] - before["ci_oracle_query"] == 3 * length
+            assert calls["swap_test"] - before["swap_test"] == 1
 
 
 def xor_bit_like(k: int, bit: int, kind: str = "XOR", outputs=None) -> BoolCircuit:
