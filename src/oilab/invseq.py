@@ -19,8 +19,9 @@ its content becomes an independent uniform string.  The construction
 preserves total-variation distance exactly.  A perturb step's permutation
 for randomness z is the identity with one bit flipped when z is 1;
 ``perturbed_bit`` recognizes such a step by equality with the one cached
-``_xor_bit_step`` of its width and bit, so the solver can apply it as an
-XOR mask instead of evaluating the circuit.
+``_xor_bit_step`` of its width and bit, so
+``qsim.permutation_unitary_from_circuit`` makes it an XOR mask instead of
+evaluating the circuit.
 
 ``polarize`` is the gap amplifier used when the raw promise parameters
 fail the decision gap condition: an XOR-combination drives close
@@ -39,7 +40,6 @@ import numpy as np
 
 from .circuits import BoolCircuit, CircuitBuilder, SdInstance, blocks, eval_circuit_batch
 from .config import ENUM_BITS
-from .distributions import Distribution
 from .errors import MalformedSequenceError, PreconditionError, ResourceError
 from .jsonio import as_exact_probability, fraction_to_string, require_field, require_int, typed_fields
 from .seeding import derive_rng
@@ -284,16 +284,6 @@ def stage_counts(seq: InvertibleSequence) -> Iterator[np.ndarray]:
         yield counts
 
 
-def sequence_output_distribution(seq: InvertibleSequence) -> Distribution:
-    """Exact D(sequence): the last of ``stage_counts`` over 2^(total
-    random bits)."""
-    for counts in stage_counts(seq):
-        pass
-    denom = Fraction(1, 1 << seq.total_random_bits)
-    states = np.flatnonzero(counts)
-    return Distribution(seq.k, {v: c * denom for v, c in zip(states.tolist(), counts[states].tolist())})
-
-
 # ---------------------------------------------------------------------------
 # the reduction
 
@@ -428,13 +418,6 @@ def direct_product(circuit: BoolCircuit, reps: int) -> BoolCircuit:
         base = block * circuit.k_in
         outputs.extend(builder.inline(circuit, [base + j for j in range(circuit.k_in)]))
     return builder.build(outputs)
-
-
-def decision_gap(a: Fraction, b: Fraction) -> Fraction:
-    """b^2 - 2a + a^2, the distance between the YES-side overlap bound
-    (1-a)^2 and the NO-side bound 1-b^2; the swap-test decision needs it
-    positive."""
-    return b * b - 2 * a + a * a
 
 
 def polarize(inst: SdInstance, k: int, xor_reps: int, product_reps: int) -> SdInstance:

@@ -14,7 +14,7 @@ comes out as an exact int.
 The error model is the discrete Gaussian on Z with mass proportional to
 exp(-x^2 / width^2), sampled exactly over a support truncated at ten
 widths (the discarded tail mass is below 1e-40, far under any test
-tolerance here).
+tolerance here); a wider support than ``MAX_SUPPORT_POINTS`` is refused.
 
 Instances keep their generating secret (s, e) in a sealed field so tests
 can assert facts like dist <= ||e||; serialization never emits it.
@@ -182,13 +182,22 @@ class GapCvpInstance:
 # sampling
 
 TRUNCATION_WIDTHS = 10
+# the support and its masses are held whole, 8 MB per array at this bound:
+# widths up to about 52,000
+MAX_SUPPORT_POINTS = 2 ** 20
 
 
 def sample_discrete_gaussian(width: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """`size` exact draws from the discrete Gaussian on Z of the given width."""
+    """`size` exact draws from the discrete Gaussian on Z of the given width.
+    A support wider than MAX_SUPPORT_POINTS raises ResourceError before
+    anything is allocated."""
     if width <= 0:
         raise ValueError("width must be positive")
     cut = max(1, math.ceil(TRUNCATION_WIDTHS * width))
+    if 2 * cut + 1 > MAX_SUPPORT_POINTS:
+        raise ResourceError(
+            f"error width {width:g} needs {2 * cut + 1} support points; cap is {MAX_SUPPORT_POINTS}"
+        )
     support = np.arange(-cut, cut + 1)
     mass = np.exp(-(support.astype(float) ** 2) / width ** 2)
     return rng.choice(support, size=size, p=mass / mass.sum()).astype(np.int64)

@@ -26,9 +26,12 @@ Conventions
   amplitudes viewed as a (2,) * n array and need no table.  Dense matrices
   are for hand-built examples.  Keeping permutations out of matrix form
   makes an order-interference query cost O(m! * m * 2^n) instead of paying
-  for matrix products.  A table is evaluated from its circuit on every
-  basis state, except that a step (x, y) -> (x, y XOR g(x)) is evaluated
-  on the 2^p rows (x, 0) of its p-bit prefix only and expanded by XOR.
+  for matrix products.  ``permutation_unitary_from_circuit`` alone picks a
+  step's form: a perturbation step (``invseq.perturbed_bit``) is a mask
+  from one process-wide table keyed by (width, mask); a step
+  (x, y) -> (x, y XOR g(x)) is evaluated on the 2^p rows (x, 0) of its
+  p-bit prefix only and expanded by XOR; any other step is evaluated on
+  every basis state.
 * Amplitudes are float64 unless a value needs complex128: a state built
   from real input, and every permutation of it, stays real, while complex
   input (a state read from JSON) or a dense matrix (always complex)
@@ -50,6 +53,7 @@ should each derive their own stream via ``seeding.derive_rng``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -61,7 +65,7 @@ import numpy as np
 from .circuits import eval_circuit_batch
 from .config import MAX_ORACLE_UNITARIES, QUBIT_CAP
 from .errors import InvalidPairError, PreconditionError, ResourceError, WidthError
-from .invseq import InvPair, xor_shift_prefix
+from .invseq import InvPair, perturbed_bit, xor_shift_prefix
 from .jsonio import int_array, require_field, require_int, require_real, typed_fields
 
 NORMALIZATION_TOLERANCE = 1e-10
@@ -186,19 +190,31 @@ class SimUnitary:
             raise ValueError(f"unknown unitary kind {kind!r}")
 
 
+@functools.cache
+def _xor_mask(n: int, flip: int) -> SimUnitary:
+    """The one mask x -> x ^ flip on n qubits: it holds no array, and the
+    perturbation steps make at most n + 1 masks per width."""
+    return SimUnitary(n, flip=flip)
+
+
 def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
     """Basis permutation x -> forward(x; z) for one hard-wired randomness,
     packed MSB first like the state bits.
 
-    The table is the forward circuit's value on every basis state.  A step
+    A perturbation step (``invseq.perturbed_bit``) flips its bit when z is
+    1: the mask z << (k-1-bit), evaluating nothing.  A step
     (x, y) -> (x, y XOR g(x)) over a p-bit prefix x (``invseq.xor_shift_prefix``,
     read from the circuit alone) is evaluated on the 2^p rows (x, 0) only:
-    row (x, y) of the table is head x XOR y.  Either table is checked to be
-    a bijection by SimUnitary; a non-invertible forward map surfaces as
-    InvalidPairError.
+    row (x, y) of the table is head x XOR y.  Any other step's table is the
+    forward circuit's value on every basis state.  Either table is checked
+    to be a bijection by SimUnitary; a non-invertible forward map surfaces
+    as InvalidPairError.
     """
     if not 0 <= z < 1 << pair.r:
         raise WidthError(f"randomness {z!r} does not fit {pair.r} bits")
+    bit = perturbed_bit(pair)
+    if bit is not None:
+        return _xor_mask(pair.k, z << (pair.k - 1 - bit))
     prefix = xor_shift_prefix(pair)
     if prefix is None:
         table = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
@@ -217,18 +233,24 @@ def permutation_unitary_from_circuit(pair: InvPair, z: int) -> SimUnitary:
 # ---------------------------------------------------------------------------
 # order and choice interference
 
+def check_unitary_count(m: int, ordered: bool) -> None:
+    """Raise ResourceError when a query would take more than
+    MAX_ORACLE_UNITARIES unitaries: order interference has m! orderings,
+    choice interference m one-element choices."""
+    if m > MAX_ORACLE_UNITARIES:
+        count = f"{m}! orderings" if ordered else f"{m} choices"
+        raise ResourceError(f"{m} unitaries means {count}; cap is {MAX_ORACLE_UNITARIES}")
+
+
 def _check_query(
     unitaries: tuple[SimUnitary, ...], psi: StateVector, lam: int, ordered: bool
 ) -> None:
     """Validation shared by the two oracles.  The unitary count is capped
-    before any ordering is enumerated: order interference has m! of them,
-    choice interference m one-element choices."""
+    before any ordering is enumerated."""
     m = len(unitaries)
     if m < 1:
         raise ValueError("need at least one unitary")
-    if m > MAX_ORACLE_UNITARIES:
-        count = f"{m}! orderings" if ordered else f"{m} choices"
-        raise ResourceError(f"{m} unitaries means {count}; cap is {MAX_ORACLE_UNITARIES}")
+    check_unitary_count(m, ordered)
     if any(u.n != psi.n for u in unitaries):
         raise WidthError("all unitaries must act on the state's qubit count")
     if not 1 <= lam <= sys.float_info.max:  # 1/lambda is a float

@@ -5,28 +5,28 @@ from the all-zero basis state, each random step is one choice-interference
 oracle query over the step's per-randomness permutations, and each
 deterministic step is a direct permutation application.  The oracle is
 probabilistic, so a random step draws up to a budget of coins on its one
-query; the interference is computed once.  Each distinct step's
-permutations are built once per decision (``StepTables``): a perturbation
-step's as two XOR masks with no table, any other step's as a table from
-its circuit.  A success state depends only on the input state and the
-step, so the second sequence's build replays the first one's over the
-leading steps they share (``SharedPrefix``), drawing its own coins against
-the recorded probabilities, and takes over the state at their end.  The
-resulting amplitudes are proportional to the sequence's output
-probabilities, so the swap test between the two states estimates the
-squared cosine similarity of the two output distributions, which the
-promise gap separates across a threshold; one ``swap_test`` call runs
-every trial on one overlap.
+query; the interference is computed once.  A stage takes its step's
+permutations, one per randomness, from
+``qsim.permutation_unitary_from_circuit``, which alone picks their form;
+this module only puts the stages in order.  A success state depends only
+on the input state and the step, so the second sequence's build replays
+the first one's over the leading steps they share (``SharedPrefix``),
+drawing its own coins against the recorded probabilities, and takes over
+the state at their end.  The resulting amplitudes are proportional to the
+sequence's output probabilities, so the swap test between the two states
+estimates the squared cosine similarity of the two output distributions,
+which the promise gap separates across a threshold; one ``swap_test``
+call runs every trial on one overlap.
 
 Thresholding: a YES instance (distance <= a) keeps the squared overlap at
 or above (1-a)^2 while a NO instance (distance > b) pushes it below
 1 - b^2.  Those are the fidelity's bounds; for the cosine of probability
 vectors, which these states measure, they hold only empirically, and the
-tests keep a known YES-side counterexample.  The decision threshold is
-the midpoint, and the gap (1-a)^2 - (1-b^2) = b^2 - 2a + a^2 must be
-positive.  Otherwise the caller polarizes first (``invseq.polarize``);
-the solver never picks an amplification itself, and raises
-GapViolationError instead.  States are at most ``config.QUBIT_CAP``
+tests pin known wrong verdicts on both sides of the promise.  The
+decision threshold is the midpoint, and the gap (1-a)^2 - (1-b^2) =
+b^2 - 2a + a^2 must be positive.  Otherwise the caller polarizes first
+(``invseq.polarize``); the solver never picks an amplification itself,
+and raises GapViolationError instead.  States are at most ``config.QUBIT_CAP``
 qubits wide.
 """
 
@@ -41,11 +41,11 @@ import numpy as np
 from .circuits import SdInstance
 from .config import LAMBDA, QUBIT_CAP, RETRY_BUDGET, SWAP_SHOTS, TRIAL_COUNT
 from .errors import GapViolationError, OracleFailureError, ResourceError
-from .invseq import InvertibleSequence, InvPair, SisdInstance, decision_gap, perturbed_bit, reduce_sd_to_sisd
+from .invseq import InvertibleSequence, SisdInstance, reduce_sd_to_sisd
 from .jsonio import as_exact_probability
 from .qsim import (
-    SimUnitary,
     StateVector,
+    check_unitary_count,
     ci_oracle_query,
     oracle_draw,
     permutation_unitary_from_circuit,
@@ -83,12 +83,14 @@ def derive_threshold(a, b) -> ThresholdSpec:
     """Exact threshold arithmetic from the promise parameters.
 
     yes_bound = (1-a)^2, no_bound = 1-b^2, tau their midpoint, and
-    gap = b^2 - 2a + a^2 — which equals yes_bound - no_bound, so a positive
+    gap = yes_bound - no_bound, which is b^2 - 2a + a^2, so a positive
     gap is exactly what makes the two bounds separable.
     """
     a = as_exact_probability(a)
     b = as_exact_probability(b)
-    gap = decision_gap(a, b)
+    yes_bound = (1 - a) * (1 - a)
+    no_bound = 1 - b * b
+    gap = yes_bound - no_bound
     if gap <= 0:
         error = GapViolationError(
             f"gap b^2 - 2a + a^2 = {gap} is not positive for a={a}, b={b}; "
@@ -96,8 +98,6 @@ def derive_threshold(a, b) -> ThresholdSpec:
         )
         error.gap = gap  # exact value, for callers that report it
         raise error
-    yes_bound = (1 - a) * (1 - a)
-    no_bound = 1 - b * b
     return ThresholdSpec((yes_bound + no_bound) / 2, gap, yes_bound, no_bound)
 
 
@@ -113,27 +113,6 @@ class StageRecord:
     success_probability: float
     min_real_amplitude: float
     interference_norm: float
-
-
-class StepTables(dict):
-    """One decision's memo: each distinct step maps to its permutation
-    unitaries, one per randomness, built on first lookup, so a
-    non-bijective step fails at its own stage.
-
-    A perturbation step (``invseq.perturbed_bit``) is the identity and
-    one bit flip, two XOR masks with no table; every other step is
-    evaluated through ``permutation_unitary_from_circuit``.
-    """
-
-    def __missing__(self, pair: InvPair) -> tuple[SimUnitary, ...]:
-        bit = perturbed_bit(pair)
-        if bit is None:
-            unitaries = tuple(permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r))
-        else:
-            k = pair.k
-            unitaries = (SimUnitary(k, flip=0), SimUnitary(k, flip=1 << (k - 1 - bit)))
-        self[pair] = unitaries
-        return unitaries
 
 
 @dataclass
@@ -166,7 +145,6 @@ def build_output_state(
     cfg: SolverConfig,
     rng: np.random.Generator,
     stage_log: list[StageRecord] | None = None,
-    tables: StepTables | None = None,
     shared: SharedPrefix | None = None,
 ) -> StateVector:
     """Iteratively build the sequence's output-distribution state.
@@ -174,19 +152,20 @@ def build_output_state(
     Every random step queries the choice-interference oracle over its
     2^r permutation unitaries once, and draws up to cfg.retry_budget coins
     on that query; exhaustion raises OracleFailureError with the stage
-    index.  States wider than QUBIT_CAP qubits raise ResourceError up
-    front.  All intermediate states must keep non-negative real amplitudes
-    (they are counting states), which is asserted per stage.
+    index.  States wider than QUBIT_CAP qubits, and steps whose 2^r
+    unitaries exceed the oracle's cap, raise ResourceError up front, before
+    any permutation is built.  All intermediate states must keep
+    non-negative real amplitudes (they are counting states), which is
+    asserted per stage.
 
-    ``tables`` is the decision's step memo; a step equal to one already
-    built reads its entry.  ``shared`` names leading steps of ``seq``: a
-    build given it empty fills it in, and a build given it filled in
-    replays those steps instead of building them again.
+    A stage builds its step's permutations in stage order, so a
+    non-bijective step fails at its own stage.  ``shared`` names leading
+    steps of ``seq``: a build given it empty fills it in, and a build given
+    it filled in replays those steps instead of building them again.
     """
     if seq.k > QUBIT_CAP:
         raise ResourceError(f"state width {seq.k} exceeds qubit cap {QUBIT_CAP}")
-    if tables is None:
-        tables = StepTables()
+    check_unitary_count(1 << seq.max_randomness, ordered=False)
     log = [] if stage_log is None else stage_log
     state, start = StateVector.zero(seq.k), 0
     if shared is not None and shared.state is not None:
@@ -198,7 +177,7 @@ def build_output_state(
         state, start = shared.state, shared.length
     for stage in range(start, len(seq.pairs)):
         pair = seq.pairs[stage]
-        unitaries = tables[pair]
+        unitaries = tuple(permutation_unitary_from_circuit(pair, z) for z in range(1 << pair.r))
         if pair.r == 0:
             state = StateVector(seq.k, unitaries[0].apply(state.amps))
             attempts, probability, norm = 0, 1.0, 1.0
@@ -247,21 +226,20 @@ def decide_sisd(inst: SisdInstance, cfg: SolverConfig) -> Decision:
     """Build both output states, estimate their squared overlap by repeated
     swap tests, and compare the median estimate against the threshold.
 
-    Both builds share one table memo, so a step the sequences have in common
-    is built once per decision, and the second build replays the first one
-    over the leading steps the two sequences share (``SharedPrefix``).  One
-    ``swap_test`` call runs every trial, so the overlap is computed once."""
+    The second build replays the first one over the leading steps the two
+    sequences share (``SharedPrefix``), so those steps are built once per
+    decision.  One ``swap_test`` call runs every trial, so the overlap is
+    computed once."""
     spec = derive_threshold(inst.a, inst.b)
     log0: list[StageRecord] = []
     log1: list[StageRecord] = []
-    tables = StepTables()
     shared = SharedPrefix(0)
     for pair0, pair1 in zip(inst.seq0.pairs, inst.seq1.pairs):
         if pair0 != pair1:
             break
         shared.length += 1
-    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, tables, shared)
-    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, tables, shared)
+    state0 = build_output_state(inst.seq0, cfg, derive_rng(cfg.seed, "build", 0), log0, shared)
+    state1 = build_output_state(inst.seq1, cfg, derive_rng(cfg.seed, "build", 1), log1, shared)
     trials = (derive_rng(cfg.seed, "trial", trial) for trial in range(cfg.trial_count))
     results = swap_test(state0, state1, cfg.swap_shots, trials)
     estimates = [result.estimate for result in results]

@@ -13,7 +13,7 @@ import numpy as np
 from oilab.circuits import BoolCircuit, Gate, SdInstance, enumerate_distribution, random_circuit
 from oilab.distributions import Distribution, tv_distance
 from oilab.errors import WidthError
-from oilab.invseq import InvPair, SisdInstance, sequence_output_distribution
+from oilab.invseq import InvertibleSequence, InvPair, SisdInstance, stage_counts
 from oilab.jsonio import as_exact_probability
 from oilab.lwe import LweParams, no_side_log2_bound
 from oilab.qsim import SimUnitary, StateVector, _interference
@@ -82,7 +82,25 @@ def sd_distance(inst: SdInstance) -> Fraction:
 
 def sisd_distance(inst: SisdInstance) -> Fraction:
     """The exact distance between an instance's two sequences, by the fold."""
-    return tv_distance(sequence_output_distribution(inst.seq0), sequence_output_distribution(inst.seq1))
+    return tv_distance(fold_distribution(inst.seq0), fold_distribution(inst.seq1))
+
+
+def final_counts(seq: InvertibleSequence) -> np.ndarray:
+    """The last stage of ``stage_counts``: the sequence's output counts,
+    summing to 2^(total random bits); no earlier stage is kept."""
+    for counts in stage_counts(seq):
+        pass
+    return counts
+
+
+def fold_distribution(seq: InvertibleSequence) -> Distribution:
+    """The sequence's exact output distribution, from ``final_counts``."""
+    return exact_distribution(seq.k, final_counts(seq))
+
+
+def permutation_table(u: SimUnitary) -> np.ndarray:
+    """The table x -> u(x) of a permutation in any form, read from its action."""
+    return np.argsort(u.apply(np.arange(1 << u.n)))
 
 
 def exact_distribution(width: int, weights) -> Distribution:

@@ -15,6 +15,7 @@ from helpers import (
     basis_state,
     exact_distribution,
     fidelity,
+    final_counts,
     no_side_probability_bound,
     oi_vector,
     pauli_x,
@@ -28,7 +29,7 @@ from helpers import (
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import tv_distance
 from oilab.errors import GapViolationError
-from oilab.invseq import reduce_sd_to_sisd, sequence_output_distribution, validate_sequence
+from oilab.invseq import reduce_sd_to_sisd, validate_sequence
 from oilab.lwe import LweParams, centered_mod, gap_experiment
 from oilab.qsim import SimUnitary, StateVector, ci_oracle_query, oi_oracle_query, swap_test
 from oilab.seeding import derive_rng
@@ -191,11 +192,8 @@ def test_criterion_06_state_construction(built_states):
     with criterion(6, "oracle-built states match exact enumeration per amplitude"):
         assert len(built_states) >= 50
         for seq, state, _ in built_states:
-            dist = sequence_output_distribution(seq)
-            expected = np.zeros(1 << seq.k)
-            for key, prob in dist.probs.items():
-                expected[key] = float(prob)
-            expected /= np.linalg.norm(expected)
+            counts = final_counts(seq)
+            expected = counts / np.linalg.norm(counts)
             assert np.abs(state.amps.real - expected).max() < 1e-9
             assert np.abs(state.amps.imag).max() < 1e-9
 

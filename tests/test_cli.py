@@ -22,7 +22,7 @@ from oilab import cli, config
 from oilab.circuits import BoolCircuit, Gate, SdInstance, random_circuit
 from oilab.cli import build_parser, main
 from oilab.corpus import build_sd_corpus, polarize_corpus
-from oilab.invseq import reduce_sd_to_sisd
+from oilab.invseq import InvertibleSequence, InvPair, SisdInstance, reduce_sd_to_sisd
 from oilab.jsonio import fraction_to_string, write_json
 from oilab.solver import SolverConfig, decide_sd
 
@@ -134,6 +134,16 @@ class TestDecide:
         )
         assert code == 0
         assert json.loads(output.out)["verdict"] == "YES"
+
+    def test_oracle_cap_on_a_sisd_file_is_an_error(self, tmp_path, capsys):
+        # a step of four random bits is 16 unitaries, refused before any is built
+        circuit = BoolCircuit(5, (Gate("XOR", (0, 1)),), (5,))
+        seq = InvertibleSequence((InvPair(circuit, circuit),), 1)
+        path = tmp_path / "wide.json"
+        write_json(str(path), SisdInstance(seq, seq, 0, 1).to_json_dict())
+        code, output = run(capsys, ["decide", "sisd", "--instance", path])
+        assert code == 2 and output.out == ""
+        assert output.err == "error: 16 unitaries means 16 choices; cap is 8\n"
 
     def test_cap_bits_flag_rejected(self, sd_files, tmp_path, capsys):
         # a flag a command never reads is an argparse error, not a silent no-op
@@ -425,6 +435,13 @@ class TestLwe:
         assert len(csv_lines) == 11
         assert json.loads((tmp_path / "exp.json").read_text())["trials"] == 5
 
+    def test_an_error_width_past_the_support_cap_is_an_error(self, tmp_path, capsys):
+        # alpha * q = 2^39: ten widths each side would be 80 TiB of support
+        argv = ["lwe", "gen", "--n", 1, "--q", 2 ** 40, "--m", 1, "--alpha", 0.5, "--out", tmp_path / "x.json"]
+        code, output = run(capsys, argv)
+        assert code == 2 and output.out == ""
+        assert output.err.startswith("error: error width 5.49756e+11 needs 10995116277761 support points")
+
     @pytest.mark.parametrize("cap_bits", [10], ids=["flag"])
     def test_cap_bits_bounds_cvp_candidates(self, cap_bits, tmp_path, capsys):
         inst, cvp = tmp_path / "inst.json", tmp_path / "cvp.json"
@@ -709,6 +726,15 @@ class TestDeferredImports:
         assert code == 0
         assert not DEFERRED_MODULES & set(at_import)
         assert set(after) - set(at_import) == added
+
+    def test_the_lwe_lab_loads_only_its_own_chain(self):
+        # a fresh process importing oilab.lwe is the lwe-gap benchmark's setup:
+        # a module added to this chain costs every such process its import
+        code = "import sys, oilab.lwe\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'oilab'))\n"
+        done = fresh_run("-c", code)
+        assert done.returncode == 0, done.stderr
+        chain = ["oilab", "oilab.config", "oilab.errors", "oilab.jsonio", "oilab.lwe", "oilab.seeding"]
+        assert done.stdout == f"{chain}\n"
 
     def test_a_loaded_module_is_bound_at_import(self):
         # as `from .solver import decide_sd` did: a probe installed on the home

@@ -23,7 +23,7 @@ PACKAGE = ROOT / "src" / "oilab"
 
 # public definitions kept without a caller, and why
 UNCALLED = {
-    "invseq.sequence_output_distribution": "the exact fold, the last of stage_counts (ROADMAP item 9)",
+    "invseq.stage_counts": "the exact fold the oracle-built states are checked against (ROADMAP item 20)",
     "lwe.alpha_bound": "the regime szk_regime_gamma is derived from (ROADMAP item 4)",
     "lwe.no_side_log2_bound": "the counting bound of that regime (ROADMAP item 4)",
 }

@@ -10,6 +10,7 @@ from helpers import (
     constant_circuit,
     edited,
     eval_circuit,
+    fold_distribution,
     identity_circuit,
     identity_pair,
     marginal,
@@ -47,7 +48,6 @@ from oilab.invseq import (
     direct_product,
     polarize,
     reduce_sd_to_sisd,
-    sequence_output_distribution,
     stage_counts,
     validate_sequence,
     xor_combine,
@@ -187,26 +187,24 @@ class TestValidation:
 class TestSequenceDistribution:
     def test_single_xor_step_splits_evenly(self):
         seq = InvertibleSequence((_xor_bit_step(3, 0),), 3)
-        dist = sequence_output_distribution(seq)
+        dist = fold_distribution(seq)
         assert dist.probs == {0b000: Fraction(1, 2), 0b100: Fraction(1, 2)}
 
     def test_all_identity_is_point_mass(self):
         seq = InvertibleSequence(tuple(identity_pair(2) for _ in range(3)), 2)
-        assert sequence_output_distribution(seq) == point_mass(2, 0)
-        assert sequence_output_distribution(InvertibleSequence((), 2)) == point_mass(2, 0)
+        assert fold_distribution(seq) == point_mass(2, 0)
+        assert fold_distribution(InvertibleSequence((), 2)) == point_mass(2, 0)
 
     def test_cap(self):
         seq = InvertibleSequence(tuple(_xor_bit_step(2, 0) for _ in range(30)), 2)
         with pytest.raises(ResourceError):
-            sequence_output_distribution(seq)
+            next(stage_counts(seq))
 
     def test_step_domain_cap(self):
         # one random bit in all, but a step over 24 + 1 bits
         seq = InvertibleSequence((_xor_bit_step(24, 0),), 24)
         with pytest.raises(ResourceError):
             next(stage_counts(seq))
-        with pytest.raises(ResourceError):
-            sequence_output_distribution(seq)
 
 
 class TestReduction:
@@ -226,9 +224,7 @@ class TestReduction:
     def test_identical_circuits_give_zero_distance(self):
         c = random_circuit(3, 2, 6, seed=9)
         red = reduce_sd_to_sisd(SdInstance(c, c, 0, 1))
-        d0 = sequence_output_distribution(red.seq0)
-        d1 = sequence_output_distribution(red.seq1)
-        assert tv_distance(d0, d1) == 0
+        assert sisd_distance(red) == 0
 
     def test_distance_preserved_exactly(self):
         for index in range(30):
@@ -247,7 +243,7 @@ class TestReduction:
         inst = random_sd_instance(5)
         prefix = max(inst.c0.k_in, inst.c1.k_in)
         k_out = inst.c0.k_out
-        dist = sequence_output_distribution(reduce_sd_to_sisd(inst).seq0)
+        dist = fold_distribution(reduce_sd_to_sisd(inst).seq0)
         assert marginal(dist, 0, prefix) == uniform_distribution(prefix)
         assert marginal(dist, prefix, prefix + k_out) == enumerate_distribution(inst.c0)
         # full product structure, not just the marginals
@@ -710,7 +706,7 @@ class TestBlocksMatchOneBatch:
         ]
         assert len(sequences) == 40
         for seq in sequences:
-            assert sequence_output_distribution(seq) == one_batch_fold(seq)
+            assert fold_distribution(seq) == one_batch_fold(seq)
 
     @pytest.mark.parametrize("rows", [7, 2 ** 15])
     @pytest.mark.parametrize("seed", range(6))
@@ -722,14 +718,14 @@ class TestBlocksMatchOneBatch:
         )
         seq = InvertibleSequence(steps, 5)
         assert not all(map(is_bijection, steps))
-        assert sequence_output_distribution(seq) == one_batch_fold(seq)
+        assert fold_distribution(seq) == one_batch_fold(seq)
 
     def test_fold_of_one_wide_step(self, monkeypatch):
         # one step of 12 random bits from one state: the rows of a step span
         # many blocks, and the states reached are merged along the way
         monkeypatch.setattr("oilab.circuits._CHUNK_ROWS", 64)
         seq = InvertibleSequence((random_step(6, 12, seed=3), random_step(6, 2, seed=4)), 6)
-        assert sequence_output_distribution(seq) == one_batch_fold(seq)
+        assert fold_distribution(seq) == one_batch_fold(seq)
 
 
 class TestMemoryBounds:
@@ -759,4 +755,4 @@ class TestMemoryBounds:
         inst = SdInstance(random_circuit(12, 4, 40, seed=1), random_circuit(12, 4, 40, seed=2), 0, 1)
         seq = reduce_sd_to_sisd(inst).seq0
         assert seq.total_random_bits == 24
-        assert traced_peak_bytes(lambda: sequence_output_distribution(seq)) < 8_000_000
+        assert traced_peak_bytes(lambda: fold_distribution(seq)) < 8_000_000

@@ -10,6 +10,7 @@ from helpers import no_side_probability_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oilab import lwe
 from oilab.errors import ResourceError, WidthError
 from oilab.jsonio import canonical_dumps
 from oilab.lwe import (
@@ -86,6 +87,13 @@ class TestDiscreteGaussian:
     def test_width_validated(self):
         with pytest.raises(ValueError):
             sample_discrete_gaussian(0.0, derive_rng(0, "g"), size=1)
+
+    def test_support_is_capped_before_it_is_built(self, monkeypatch):
+        # width 1 is cut at 10 each side: 21 points draw, 23 do not
+        monkeypatch.setattr(lwe, "MAX_SUPPORT_POINTS", 21)
+        assert len(sample_discrete_gaussian(1.0, derive_rng(5, "g"), size=3)) == 3
+        with pytest.raises(ResourceError, match="^error width 1.01 needs 23 support points; cap is 21$"):
+            sample_discrete_gaussian(1.01, derive_rng(5, "g"), size=3)
 
 
 class TestSampling:

@@ -16,6 +16,7 @@ from helpers import (
     orderings,
     pauli_x,
     pauli_z,
+    permutation_table,
     random_state,
     unitary_to_json_dict,
 )
@@ -134,18 +135,18 @@ class TestPermutationFromCircuit:
 
     def test_xor_step_is_involution(self):
         pair = _xor_bit_step(3, 1)
-        u = permutation_unitary_from_circuit(pair, 1)
-        assert np.array_equal(u.table[u.table], np.arange(8))
-        assert u.table[0] == int("010", 2)
+        table = permutation_table(permutation_unitary_from_circuit(pair, 1))
+        assert np.array_equal(table[table], np.arange(8))
+        assert table[0] == int("010", 2)
         assert np.array_equal(
-            permutation_unitary_from_circuit(pair, 0).table, np.arange(8)
+            permutation_table(permutation_unitary_from_circuit(pair, 0)), np.arange(8)
         )
 
     def test_random_pairs_give_bijections(self):
         for k in (2, 4, 6):
             pair = _xor_bit_step(k, k - 1)
             for z in (0, 1):
-                table = permutation_unitary_from_circuit(pair, z).table
+                table = permutation_table(permutation_unitary_from_circuit(pair, z))
                 assert len(np.unique(table)) == 1 << k
 
     def test_non_bijective_forward_rejected(self):
@@ -163,7 +164,7 @@ class TestPermutationFromCircuit:
                 int(eval_circuit(pair.forward, format(x, f"0{pair.k}b") + z), 2)
                 for x in range(1 << pair.k)
             ]
-            table = permutation_unitary_from_circuit(pair, int(z or "0", 2)).table
+            table = permutation_table(permutation_unitary_from_circuit(pair, int(z or "0", 2)))
             assert table.tolist() == expected
 
     def test_randomness_width_checked(self):
@@ -240,7 +241,7 @@ class TestStructuredStep:
         z = (1 << pair.r) - 1
         if bijective:
             full = eval_circuit_batch(pair.forward, (np.arange(1 << pair.k) << pair.r) | z)
-            assert np.array_equal(permutation_unitary_from_circuit(pair, z).table, full)
+            assert np.array_equal(permutation_table(permutation_unitary_from_circuit(pair, z)), full)
         else:
             with pytest.raises(InvalidPairError):
                 permutation_unitary_from_circuit(pair, z)

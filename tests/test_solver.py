@@ -17,14 +17,15 @@ from helpers import (
     cosine_similarity,
     cosine_threshold_counterexamples,
     exact_distribution,
+    final_counts,
     identity_circuit,
     identity_pair,
     sd_distance,
     uniform_distribution,
 )
 
-from oilab import corpus, solver
-from oilab.circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, random_circuit
+from oilab import corpus, qsim, solver
+from oilab.circuits import BoolCircuit, CircuitBuilder, Gate, SdInstance, eval_circuit_batch, random_circuit
 from oilab.config import QUBIT_CAP
 from oilab.corpus import build_sd_corpus, polarize_corpus
 from oilab.distributions import Distribution, tv_distance
@@ -51,7 +52,6 @@ from oilab.solver import (
     SharedPrefix,
     SolverConfig,
     StageRecord,
-    StepTables,
     build_output_state,
     decide_sd,
     decide_sisd,
@@ -62,6 +62,12 @@ from oilab.solver import (
 def and4_circuit() -> BoolCircuit:
     gates = (Gate("AND", (0, 1)), Gate("AND", (4, 2)), Gate("AND", (5, 3)))
     return BoolCircuit(4, gates, (6,))
+
+
+def four_random_bit_step() -> InvPair:
+    """(x; z) -> x XOR z_0 on one state bit and four random bits."""
+    circuit = BoolCircuit(5, (Gate("XOR", (0, 1)),), (5,))
+    return InvPair(circuit, circuit)
 
 
 class TestDeriveThreshold:
@@ -110,17 +116,12 @@ class TestBuildOutputState:
         assert np.abs(state.amps - expected).max() < 1e-12
 
     def test_reduced_sequence_matches_enumeration(self):
-        from oilab.invseq import sequence_output_distribution
-
         inst = SdInstance(random_circuit(2, 1, 5, seed=31), random_circuit(2, 1, 4, seed=32), 0, 1)
         seq = reduce_sd_to_sisd(inst).seq0
         log: list[StageRecord] = []
         state = build_output_state(seq, SolverConfig(seed=3), derive_rng(3, "b"), log)
-        dist = sequence_output_distribution(seq)
-        expected = np.zeros(1 << seq.k)
-        for key, prob in dist.probs.items():
-            expected[key] = float(prob)
-        expected /= np.linalg.norm(expected)
+        counts = final_counts(seq)
+        expected = counts / np.linalg.norm(counts)
         assert np.abs(state.amps.real - expected).max() < 1e-9
         assert len(log) == len(seq)
         assert all(r.min_real_amplitude >= -1e-12 for r in log)
@@ -156,18 +157,30 @@ class TestBuildOutputState:
             (math.sqrt(2) / 2) / (math.sqrt(2) / 2 + 1), abs=1e-12
         )
 
-    def test_a_negative_amplitude_stops_the_build(self):
-        # no circuit step can make one: a dense -1 in the memo stands in
+    def test_a_negative_amplitude_stops_the_build(self, monkeypatch):
+        # no circuit step can make one: a dense -1 built for the step stands in
         pair = identity_pair(1)
-        tables = StepTables({pair: (SimUnitary(1, matrix=-np.eye(2)),)})
+        build = solver.permutation_unitary_from_circuit
+
+        def negated(step, z):
+            return SimUnitary(1, matrix=-np.eye(2)) if step == pair else build(step, z)
+
+        monkeypatch.setattr(solver, "permutation_unitary_from_circuit", negated)
         seq = InvertibleSequence((_xor_bit_step(1, 0), pair), 1)
         with pytest.raises(AssertionError, match="^stage 1 produced a negative amplitude$"):
-            build_output_state(seq, SolverConfig(), derive_rng(0, "negative"), tables=tables)
+            build_output_state(seq, SolverConfig(), derive_rng(0, "negative"))
 
     def test_qubit_cap(self):
         seq = InvertibleSequence((_xor_bit_step(16, 0),), 16)
         with pytest.raises(ResourceError):
             build_output_state(seq, SolverConfig(seed=0), derive_rng(0, "cap"))
+
+    def test_oracle_cap_is_checked_before_any_build(self, table_builds):
+        # 2^4 unitaries for the last step: refused before the first step is built
+        seq = InvertibleSequence((_xor_bit_step(1, 0), four_random_bit_step()), 1)
+        with pytest.raises(ResourceError, match=r"^16 unitaries means 16 choices; cap is 8$"):
+            build_output_state(seq, SolverConfig(), derive_rng(0, "oracle-cap"))
+        assert table_builds == []
 
     def test_retry_counts_match_geometric_law(self):
         # attempts per random stage are geometric with the computed p
@@ -466,9 +479,10 @@ def table_builds(monkeypatch):
 
 
 class TestStepTableMemo:
-    """Each distinct step's tables are built once per decision, in stage
-    order, perturbation steps as XOR masks, and the decisions are those
-    of unmemoized circuit-evaluated builds."""
+    """What a decision builds: each stage takes its step's permutations in
+    stage order, perturbation steps as shared XOR masks; no evaluated step
+    is built twice in a decision, and the decisions are those of the
+    recorded digest."""
 
     @pytest.fixture(scope="class")
     def corpus_pass(self):
@@ -479,18 +493,35 @@ class TestStepTableMemo:
             for item in corpus:
                 before = len(builds)
                 reports.append(decide_sd(item.instance, SolverConfig(seed=99)).to_json_dict())
-                per_decision.append(len(builds) - before)
-        widths = [reduce_sd_to_sisd(item.instance).seq0.k for item in corpus]
-        return widths, per_decision, reports
+                per_decision.append(builds[before:])
+        sequences = [reduce_sd_to_sisd(item.instance).seq0 for item in corpus]
+        return sequences, per_decision, reports
 
     def test_corpus_pass_builds_each_distinct_step_once(self, corpus_pass):
-        # the p = 10 (width 14) or 6 (width 10) perturb steps, shared by both
-        # sequences, take XOR masks with no table; only each sequence's
-        # middle step is evaluated, against 8p + 2 builds without the memo
-        widths, per_decision, _ = corpus_pass
-        assert set(widths) == {14, 10}
-        assert per_decision == [2] * len(widths)
-        assert sum(per_decision) == 40
+        # seq0's 2p perturb stages and its middle step, then seq1's middle
+        # step and its p stages after the shared prefix: 6p masks and 2 tables
+        sequences, per_decision, _ = corpus_pass
+        assert {seq.k for seq in sequences} == {14, 10}
+        for seq, builds in zip(sequences, per_decision):
+            p = len(seq) // 2
+            evaluated = [(pair, z) for pair, z in builds if perturbed_bit(pair) is None]
+            assert len(builds) == 6 * p + 2
+            assert len(evaluated) == len(set(evaluated)) == 2
+
+    def test_served_traffic_evaluates_no_step_twice(self, table_builds):
+        # both seeds' 100-instance polarized corpora: the shared-prefix
+        # replay covers every repeated step, so nothing needs a memo
+        evaluated_counts = []
+        for seed in (2026, 7):
+            for item in polarize_corpus(build_sd_corpus(100, seed)):
+                before = len(table_builds)
+                decide_sd(item.instance, SolverConfig(seed=99))
+                evaluated = [(pair, z) for pair, z in table_builds[before:] if perturbed_bit(pair) is None]
+                assert len(evaluated) == len(set(evaluated))
+                evaluated_counts.append(len(evaluated))
+        # 12 instances compile to two equal sequences: the second is replayed whole
+        assert (evaluated_counts.count(2), evaluated_counts.count(1)) == (188, 12)
+        assert qsim._xor_mask.cache_info().currsize <= QUBIT_CAP * (QUBIT_CAP + 1)
 
     def test_corpus_decisions_match_the_recorded_digest(self, corpus_pass):
         reports = [
@@ -510,15 +541,17 @@ class TestStepTableMemo:
         seq1 = InvertibleSequence((flip,), 1)
         with pytest.raises(InvalidPairError, match="randomness 1"):
             decide_sisd(SisdInstance(seq0, seq1, 0, 1), SolverConfig(seed=4))
-        assert table_builds == [(broken, 0), (broken, 1)]
+        assert table_builds == [(flip, 0), (flip, 1), (broken, 0), (broken, 1)]
 
     def test_equal_steps_of_both_sequences_share_tables(self, table_builds):
         seq = reduce_sd_to_sisd(SdInstance(and4_circuit(), and4_circuit(), 0, 1)).seq0
         copy = InvertibleSequence.from_json_dict(seq.to_json_dict())
         decide_sisd(SisdInstance(seq, copy, 0, 1), SolverConfig(seed=6, trial_count=1))
-        # the 4 perturb steps take XOR masks; the equal middle steps
-        # are evaluated once
-        assert len(table_builds) == 1
+        # the copy is replayed whole: the 8 perturb stages take XOR masks
+        # and the middle step is evaluated once
+        evaluated = [(pair, z) for pair, z in table_builds if perturbed_bit(pair) is None]
+        assert evaluated == [(seq.pairs[4], 0)]
+        assert len(table_builds) == 17
 
 
 class TestSharedPrefix:
@@ -540,7 +573,7 @@ class TestSharedPrefix:
                 shared = SharedPrefix(length)
                 try:
                     first_cfg = replace(cfg, retry_budget=50)
-                    build_output_state(sisd.seq0, first_cfg, derive_rng(seed, index, 0), [], None, shared)
+                    build_output_state(sisd.seq0, first_cfg, derive_rng(seed, index, 0), [], shared)
                 except OracleFailureError:
                     pass
                 assert shared.state is not None and len(shared.records) == length
@@ -548,7 +581,7 @@ class TestSharedPrefix:
                 for replay in (shared, None):
                     log: list[StageRecord] = []
                     try:
-                        state = build_output_state(sisd.seq1, cfg, derive_rng(seed, index, 1), log, None, replay)
+                        state = build_output_state(sisd.seq1, cfg, derive_rng(seed, index, 1), log, replay)
                         builds.append((state.amps.tobytes(), log))
                     except OracleFailureError as exc:
                         builds.append((str(exc), exc.stage, exc.attempts, exc.success_probability, log))
@@ -592,28 +625,27 @@ def xor_bit_like(k: int, bit: int, kind: str = "XOR", outputs=None) -> BoolCircu
 
 class TestClosedFormPerturbSteps:
     """Perturbation steps are two XOR masks, the identity and one bit flip;
-    each applies exactly as the circuit path's table, and any other step
-    takes that path."""
+    each applies exactly as the full table of its circuit, and any other
+    step is evaluated from its circuit."""
 
-    def test_tables_equal_the_circuit_path_at_every_width_and_bit(self, table_builds):
+    def test_tables_equal_the_circuit_path_at_every_width_and_bit(self):
         rng = derive_rng(70, "flip-apply")
         for k in range(1, QUBIT_CAP + 1):
-            tables = StepTables()
             real = rng.normal(size=1 << k)
             vectors = (real, real + 1j * rng.normal(size=1 << k))
             for bit in range(k):
                 step = _xor_bit_step(k, bit)
                 assert perturbed_bit(step) == bit
-                closed = tables[step]
-                assert tables[step] is closed
-                assert [u.flip for u in closed] == [0, 1 << (k - 1 - bit)]
                 for z in (0, 1):
-                    circuit = permutation_unitary_from_circuit(step, z)
+                    mask = permutation_unitary_from_circuit(step, z)
+                    assert mask.flip == z << (k - 1 - bit)
+                    assert permutation_unitary_from_circuit(step, z) is mask
+                    rows = (np.arange(1 << k) << 1) | z
+                    full = SimUnitary(k, table=eval_circuit_batch(step.forward, rows))
                     for amps in vectors:
-                        got = closed[z].apply(amps)
+                        got = mask.apply(amps)
                         assert got.dtype == amps.dtype
-                        assert np.array_equal(got, circuit.apply(amps))
-        assert table_builds == []
+                        assert np.array_equal(got, full.apply(amps))
 
     @pytest.mark.parametrize(
         "pair",
@@ -626,10 +658,12 @@ class TestClosedFormPerturbSteps:
         ],
         ids=["backward-differs", "output-rewired", "outputs-swapped"],
     )
-    def test_other_steps_take_the_circuit_path(self, pair, table_builds):
+    def test_other_steps_take_the_circuit_path(self, pair):
         assert perturbed_bit(pair) is None
-        StepTables()[pair]
-        assert table_builds == [(pair, 0), (pair, 1)]
+        for z in (0, 1):
+            table = eval_circuit_batch(pair.forward, (np.arange(8) << 1) | z)
+            u = permutation_unitary_from_circuit(pair, z)
+            assert u.flip is None and np.array_equal(u.table, table)
 
     def test_a_step_read_from_a_file_is_recognized(self):
         # the reduction and the recognizer share one frozen step per (width, bit)
@@ -651,7 +685,7 @@ class TestClosedFormPerturbSteps:
         pair = InvPair(circuit, circuit)
         assert perturbed_bit(pair) is None
         with pytest.raises(InvalidPairError, match=f"randomness {z}"):
-            StepTables()[pair]
+            build_output_state(InvertibleSequence((pair,), 3), SolverConfig(), derive_rng(0, kind))
         assert table_builds == [(pair, built) for built in range(z + 1)]
 
 
